@@ -1,5 +1,6 @@
-"""Derivative-free scalar searches shared by the envelope and relaxation
-solvers.  Everything here is deterministic for fixed inputs."""
+"""Derivative-free scalar searches and the lower convex hull shared by
+the envelope and relaxation solvers.  Everything here is deterministic
+for fixed inputs."""
 
 from __future__ import annotations
 
@@ -39,6 +40,21 @@ def golden_min(fn, lo: float, hi: float, iters: int = 60, coarse: int = 13):
         if v < best_v:
             best_x, best_v = x, v
     return best_x, best_v
+
+
+def lower_hull(points) -> list:
+    """Lower convex hull of (x, y) points by Andrew's monotone chain, in
+    increasing x; collinear middle points are dropped."""
+    hull = []
+    for p in sorted(points):
+        while len(hull) >= 2:
+            (x1, y1), (x2, y2) = hull[-2], hull[-1]
+            if (x2 - x1) * (p[1] - y1) - (p[0] - x1) * (y2 - y1) <= 0.0:
+                hull.pop()
+            else:
+                break
+        hull.append(p)
+    return hull
 
 
 def fit_loglog_slope(pairs):

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field as dc_field
 
 from .errors import HypothesisViolated
-from .matcore import Mat, det, frob_norm, invert, is_invertible, max_norm_pair
+from .matcore import Mat, det, frob_norm, is_invertible, max_norm_pair
 from .measure import YoungMeasureField, classify, first_moment, pair as pair_fn
 from .meshdef import MeshDeformation
 
@@ -281,26 +281,17 @@ def _circulation_check(field: YoungMeasureField) -> Check:
     field of true gradients telescopes to exactly zero circulation.
     Row-wise residuals above 1e-8 * (mesh size) * (field scale) fail."""
     mesh = field.mesh
-    nx, ny = mesh.shape
     moments = [first_moment(nu) for nu in field.measures]
-    incident: dict = {}
-    for c in range(mesh.n_cells):
-        for p in mesh.triangle_vertices(c):
-            key = (round(p[0] * nx), round(p[1] * ny))
-            incident.setdefault(key, []).append(c)
-    h = 1.0 / max(nx, ny)
+    h = 1.0 / max(mesh.shape)
     scale = max([1.0] + [frob_norm(m) for m in moments])
     tol = 1e-8 * h * scale
     worst = 0.0
-    for (i, j), cells in incident.items():
-        if not (0 < i < nx and 0 < j < ny):
-            continue
-        vx, vy = i / nx, j / ny
+    for k in mesh.interior_vertices():
+        vx, vy = mesh.vertex_point(k)
         circ = [0.0, 0.0]
-        for c in cells:
-            verts = mesh.triangle_vertices(c)
-            others = [p for p in verts
-                      if abs(p[0] - vx) + abs(p[1] - vy) > 1e-12]
+        for c in mesh.vertex_cells[k]:
+            others = [mesh.vertex_point(q) for q in mesh.cell_vertices(c)
+                      if q != k]
             a, b = [((vx + p[0]) / 2.0, (vy + p[1]) / 2.0) for p in others]
             # orient every segment counterclockwise around the vertex
             cross = (a[0] - vx) * (b[1] - vy) - (a[1] - vy) * (b[0] - vx)

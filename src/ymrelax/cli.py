@@ -57,6 +57,13 @@ def _setup_logging():
     logger.setLevel(levels[name])
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ConfigError(f"non-finite number {text} in the config")
+    return value
+
+
 def _expect(cfg: dict, where: str, required: dict, optional: dict) -> None:
     if not isinstance(cfg, dict):
         raise ConfigError(f"{where} must be a JSON object")
@@ -91,21 +98,7 @@ def _energy(cfg: dict, where: str):
         raise ConfigError(str(exc)) from exc
 
 
-def _battery(entries, rho_tilde: float, where: str) -> list:
-    out = []
-    for i, entry in enumerate(entries):
-        if not isinstance(entry, dict) or "kind" not in entry:
-            raise ConfigError(f"{where}[{i}] must be an object with a 'kind'")
-        params = {k: v for k, v in entry.items() if k != "kind"}
-        try:
-            fn = named_testfn(entry["kind"], params)
-        except ToolError as exc:
-            raise ConfigError(f"{where}[{i}]: {exc}") from exc
-        out.append(orho_extend(fn, rho_tilde))
-    return out
-
-
-def _plain_battery(entries, where: str) -> list:
+def _battery(entries, where: str) -> list:
     out = []
     for i, entry in enumerate(entries):
         if not isinstance(entry, dict) or "kind" not in entry:
@@ -229,15 +222,13 @@ def _witness_rows(witness) -> list:
         head = ["atom", "weight"] + [f"m{i}{j}" for i in range(n)
                                      for j in range(n)]
         return [head] + _measure_rows(witness)
-    if isinstance(witness, MeshDeformation):
-        return witness.to_csv_rows()
     return witness.to_csv_rows()
 
 
 # -- command implementations --------------------------------------------------
 
 
-def _run_envelope(cfg: dict, seed: int, threads: int):
+def _run_envelope(cfg: dict, seed: int):
     _expect(cfg, "envelope", {"energy": str, "F": (int, float, list),
                               "rho_tilde": (int, float), "method": str},
             {"energy_params": dict, "grid": int, "depth": int, "angles": int,
@@ -247,10 +238,23 @@ def _run_envelope(cfg: dict, seed: int, threads: int):
     energy = _energy(cfg, "envelope")
     f = _mat(cfg["F"], "envelope.F")
     rho_tilde = float(cfg["rho_tilde"])
-    if rho_tilde <= 0:
-        raise ConfigError("envelope.rho_tilde must be positive")
-    if cfg["method"] == "oracle1d" and f.n != 1:
-        raise ConfigError("the oracle method needs a 1x1 barycenter")
+    if not 0.0 < rho_tilde < math.inf:
+        raise ConfigError("envelope.rho_tilde must be positive and finite")
+    if cfg["method"] == "oracle1d":
+        if f.n != 1:
+            raise ConfigError("the oracle method needs a 1x1 barycenter")
+        if rho_tilde < 1.0:
+            raise ConfigError("the oracle method needs rho_tilde >= 1")
+        if cfg.get("grid", 10000) < 100:
+            raise ConfigError("envelope.grid must be at least 100")
+    elif cfg["method"] == "laminate" and cfg.get("depth", 2) < 0:
+        raise ConfigError("envelope.depth must be nonnegative")
+    elif cfg["method"] == "fe":
+        cells = cfg.get("mesh_cells", 32)
+        try:
+            Mesh.interval(cells) if f.n == 1 else Mesh.square(cells)
+        except ValueError as exc:
+            raise ConfigError(f"envelope.mesh_cells: {exc}") from exc
     v = orho_extend(energy, rho_tilde)
 
     def run():
@@ -271,7 +275,7 @@ def _run_envelope(cfg: dict, seed: int, threads: int):
     return run, write
 
 
-def _run_relax(cfg: dict, seed: int, threads: int):
+def _run_relax(cfg: dict, seed: int):
     _expect(cfg, "relax", {"energy": str, "F": (int, float, list), "mesh": dict},
             {"energy_params": dict, "p": (int, float), "q": (int, float),
              "rho_cap": (int, float), "positive_det": bool,
@@ -314,7 +318,7 @@ def _run_relax(cfg: dict, seed: int, threads: int):
     return run, write
 
 
-def _run_generate(cfg: dict, seed: int, threads: int):
+def _run_generate(cfg: dict, seed: int):
     _expect(cfg, "generate", {"atoms": list, "weights": list, "k_ladder": list},
             {"v_battery": list, "g_battery": list, "boundary": dict,
              "seed": int, "out": str})
@@ -328,7 +332,7 @@ def _run_generate(cfg: dict, seed: int, threads: int):
         raise ConfigError(f"generate: {exc}") from exc
     n = atoms[0].n
     if "v_battery" in cfg:
-        v_battery = _plain_battery(cfg["v_battery"], "generate.v_battery")
+        v_battery = _battery(cfg["v_battery"], "generate.v_battery")
     elif n == 1:
         v_battery = [named_testfn("entry_power", {"exponent": 1}),
                      named_testfn("entry_power", {"exponent": 2}),
@@ -351,8 +355,7 @@ def _run_generate(cfg: dict, seed: int, threads: int):
                                  float(b["layer_width"]), float(b["epsilon"]))
 
     def run():
-        report = verify_generation(spec, v_battery, g_names, cfg["k_ladder"],
-                                   threads=threads)
+        report = verify_generation(spec, v_battery, g_names, cfg["k_ladder"])
         finest = build_laminate_sequence(
             SequenceSpec(spec.atoms, spec.weights, max(cfg["k_ladder"])))
         glue_report = None
@@ -373,7 +376,7 @@ def _run_generate(cfg: dict, seed: int, threads: int):
     return run, write
 
 
-def _run_certify(cfg: dict, seed: int, threads: int):
+def _run_certify(cfg: dict, seed: int):
     theorem = cfg.get("theorem")
     if theorem not in _THEOREMS:
         raise ConfigError(f"certify.theorem must be one of {list(_THEOREMS)}")
@@ -419,18 +422,13 @@ def _run_certify(cfg: dict, seed: int, threads: int):
                 {"jensen_depth": int, "jensen_angles": int,
                  "seed": int, "out": str})
         field = _field_from_json(cfg["field"], "certify.field")
-        if "normal" in cfg["u_h"]:
-            try:
-                u_h = GradientField.from_json_dict(cfg["u_h"])
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ConfigError(f"certify.u_h: {exc}") from exc
-        else:
-            try:
-                u_h = MeshDeformation.from_json_dict(cfg["u_h"])
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ConfigError(f"certify.u_h: {exc}") from exc
-        battery = _battery(cfg["battery"], float(cfg["rho_tilde"]),
-                           "certify.battery")
+        u_cls = GradientField if "normal" in cfg["u_h"] else MeshDeformation
+        try:
+            u_h = u_cls.from_json_dict(cfg["u_h"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"certify.u_h: {exc}") from exc
+        battery = [orho_extend(fn, float(cfg["rho_tilde"]))
+                   for fn in _battery(cfg["battery"], "certify.battery")]
 
         def run():
             return ct.check_thm3(field, u_h, float(cfg["rho"]), battery,
@@ -458,7 +456,6 @@ def main(argv=None) -> int:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--threads", type=int, default=1)
         p.add_argument("--out", default=None)
     args = parser.parse_args(argv)
 
@@ -467,7 +464,8 @@ def main(argv=None) -> int:
         _setup_logging()
         try:
             with open(args.config) as fh:
-                cfg = json.load(fh)
+                cfg = json.load(fh, parse_float=_finite_float,
+                                parse_constant=_finite_float)
         except OSError as exc:
             raise ConfigError(f"cannot read config: {exc}") from exc
         except json.JSONDecodeError as exc:
@@ -476,7 +474,7 @@ def main(argv=None) -> int:
             raise ConfigError("config must be a JSON object")
         seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
         # full validation happens before any artifact is written
-        run, write = _COMMANDS[args.command](cfg, seed, max(1, args.threads))
+        run, write = _COMMANDS[args.command](cfg, seed)
     except ConfigError as exc:
         print(f"ConfigError: {exc}", file=sys.stderr)
         return 2
@@ -504,7 +502,6 @@ def main(argv=None) -> int:
         "command": args.command,
         "config_path": os.path.abspath(args.config),
         "seed": seed,
-        "threads": args.threads,
         "package_version": __version__,
         "numpy_version": np.__version__,
         "python_version": sys.version.split()[0],

@@ -17,11 +17,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ._search import golden_min
+from ._search import golden_min, lower_hull
 from .errors import InfeasibleBarycenter, NoAdmissibleSplit, NoFeasibleStart
-from .matcore import Mat, RhoBall, frob_norm, in_rho_ball, iter_coordinate_dyads
+from .matcore import Mat, RhoBall, in_rho_ball, iter_coordinate_dyads
 from .measure import AtomicMeasure, Mesh
-from .meshdef import MeshDeformation
+from .meshdef import MeshDeformation, descend_nodes
 
 REPRODUCE_TOL = 1e-9
 
@@ -55,12 +55,8 @@ class EnvelopeEstimate:
         return abs(got - self.value_upper)
 
     def to_json_dict(self) -> dict:
-        if isinstance(self.witness, AtomicMeasure):
-            wd = {"kind": "measure", "data": self.witness.to_json_dict()}
-        elif isinstance(self.witness, MeshDeformation):
-            wd = {"kind": "deformation", "data": self.witness.to_json_dict()}
-        else:
-            wd = {"kind": "field", "data": self.witness.to_json_dict()}
+        kind = "measure" if isinstance(self.witness, AtomicMeasure) else "deformation"
+        wd = {"kind": kind, "data": self.witness.to_json_dict()}
         return {"value_upper": self.value_upper, "value_exact": self.value_exact,
                 "rho_tilde": self.rho_tilde, "method": self.method,
                 "witness": wd, "detail": dict(self.detail)}
@@ -111,18 +107,7 @@ def qinv_oracle_1d(v, f, rho_tilde: float, grid: int = 10000) -> EnvelopeEstimat
                 pts.append((s, val))
     if len(pts) < 2:
         raise NoAdmissibleSplit("the function is infinite on the admissible set")
-    pts.sort()
-
-    # Andrew monotone chain, lower hull only
-    hull = []
-    for p in pts:
-        while len(hull) >= 2:
-            (x1, y1), (x2, y2) = hull[-2], hull[-1]
-            if (x2 - x1) * (p[1] - y1) - (p[0] - x1) * (y2 - y1) <= 0.0:
-                hull.pop()
-            else:
-                break
-        hull.append(p)
+    hull = lower_hull(pts)
 
     # supporting segment at fs
     if fs <= hull[0][0]:
@@ -208,6 +193,8 @@ def qinv_laminate_upper(v, f, rho_tilde: float, depth: int = 2,
     found by a coarse scan plus golden refinement; children recurse with
     one less level.  The witness measure collects the leaves.
     """
+    if depth < 0:
+        raise ValueError("depth must be nonnegative")
     fmat = Mat.coerce(f)
     n = fmat.n
     dyads = _angular_dyads(n, angles)
@@ -290,23 +277,20 @@ def qinv_laminate_upper(v, f, rho_tilde: float, depth: int = 2,
 # -- finite element upper bound ----------------------------------------------
 
 
-def _ball_cost(v, ball: RhoBall):
-    def cost(g: Mat) -> float:
-        if not in_rho_ball(g, ball):
+class _BallCost:
+    """v restricted to the rho_tilde ball (+inf outside), with the
+    evaluate method MeshDeformation.energy calls."""
+
+    description = "fe cell cost"
+
+    def __init__(self, v, rho_tilde: float):
+        self.v = v
+        self.ball = RhoBall(rho_tilde)
+
+    def evaluate(self, g: Mat) -> float:
+        if not in_rho_ball(g, self.ball):
             return math.inf
-        return v.evaluate(g)
-    return cost
-
-
-class _CostFn:
-    """Minimal test-function wrapper so MeshDeformation.energy works."""
-
-    def __init__(self, fn):
-        self._fn = fn
-        self.description = "fe cell cost"
-
-    def evaluate(self, mat: Mat) -> float:
-        return self._fn(mat)
+        return self.v.evaluate(g)
 
 
 def _fe_start_1d(v, cost, fs: float, cells: int, rho_tilde: float):
@@ -352,9 +336,8 @@ def qinv_fe_upper(v, f, mesh_cells: int, rho_tilde: float,
     """
     fmat = Mat.coerce(f)
     n = fmat.n
-    ball = RhoBall(rho_tilde)
-    cost = _ball_cost(v, ball)
-    costfn = _CostFn(cost)
+    costfn = _BallCost(v, rho_tilde)
+    cost = costfn.evaluate
 
     if n == 1:
         mesh = Mesh.interval(mesh_cells)
@@ -367,107 +350,16 @@ def qinv_fe_upper(v, f, mesh_cells: int, rho_tilde: float,
                                   "two-dimensional fallback profile is built")
         u = MeshDeformation.affine(mesh, fmat)
 
-    energy = u.energy(costfn)
-    if energy == math.inf:
+    if u.energy(costfn) == math.inf:
         raise NoFeasibleStart("the starting deformation has infinite energy")
 
-    if n == 1:
-        u, energy, sweeps = _descend_1d(u, cost, energy, iters, rho_tilde)
-    else:
-        u, energy, sweeps = _descend_2d(u, cost, energy, iters, rho_tilde)
+    iters_golden, coarse = (40, 9) if n == 1 else (28, 7)
+    u, sweeps = descend_nodes(u, lambda c, g: cost(g),
+                              2.0 * rho_tilde / max(mesh.shape), iters, 1e-12,
+                              iters_golden, coarse)
+    energy = u.energy(costfn)
 
     est = EnvelopeEstimate(energy, None, u, rho_tilde, "fe",
                            {"mesh_cells": mesh_cells, "sweeps": sweeps})
     return _checked(est, costfn)
 
-
-def _descend_1d(u: MeshDeformation, cost, energy: float, iters: int,
-                rho_tilde: float):
-    import numpy as np
-    vals = np.array(u.values)
-    cells = u.mesh.shape[0]
-    h = 1.0 / cells
-    radius = 2.0 * rho_tilde * h
-    sweeps = 0
-    for _ in range(iters):
-        sweeps += 1
-        improved = 0.0
-        for i in range(1, cells):
-            yl, yr = vals[i - 1], vals[i + 1]
-
-            def local(y):
-                return h * (cost(Mat.scalar((y - yl) / h))
-                            + cost(Mat.scalar((yr - y) / h)))
-
-            cur = local(vals[i])
-            ynew, fnew = golden_min(local, vals[i] - radius, vals[i] + radius,
-                                    iters=40, coarse=9)
-            if fnew < cur - 1e-15:
-                improved += cur - fnew
-                vals[i] = ynew
-        if improved < 1e-12:
-            break
-    u2 = MeshDeformation(u.mesh, vals)
-    return u2, u2.energy(_CostFn(cost)), sweeps
-
-
-def _descend_2d(u: MeshDeformation, cost, energy: float, iters: int,
-                rho_tilde: float):
-    import numpy as np
-    mesh = u.mesh
-    nx, ny = mesh.shape
-    vals = np.array(u.values)
-    # node -> incident cells
-    incident: dict = {}
-    corner_cache = {}
-    for c in range(mesh.n_cells):
-        for p in mesh.triangle_vertices(c):
-            i = round(p[0] * nx)
-            j = round(p[1] * ny)
-            incident.setdefault((i, j), []).append(c)
-            corner_cache.setdefault(c, []).append((i, j))
-    vol = mesh.cell_volume
-
-    def cell_grad(c, values) -> Mat:
-        verts = mesh.triangle_vertices(c)
-        idx = [j * (nx + 1) + i for i, j in corner_cache[c]]
-        y = values[idx]
-        x0, x1, x2 = (np.array(p) for p in verts)
-        dx = np.column_stack((x1 - x0, x2 - x0))
-        dy = np.column_stack((y[1] - y[0], y[2] - y[0]))
-        g = dy @ np.linalg.inv(dx)
-        return Mat.from_flat(g.reshape(-1))
-
-    radius = 2.0 * rho_tilde / max(nx, ny)
-    sweeps = 0
-    for _ in range(iters):
-        sweeps += 1
-        improved = 0.0
-        for j in range(1, ny):
-            for i in range(1, nx):
-                k = j * (nx + 1) + i
-                cells = incident[(i, j)]
-
-                def local():
-                    return vol * math.fsum(
-                        cost(cell_grad(c, vals)) for c in cells)
-
-                for axis in (0, 1):
-                    cur = local()
-                    y0 = vals[k, axis]
-
-                    def obj(y):
-                        vals[k, axis] = y
-                        out = local()
-                        vals[k, axis] = y0
-                        return out
-
-                    ynew, fnew = golden_min(obj, y0 - radius, y0 + radius,
-                                            iters=28, coarse=7)
-                    if fnew < cur - 1e-15:
-                        improved += cur - fnew
-                        vals[k, axis] = ynew
-        if improved < 1e-12:
-            break
-    u2 = MeshDeformation(mesh, vals)
-    return u2, u2.energy(_CostFn(cost)), sweeps

@@ -19,7 +19,6 @@ convex combinations of their gradient statistics.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -410,8 +409,8 @@ class GenerationReport:
 
 
 def verify_generation(spec: SequenceSpec, v_battery: Sequence,
-                      g_battery: Sequence, k_ladder: Sequence[int],
-                      threads: int = 1) -> GenerationReport:
+                      g_battery: Sequence,
+                      k_ladder: Sequence[int]) -> GenerationReport:
     """Compare empirical pairings of the k-laminates against the limit
     measure pairing, for every (v, g) combination.
 
@@ -449,12 +448,7 @@ def verify_generation(spec: SequenceSpec, v_battery: Sequence,
         return GenerationEntry(v.description or "v", gname, limit,
                                tuple(errs), slope, exact, decaying)
 
-    jobs = [(v, gname, g) for v in v_battery for gname, g in gs]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            entries = list(pool.map(lambda args: run_pair(*args), jobs))
-    else:
-        entries = [run_pair(*args) for args in jobs]
+    entries = [run_pair(v, gname, g) for v in v_battery for gname, g in gs]
 
     sup = max(f.sup_norm() for f in fields)
     sup_inv = max(f.sup_inv_norm() for f in fields)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 from .errors import SingularAtom
@@ -290,15 +291,51 @@ class Mesh:
         triangle of square (i, j), cell 2*(j*nx+i)+1 the upper one."""
         if self.dim != 2:
             raise ValueError("triangle vertices are a 2D query")
+        return tuple(self.vertex_point(k) for k in self.cell_vertices(c))
+
+    @property
+    def n_vertices(self) -> int:
+        if self.dim == 1:
+            return self.shape[0] + 1
+        return (self.shape[0] + 1) * (self.shape[1] + 1)
+
+    def vertex_point(self, k: int) -> tuple:
+        """Coordinates of vertex k: k / cells on the interval; in 2D grid
+        vertex (i, j) at (i/nx, j/ny) has index j*(nx+1) + i."""
+        if self.dim == 1:
+            return (k / self.shape[0],)
         nx, ny = self.shape
+        j, i = divmod(k, nx + 1)
+        return (i / nx, j / ny)
+
+    def cell_vertices(self, c: int) -> tuple:
+        """Vertex indices of cell c: (c, c + 1) on the interval, the
+        triangle corners counterclockwise from the lower left in 2D."""
+        if self.dim == 1:
+            return (c, c + 1)
+        nx = self.shape[0]
         sq, upper = divmod(c, 2)
         j, i = divmod(sq, nx)
-        hx, hy = 1.0 / nx, 1.0 / ny
-        x0, y0 = i * hx, j * hy
-        x1, y1 = x0 + hx, y0 + hy
+        k = j * (nx + 1) + i
         if upper:
-            return ((x0, y0), (x1, y1), (x0, y1))
-        return ((x0, y0), (x1, y0), (x1, y1))
+            return (k, k + nx + 2, k + nx + 1)
+        return (k, k + 1, k + nx + 2)
+
+    @cached_property
+    def vertex_cells(self) -> tuple:
+        """Cells incident to each vertex, in increasing cell order."""
+        out = [[] for _ in range(self.n_vertices)]
+        for c in range(self.n_cells):
+            for k in self.cell_vertices(c):
+                out[k].append(c)
+        return tuple(tuple(cells) for cells in out)
+
+    def interior_vertices(self) -> list:
+        """Indices of the vertices off the boundary, in increasing order."""
+        if self.dim == 1:
+            return list(range(1, self.shape[0]))
+        nx, ny = self.shape
+        return [j * (nx + 1) + i for j in range(1, ny) for i in range(1, nx)]
 
     def to_json_dict(self) -> dict:
         if self.dim == 1:

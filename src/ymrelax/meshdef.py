@@ -3,7 +3,8 @@
 Nodes carry deformation values; gradients are constant per cell (slope on
 an interval cell, the P1 gradient on a triangle).  These are the discrete
 deformations whose cell gradients the relaxation couples to a measure
-field cell by cell.
+field cell by cell.  descend_nodes is the coordinate node descent that
+both the finite element envelope bound and the relaxation run on them.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._search import golden_min
 from .errors import DomainError
 from .matcore import Mat
 from .measure import Mesh
@@ -22,9 +24,8 @@ from .measure import Mesh
 class MeshDeformation:
     """Node values of a continuous piecewise-affine map on a mesh.
 
-    1D: values has shape (cells + 1,), node i at x = i / cells.
-    2D: values has shape ((nx+1)*(ny+1), 2), node (i, j) at
-    (i/nx, j/ny) stored at index j*(nx+1) + i.
+    values holds one entry per mesh vertex (Mesh.vertex_point): shape
+    (cells + 1,) on an interval, (vertices, 2) on a square.
     """
 
     mesh: Mesh
@@ -33,65 +34,29 @@ class MeshDeformation:
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "values", v)
-        if self.mesh.dim == 1:
-            if v.shape != (self.mesh.shape[0] + 1,):
-                raise ValueError("node array shape does not match the mesh")
-        else:
-            nx, ny = self.mesh.shape
-            if v.shape != ((nx + 1) * (ny + 1), 2):
-                raise ValueError("node array shape does not match the mesh")
+        nv = self.mesh.n_vertices
+        if v.shape != ((nv,) if self.mesh.dim == 1 else (nv, 2)):
+            raise ValueError("node array shape does not match the mesh")
         if not np.all(np.isfinite(v)):
             raise ValueError("node values must be finite")
 
     @classmethod
     def affine(cls, mesh: Mesh, f: Mat) -> "MeshDeformation":
-        if mesh.dim == 1:
-            if f.n != 1:
-                raise ValueError("matrix dimension does not match the mesh")
-            cells = mesh.shape[0]
-            xs = np.linspace(0.0, 1.0, cells + 1)
-            return cls(mesh, f.flat[0] * xs)
-        if f.n != 2:
+        if f.n != mesh.dim:
             raise ValueError("matrix dimension does not match the mesh")
-        nx, ny = mesh.shape
-        vals = np.empty(((nx + 1) * (ny + 1), 2))
-        for j in range(ny + 1):
-            for i in range(nx + 1):
-                x, y = i / nx, j / ny
-                vals[j * (nx + 1) + i, 0] = f.entry(0, 0) * x + f.entry(0, 1) * y
-                vals[j * (nx + 1) + i, 1] = f.entry(1, 0) * x + f.entry(1, 1) * y
-        return cls(mesh, vals)
-
-    @property
-    def matrix_dim(self) -> int:
-        return self.mesh.dim
-
-    def node_index(self, i: int, j: int = 0) -> int:
-        if self.mesh.dim == 1:
-            return i
-        return j * (self.mesh.shape[0] + 1) + i
+        pts = np.array([mesh.vertex_point(k) for k in range(mesh.n_vertices)])
+        if mesh.dim == 1:
+            return cls(mesh, f.flat[0] * pts[:, 0])
+        (a, b), (c, d) = f.rows()
+        x, y = pts[:, 0], pts[:, 1]
+        return cls(mesh, np.column_stack((a * x + b * y, c * x + d * y)))
 
     def cell_gradient(self, c: int) -> Mat:
-        if self.mesh.dim == 1:
-            cells = self.mesh.shape[0]
-            return Mat.scalar((self.values[c + 1] - self.values[c]) * cells)
-        verts = self.mesh.triangle_vertices(c)
-        idx = [self._vertex_index(p) for p in verts]
-        y = self.values[idx]  # (3, 2)
-        x0, x1, x2 = (np.array(p) for p in verts)
-        dx = np.column_stack((x1 - x0, x2 - x0))  # (2, 2)
-        dy = np.column_stack((y[1] - y[0], y[2] - y[0]))
-        g = dy @ np.linalg.inv(dx)
-        return Mat.from_flat(g.reshape(-1))
-
-    def _vertex_index(self, p) -> int:
-        nx, ny = self.mesh.shape
-        i = round(p[0] * nx)
-        j = round(p[1] * ny)
-        return j * (nx + 1) + i
+        return p1_gradient(self.mesh, _as_nodes(self.values), c)
 
     def cell_gradients(self) -> list:
-        return [self.cell_gradient(c) for c in range(self.mesh.n_cells)]
+        nodes = _as_nodes(self.values)
+        return [p1_gradient(self.mesh, nodes, c) for c in range(self.mesh.n_cells)]
 
     def energy(self, v) -> float:
         """Integral of v over the domain for the cell gradients."""
@@ -110,25 +75,17 @@ class MeshDeformation:
         if self.mesh.dim != 1:
             raise DomainError("only interval deformations have a slab structure")
         cells = self.mesh.shape[0]
-        slopes = [(self.values[i + 1] - self.values[i]) * cells
-                  for i in range(cells)]
+        slopes = [g.flat[0] for g in self.cell_gradients()]
         return GradientField.from_slopes_1d(slopes, [1.0 / cells] * cells,
                                             float(self.values[0]))
 
     def to_csv_rows(self) -> list:
         if self.mesh.dim == 1:
             rows = [["node", "x", "y"]]
-            cells = self.mesh.shape[0]
-            for i, val in enumerate(self.values):
-                rows.append([i, i / cells, float(val)])
-            return rows
-        rows = [["node", "x1", "x2", "y1", "y2"]]
-        nx, ny = self.mesh.shape
-        for j in range(ny + 1):
-            for i in range(nx + 1):
-                k = j * (nx + 1) + i
-                rows.append([k, i / nx, j / ny,
-                             float(self.values[k, 0]), float(self.values[k, 1])])
+        else:
+            rows = [["node", "x1", "x2", "y1", "y2"]]
+        for k, y in enumerate(_as_nodes(self.values)):
+            rows.append([k, *self.mesh.vertex_point(k), *(float(e) for e in y)])
         return rows
 
     def to_json_dict(self) -> dict:
@@ -138,3 +95,69 @@ class MeshDeformation:
     @classmethod
     def from_json_dict(cls, d: dict) -> "MeshDeformation":
         return cls(Mesh.from_json_dict(d["mesh"]), np.array(d["values"], dtype=float))
+
+
+def _as_nodes(values: np.ndarray) -> np.ndarray:
+    """View node values as one row per vertex: (vertices, 1) in 1D."""
+    return values.reshape(values.shape[0], -1)
+
+
+def p1_gradient(mesh: Mesh, nodes: np.ndarray, c: int) -> Mat:
+    """Gradient on cell c of the piecewise-affine interpolant of nodes,
+    an array with one row per mesh vertex."""
+    idx = mesh.cell_vertices(c)
+    if mesh.dim == 1:
+        return Mat.scalar((nodes[idx[1], 0] - nodes[idx[0], 0]) * mesh.shape[0])
+    y = nodes[list(idx)]  # (3, 2)
+    x0, x1, x2 = (np.array(p) for p in mesh.triangle_vertices(c))
+    dx = np.column_stack((x1 - x0, x2 - x0))  # (2, 2)
+    dy = np.column_stack((y[1] - y[0], y[2] - y[0]))
+    return Mat.from_flat((dy @ np.linalg.inv(dx)).reshape(-1))
+
+
+def descend_nodes(u: MeshDeformation, cell_cost, radius: float, sweeps: int,
+                  stop: float, iters: int, coarse: int):
+    """Coordinate descent of the interior node values of u.
+
+    Visiting interior nodes in increasing index and their axes in order,
+    each coordinate moves to the golden_min(iters, coarse) minimizer
+    within +-radius of the local energy: the cell volume times the sum
+    of cell_cost(c, gradient) over the cells incident to the node.  A
+    move is kept only when it lowers the local energy by more than
+    1e-15.  Stops after `sweeps` sweeps, or after the first sweep whose
+    kept moves lower the energy by less than `stop` in total.  Returns
+    the moved deformation and the number of sweeps run.
+    """
+    mesh = u.mesh
+    vol = mesh.cell_volume
+    vals = np.array(u.values)
+    nodes = _as_nodes(vals)
+
+    def local(cells) -> float:
+        return vol * math.fsum(cell_cost(c, p1_gradient(mesh, nodes, c))
+                               for c in cells)
+
+    done = 0
+    for _ in range(sweeps):
+        done += 1
+        improved = 0.0
+        for k in mesh.interior_vertices():
+            cells = mesh.vertex_cells[k]
+            for axis in range(nodes.shape[1]):
+                y0 = nodes[k, axis]
+                cur = local(cells)
+
+                def obj(y):
+                    nodes[k, axis] = y
+                    out = local(cells)
+                    nodes[k, axis] = y0
+                    return out
+
+                ynew, fnew = golden_min(obj, y0 - radius, y0 + radius,
+                                        iters=iters, coarse=coarse)
+                if fnew < cur - 1e-15:
+                    improved += cur - fnew
+                    nodes[k, axis] = ynew
+        if improved < stop:
+            break
+    return MeshDeformation(mesh, vals), done

@@ -20,12 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._search import golden_min
+from ._search import golden_min, lower_hull
 from .errors import Infeasible, Stalled
 from .matcore import Mat, RhoBall, frob_norm, in_rho_ball, is_invertible, det
 from .measure import (AtomicMeasure, Mesh, YoungMeasureField, classify,
                       first_moment, pair)
-from .meshdef import MeshDeformation
+from .meshdef import MeshDeformation, descend_nodes
 
 REDUCED_COST_TOL = 1e-8
 MOMENT_TOL = 1e-8
@@ -327,20 +327,6 @@ def _initial_atoms(g: Mat, w, admissible: AdmissibleSet, rng) -> list:
                   "be reached from admissible finite-cost atoms")
 
 
-def _lower_hull_1d(atoms, costs):
-    pts = sorted((a.flat[0], c) for a, c in zip(atoms, costs) if c < math.inf)
-    hull = []
-    for p in pts:
-        while len(hull) >= 2:
-            (x1, y1), (x2, y2) = hull[-2], hull[-1]
-            if (x2 - x1) * (p[1] - y1) - (p[0] - x1) * (y2 - y1) <= 0.0:
-                hull.pop()
-            else:
-                break
-        hull.append(p)
-    return hull
-
-
 def _hull_eval(hull, x: float) -> float:
     if not hull or x < hull[0][0] - 1e-12 or x > hull[-1][0] + 1e-12:
         return math.inf
@@ -421,10 +407,7 @@ def relax_solve(problem: RelaxProblem) -> RelaxSolution:
         trace.append(energy_a)
 
         # (b) move the deformation against the cellwise relaxed cost
-        if n == 1:
-            u = _move_nodes_1d(u, atoms, costs, problem)
-        else:
-            u = _move_nodes_2d(u, atoms, costs, problem)
+        u = _move_nodes(u, atoms, costs, problem)
         grads = u.cell_gradients()
         sols = [solve_cell(c, grads[c]) for c in range(ncells)]
         energy_b = vol * math.fsum(s.value for s in sols)
@@ -466,85 +449,31 @@ def relax_solve(problem: RelaxProblem) -> RelaxSolution:
                          moment_res, kkt)
 
 
-def _move_nodes_1d(u: MeshDeformation, atoms, costs,
-                   problem: RelaxProblem) -> MeshDeformation:
-    cells = u.mesh.shape[0]
-    h = 1.0 / cells
-    hulls = [_lower_hull_1d(atoms[c], costs[c]) for c in range(cells)]
-    vals = np.array(u.values)
-    span = max((hull[-1][0] - hull[0][0]) for hull in hulls if hull)
-    radius = max(1.0, span) * h
-    for _ in range(8):
-        improved = 0.0
-        for i in range(1, cells):
-            yl, yr = vals[i - 1], vals[i + 1]
-            hl, hr = hulls[i - 1], hulls[i]
-
-            def local(y):
-                return h * (_hull_eval(hl, (y - yl) / h)
-                            + _hull_eval(hr, (yr - y) / h))
-
-            cur = local(vals[i])
-            yn, fn = golden_min(local, vals[i] - radius, vals[i] + radius,
-                                iters=40, coarse=11)
-            if fn < cur - 1e-15:
-                improved += cur - fn
-                vals[i] = yn
-        if improved < problem.tol / 10.0:
-            break
-    return MeshDeformation(u.mesh, vals)
-
-
-def _move_nodes_2d(u: MeshDeformation, atoms, costs,
-                   problem: RelaxProblem) -> MeshDeformation:
+def _move_nodes(u: MeshDeformation, atoms, costs,
+                problem: RelaxProblem) -> MeshDeformation:
+    """Node descent against the relaxed cost of the working atoms: the
+    lower hull of the atom costs on an interval, the cell LP value on a
+    triangle."""
     mesh = u.mesh
-    nx, ny = mesh.shape
-    vals = np.array(u.values)
-    incident: dict = {}
-    corners = {}
-    for c in range(mesh.n_cells):
-        pts = mesh.triangle_vertices(c)
-        corners[c] = [(round(p[0] * nx), round(p[1] * ny)) for p in pts]
-        for i, j in corners[c]:
-            incident.setdefault((i, j), []).append(c)
+    if mesh.dim == 1:
+        hulls = [lower_hull((a.flat[0], cost) for a, cost in zip(atoms[i], costs[i])
+                            if cost < math.inf) for i in range(mesh.n_cells)]
+        span = max((hull[-1][0] - hull[0][0]) for hull in hulls if hull)
 
-    def cell_grad(c) -> Mat:
-        pts = mesh.triangle_vertices(c)
-        idx = [j * (nx + 1) + i for i, j in corners[c]]
-        y = vals[idx]
-        x0, x1, x2 = (np.array(p) for p in pts)
-        dx = np.column_stack((x1 - x0, x2 - x0))
-        dy = np.column_stack((y[1] - y[0], y[2] - y[0]))
-        return Mat.from_flat((dy @ np.linalg.inv(dx)).reshape(-1))
+        def cell_cost(c: int, g: Mat) -> float:
+            return _hull_eval(hulls[c], g.flat[0])
 
-    def cell_value(c) -> float:
-        try:
-            return lp_weights(atoms[c], cell_grad(c), costs[c]).value
-        except Infeasible:
-            return math.inf
+        radius = max(1.0, span) / mesh.shape[0]
+        sweeps, iters, coarse = 8, 40, 11
+    else:
+        def cell_cost(c: int, g: Mat) -> float:
+            try:
+                return lp_weights(atoms[c], g, costs[c]).value
+            except Infeasible:
+                return math.inf
 
-    radius = 2.0 / max(nx, ny)
-    for _ in range(2):
-        improved = 0.0
-        for j in range(1, ny):
-            for i in range(1, nx):
-                k = j * (nx + 1) + i
-                cells = incident[(i, j)]
-                for axis in (0, 1):
-                    y0 = float(vals[k, axis])
-                    cur = math.fsum(cell_value(c) for c in cells)
-
-                    def obj(y):
-                        vals[k, axis] = y
-                        out = math.fsum(cell_value(c) for c in cells)
-                        vals[k, axis] = y0
-                        return out
-
-                    yn, fn = golden_min(obj, y0 - radius, y0 + radius,
-                                        iters=20, coarse=7)
-                    if fn < cur - 1e-15:
-                        improved += cur - fn
-                        vals[k, axis] = yn
-        if improved < problem.tol / 10.0:
-            break
-    return MeshDeformation(mesh, vals)
+        radius = 2.0 / max(mesh.shape)
+        sweeps, iters, coarse = 2, 20, 7
+    moved, _ = descend_nodes(u, cell_cost, radius, sweeps, problem.tol / 10.0,
+                             iters, coarse)
+    return moved

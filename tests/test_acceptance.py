@@ -22,7 +22,7 @@ from ymrelax.certify import (
 from ymrelax.cli import main
 from ymrelax.envelope import qinv_fe_upper, qinv_laminate_upper, qinv_oracle_1d
 from ymrelax.laminate import GradientField, SequenceSpec, verify_generation
-from ymrelax.matcore import Mat, RhoBall, frob_norm, invert, max_norm_pair
+from ymrelax.matcore import Mat, RhoBall, invert, max_norm_pair
 from ymrelax.measure import (
     Mesh,
     YoungMeasureField,

@@ -124,6 +124,25 @@ class TestConfigErrors:
         assert code == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("change", [
+        pytest.param({"grid": 5}, id="grid"),
+        pytest.param({"rho_tilde": 0.5}, id="oracle_rho_below_1"),
+        pytest.param({"rho_tilde": float("nan")}, id="rho_nan"),
+        pytest.param({"rho_tilde": float("inf")}, id="rho_inf"),
+        pytest.param({"energy_params": {"gamma": float("nan")}},
+                     id="gamma_nan"),
+        pytest.param({"method": "fe", "mesh_cells": 3}, id="mesh_cells_3"),
+        pytest.param({"method": "fe", "mesh_cells": 0}, id="mesh_cells_0"),
+        pytest.param({"method": "laminate", "depth": -1}, id="depth_1d"),
+        pytest.param({"energy": "shear_well_2d", "F": [[1.0, 0.5], [0.0, 1.0]],
+                      "rho_tilde": 3, "method": "laminate", "depth": -1},
+                     id="depth_2d"),
+    ])
+    def test_envelope_range_error(self, tmp_path, change):
+        code, out = run(tmp_path, "envelope", {**ENVELOPE_CFG, **change})
+        assert code == 2
+        assert not out.exists()
+
 
 class TestDeterminism:
     def test_rerun_byte_identical(self, tmp_path):

@@ -3,7 +3,6 @@ import math
 import pytest
 
 from ymrelax.envelope import (
-    EnvelopeEstimate,
     qinv_fe_upper,
     qinv_laminate_upper,
     qinv_oracle_1d,
@@ -107,6 +106,10 @@ class TestLaminateUpper:
         v = MatrixFn(lambda a: math.inf, Growth.o_rho(RHO_T), "inf everywhere")
         with pytest.raises(NoAdmissibleSplit):
             qinv_laminate_upper(v, Mat.scalar(1.0), RHO_T, depth=1)
+
+    def test_negative_depth_rejected(self):
+        with pytest.raises(ValueError):
+            qinv_laminate_upper(well(), Mat.scalar(0.5), RHO_T, depth=-1)
 
 
 class TestFeUpper:

@@ -14,7 +14,7 @@ from ymrelax.laminate import (
     mix_deformations,
     verify_generation,
 )
-from ymrelax.matcore import Mat, frob_norm, in_rho_ball, RhoBall
+from ymrelax.matcore import Mat
 from ymrelax.measure import pair
 from ymrelax.testfn import named_testfn
 
@@ -164,14 +164,6 @@ class TestVerifyGeneration:
         assert linear.slope == pytest.approx(-1.0, abs=0.05)
         square = by_key[(vs[1].description, "x1")]
         assert square.exact  # v constant on atoms: quadrature error vanishes
-
-    def test_threads_agree_with_serial(self):
-        spec = SequenceSpec((Mat.scalar(0.5), Mat.scalar(2.0)), (0.5, 0.5), 16)
-        vs = [named_testfn("entry_power", {"exponent": 2})]
-        a = verify_generation(spec, vs, ["x1", "sin1"], [4, 8, 16], threads=1)
-        b = verify_generation(spec, vs, ["x1", "sin1"], [4, 8, 16], threads=4)
-        for ea, eb in zip(a.entries, b.entries):
-            assert ea.errors == eb.errors
 
     def test_weight_names_validated(self):
         spec = SequenceSpec((Mat.scalar(1.0),), (1.0,), 2)

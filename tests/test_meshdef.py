@@ -6,7 +6,7 @@ import pytest
 from ymrelax.errors import DomainError
 from ymrelax.matcore import Mat, frob_norm
 from ymrelax.measure import Mesh
-from ymrelax.meshdef import MeshDeformation
+from ymrelax.meshdef import MeshDeformation, descend_nodes
 from ymrelax.testfn import named_testfn
 
 
@@ -18,9 +18,26 @@ class TestAffine:
 
     def test_2d_gradients_constant(self):
         f = Mat.from_rows([[1.0, 0.5], [-0.25, 2.0]])
-        u = MeshDeformation.affine(Mesh.square(2, 2), f)
-        for c in range(u.mesh.n_cells):
-            assert frob_norm(u.cell_gradient(c) - f) <= 1e-12
+        for mesh in (Mesh.square(2, 2), Mesh.square(4, 2)):
+            u = MeshDeformation.affine(mesh, f)
+            for c in range(u.mesh.n_cells):
+                assert frob_norm(u.cell_gradient(c) - f) <= 1e-12
+
+
+class TestIncidence:
+    def test_square_vertex_cells(self):
+        mesh = Mesh.square(4)
+        cells = mesh.vertex_cells
+        assert len(cells) == mesh.n_vertices == 25
+        interior = mesh.interior_vertices()
+        assert len(interior) == 9
+        assert all(len(cells[k]) == 6 for k in interior)
+        for c in range(mesh.n_cells):
+            corners = [k for k in range(mesh.n_vertices) if c in cells[k]]
+            assert sorted(corners) == sorted(mesh.cell_vertices(c))
+            assert len(corners) == 3
+            coords = [(k % 5 / 4, k // 5 / 4) for k in mesh.cell_vertices(c)]
+            assert coords == list(mesh.triangle_vertices(c))
 
 
 class TestGradients:
@@ -34,6 +51,23 @@ class TestGradients:
     def test_shape_validated(self):
         with pytest.raises(ValueError):
             MeshDeformation(Mesh.interval(4), (0.0, 1.0))
+
+
+class TestDescent:
+    @pytest.mark.parametrize("mesh", [Mesh.interval(4), Mesh.square(2, 2)])
+    def test_convex_cost_reaches_affine_minimizer(self, mesh):
+        f = Mat.identity(mesh.dim)
+        target = MeshDeformation.affine(mesh, f).values
+        vals = target.copy()
+        inner = mesh.interior_vertices()
+        vals[inner] += 0.1
+        moved, sweeps = descend_nodes(MeshDeformation(mesh, vals),
+                                      lambda c, g: frob_norm(g - f) ** 2,
+                                      0.5, 50, 1e-14, 40, 9)
+        boundary = [k for k in range(mesh.n_vertices) if k not in inner]
+        assert np.array_equal(moved.values[boundary], target[boundary])
+        assert np.allclose(moved.values, target, atol=1e-5)
+        assert 1 <= sweeps < 50
 
 
 class TestEnergy:

@@ -7,7 +7,7 @@ import pytest
 from ymrelax.envelope import qinv_oracle_1d
 from ymrelax.errors import Infeasible
 from ymrelax.matcore import Mat, det, frob_norm
-from ymrelax.measure import Mesh, classify, first_moment, pair
+from ymrelax.measure import Mesh, classify, first_moment
 from ymrelax.relax import (
     AdmissibleSet,
     RelaxProblem,

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from ymrelax.errors import DomainError, UnknownEnergy
+from ymrelax.errors import UnknownEnergy
 from ymrelax.matcore import Mat, frob_norm, invert
 from ymrelax.testfn import (
     Growth,
