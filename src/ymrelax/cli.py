@@ -1,6 +1,6 @@
 """Command line runner: envelope, relax, generate, certify scenarios.
 
-Scenarios are JSON configs validated strictly (unknown keys rejected)
+Scenarios are JSON configs whose every key is checked for type and range
 before any artifact is written.  Each run emits result.json (schema 1,
 deterministic for a fixed seed: sorted keys, no timestamps, infinities
 as the string "infinite"), CSV dumps of witnesses/fields, and a
@@ -23,6 +23,7 @@ import time
 import numpy as np
 
 from . import __version__
+from ._values import as_real, integer, real
 from .errors import ConfigError, ToolError
 from .laminate import (
     WEIGHT_FUNCTIONS,
@@ -41,7 +42,6 @@ from .testfn import builtin_energy, named_testfn, orho_extend
 logger = logging.getLogger("ymrelax")
 
 _METHODS = ("oracle1d", "laminate", "fe")
-_THEOREMS = ("thm1", "thm2", "thm3", "support", "det_limit")
 
 
 def _setup_logging():
@@ -64,112 +64,145 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _expect(cfg: dict, where: str, required: dict, optional: dict) -> None:
+# -- config schema ----------------------------------------------------------
+#
+# A parser takes one JSON value and returns the converted value, or raises
+# one of _BAD_VALUE; _parse reports that as a ConfigError naming the key.
+
+_BAD_VALUE = (TypeError, ValueError, ArithmeticError, LookupError, ToolError)
+
+
+def _build(where: str, make, *args, **kwargs):
+    """make(*args, **kwargs), with a failure caused by the config raised
+    as a ConfigError that names where."""
+    try:
+        return make(*args, **kwargs)
+    except _BAD_VALUE as exc:
+        reason = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+        raise ConfigError(f"{where}: {reason}") from exc
+
+
+def _parse(cfg, where: str, required: dict, optional: dict) -> dict:
+    """Check the JSON object cfg against tables of key -> parser and
+    return the parsed values; a (required, optional) pair of tables in
+    place of a parser reads a nested object.  An absent optional key
+    stays absent, so the library default applies when the values are
+    passed on by **."""
     if not isinstance(cfg, dict):
         raise ConfigError(f"{where} must be a JSON object")
     unknown = sorted(set(cfg) - set(required) - set(optional))
     if unknown:
         raise ConfigError(f"unknown keys in {where}: {unknown}")
-    missing = sorted(k for k in required if k not in cfg)
+    missing = sorted(set(required) - set(cfg))
     if missing:
         raise ConfigError(f"missing keys in {where}: {missing}")
-    for key, types in {**required, **optional}.items():
-        if key in cfg and types is not None and not isinstance(cfg[key], types):
-            raise ConfigError(f"{where}.{key} has the wrong type")
-
-
-def _mat(value, where: str, n: int | None = None) -> Mat:
-    try:
-        return Mat.coerce(value, n)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
-
-
-def _energy(cfg: dict, where: str):
-    name = cfg.get("energy")
-    if not isinstance(name, str):
-        raise ConfigError(f"{where}.energy must be a string name")
-    params = cfg.get("energy_params", {})
-    if not isinstance(params, dict):
-        raise ConfigError(f"{where}.energy_params must be an object")
-    try:
-        return builtin_energy(name, params)
-    except ToolError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def _battery(entries, where: str) -> list:
-    out = []
-    for i, entry in enumerate(entries):
-        if not isinstance(entry, dict) or "kind" not in entry:
-            raise ConfigError(f"{where}[{i}] must be an object with a 'kind'")
-        params = {k: v for k, v in entry.items() if k != "kind"}
-        try:
-            out.append(named_testfn(entry["kind"], params))
-        except ToolError as exc:
-            raise ConfigError(f"{where}[{i}]: {exc}") from exc
+    out = {}
+    for key, parse in {**required, **optional}.items():
+        if key in cfg:
+            at = f"{where}.{key}"
+            out[key] = (_parse(cfg[key], at, *parse) if isinstance(parse, tuple)
+                        else _build(at, parse, cfg[key]))
     return out
 
 
-def _field_from_json(d, where: str) -> YoungMeasureField:
-    try:
-        if "constant_measure" in d:
-            _expect(d, where, {"constant_measure": dict, "mesh": dict}, {})
-            mesh = Mesh.from_json_dict(d["mesh"])
-            nu = AtomicMeasure.from_json_dict(d["constant_measure"])
-            return YoungMeasureField.constant(mesh, nu)
-        return YoungMeasureField.from_json_dict(d)
-    except ConfigError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
+def _pick(args: dict, *keys) -> dict:
+    return {key: args[key] for key in keys if key in args}
 
 
-def _laminate_fields(cfg: dict, where: str) -> list:
-    """Fields for sequence certificates: explicit list or laminate ladder."""
-    if "fields" in cfg:
-        try:
-            return [GradientField.from_json_dict(d) for d in cfg["fields"]]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"{where}.fields: {exc}") from exc
-    lam = cfg.get("laminate")
-    if not isinstance(lam, dict):
-        raise ConfigError(f"{where} needs either 'fields' or 'laminate'")
-    _expect(lam, f"{where}.laminate", {"atoms": list, "weights": list}, {})
-    atoms = [_mat(a, f"{where}.laminate.atoms") for a in lam["atoms"]]
-    ks = cfg.get("k_ladder")
-    if not isinstance(ks, list) or not all(isinstance(k, int) for k in ks):
-        raise ConfigError(f"{where}.k_ladder must be a list of integers")
-    try:
-        return [build_laminate_sequence(
-            SequenceSpec(tuple(atoms), tuple(lam["weights"]), k))
+def _is(kind):
+    def parse(value):
+        if not isinstance(value, kind):
+            raise TypeError(f"expected {kind.__name__}, got {type(value).__name__}")
+        return value
+    return parse
+
+
+def _pow2(value) -> int:
+    k = integer(least=1)(value)
+    if k & (k - 1):
+        raise ValueError(f"must be a power of two, got {k}")
+    return k
+
+
+def _choice(*names):
+    def parse(value):
+        if not isinstance(value, str) or value not in names:
+            raise ValueError(f"expected one of {list(names)}, got {value!r}")
+        return value
+    return parse
+
+
+def _list(parse):
+    def parse_list(value) -> list:
+        if not isinstance(value, list) or not value:
+            raise TypeError("expected a nonempty list")
+        return [parse(x) for x in value]
+    return parse_list
+
+
+def _testfn(entry):
+    """A battery entry {"kind": ..., **params} through named_testfn."""
+    if not isinstance(entry, dict) or "kind" not in entry:
+        raise TypeError("a battery entry is an object with a 'kind'")
+    params = dict(entry)
+    return named_testfn(params.pop("kind"), params)
+
+
+def _field(d) -> YoungMeasureField:
+    """Per-cell measures, or one constant measure on a mesh."""
+    if isinstance(d, dict) and "constant_measure" in d:
+        if set(d) != {"constant_measure", "mesh"}:
+            raise ValueError("a constant field has the keys 'constant_measure' "
+                             "and 'mesh' only")
+        return YoungMeasureField.constant(
+            Mesh.from_json_dict(d["mesh"]),
+            AtomicMeasure.from_json_dict(d["constant_measure"]))
+    return YoungMeasureField.from_json_dict(d)
+
+
+_COMMON = {"seed": integer(least=0), "out": _is(str)}
+_SEQUENCE = {
+    "fields": _list(GradientField.from_json_dict),
+    "laminate": ({"atoms": _list(Mat.coerce), "weights": _list(as_real)}, {}),
+    "slopes_of_k": _list(lambda s: s if s in ("1/k", "k") else as_real(s)),
+    "slope_weights": _list(as_real),
+    "k_ladder": _list(integer(least=1)),
+}
+_CERTIFY = {  # theorem -> (required, optional) keys besides "theorem"
+    "thm1": ({"field": _field, "p": as_real, "q": as_real}, {}),
+    "thm2": ({"field": _field, "p": as_real, "q": as_real}, {}),
+    "support": ({"epsilon_ladder": _list(as_real), "q": as_real}, _SEQUENCE),
+    "det_limit": ({"p": as_real}, _SEQUENCE),
+    "thm3": ({"field": _field,
+              "u_h": lambda d: (GradientField if "normal" in d
+                                else MeshDeformation).from_json_dict(d),
+              "rho": real(above=0.0), "rho_tilde": real(above=0.0),
+              "battery": _list(_testfn)},
+             {"jensen_depth": integer(least=0), "jensen_angles": integer(least=0)}),
+}
+
+
+def _sequence(args: dict) -> list:
+    """Fields for sequence certificates: given outright, or one per k of
+    k_ladder from a laminate or a slope family."""
+    sources = [key for key in ("fields", "laminate", "slopes_of_k") if key in args]
+    if len(sources) != 1 or ("fields" not in args and "k_ladder" not in args):
+        raise ConfigError("certify needs 'fields', or 'k_ladder' with one of "
+                          "'laminate' and 'slopes_of_k'")
+    if "fields" in args:
+        return args["fields"]
+    ks = args["k_ladder"]
+    if "laminate" in args:
+        lam = args["laminate"]
+        return _build("certify.laminate", lambda: [build_laminate_sequence(
+            SequenceSpec(tuple(lam["atoms"]), tuple(lam["weights"]), k))
+            for k in ks])
+    spec = args["slopes_of_k"]
+    weights = args.get("slope_weights", [1.0 / len(spec)] * len(spec))
+    return [_build("certify.slope_weights", GradientField.from_slopes_1d,
+                   [1.0 / k if s == "1/k" else float(k) if s == "k" else s
+                    for s in spec], weights)
             for k in ks]
-    except (ToolError, ValueError) as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
-
-
-def _slope_fields(cfg: dict, where: str) -> list:
-    """Per-k slope families like {slopes_of_k: ['1/k', 1], weights: [...]}."""
-    spec = cfg["slopes_of_k"]
-    weights = cfg.get("slope_weights", [1.0 / len(spec)] * len(spec))
-    ks = cfg.get("k_ladder")
-    if not isinstance(ks, list) or not all(isinstance(k, int) for k in ks):
-        raise ConfigError(f"{where}.k_ladder must be a list of integers")
-    fields = []
-    for k in ks:
-        slopes = []
-        for s in spec:
-            if s == "1/k":
-                slopes.append(1.0 / k)
-            elif s == "k":
-                slopes.append(float(k))
-            elif isinstance(s, (int, float)):
-                slopes.append(float(s))
-            else:
-                raise ConfigError(f"{where}.slopes_of_k entries must be "
-                                  "numbers, '1/k' or 'k'")
-        fields.append(GradientField.from_slopes_1d(slopes, weights))
-    return fields
 
 
 # -- sanitizing and writing ---------------------------------------------------
@@ -208,109 +241,79 @@ def _write_csv(out_dir: str, name: str, rows) -> str:
     return name
 
 
-def _measure_rows(nu: AtomicMeasure, cell: int | None = None) -> list:
-    rows = []
-    for i, (a, w) in enumerate(nu.atoms):
-        prefix = [] if cell is None else [cell]
-        rows.append(prefix + [i, w] + list(a.flat))
+def _measure_rows(measures, cells: bool) -> list:
+    """One CSV row per atom: its cell index when cells, then its index
+    in the measure, weight and entries."""
+    n = measures[0].n
+    rows = [["cell"] * cells + ["atom", "weight"]
+            + [f"m{i}{j}" for i in range(n) for j in range(n)]]
+    for c, nu in enumerate(measures):
+        for i, (a, w) in enumerate(nu.atoms):
+            rows.append([c] * cells + [i, w] + list(a.flat))
     return rows
-
-
-def _witness_rows(witness) -> list:
-    if isinstance(witness, AtomicMeasure):
-        n = witness.n
-        head = ["atom", "weight"] + [f"m{i}{j}" for i in range(n)
-                                     for j in range(n)]
-        return [head] + _measure_rows(witness)
-    return witness.to_csv_rows()
 
 
 # -- command implementations --------------------------------------------------
 
 
 def _run_envelope(cfg: dict, seed: int):
-    _expect(cfg, "envelope", {"energy": str, "F": (int, float, list),
-                              "rho_tilde": (int, float), "method": str},
-            {"energy_params": dict, "grid": int, "depth": int, "angles": int,
-             "mesh_cells": int, "iters": int, "seed": int, "out": str})
-    if cfg["method"] not in _METHODS:
-        raise ConfigError(f"envelope.method must be one of {list(_METHODS)}")
-    energy = _energy(cfg, "envelope")
-    f = _mat(cfg["F"], "envelope.F")
-    rho_tilde = float(cfg["rho_tilde"])
-    if not 0.0 < rho_tilde < math.inf:
-        raise ConfigError("envelope.rho_tilde must be positive and finite")
-    if cfg["method"] == "oracle1d":
-        if f.n != 1:
-            raise ConfigError("the oracle method needs a 1x1 barycenter")
-        if rho_tilde < 1.0:
-            raise ConfigError("the oracle method needs rho_tilde >= 1")
-        if cfg.get("grid", 10000) < 100:
-            raise ConfigError("envelope.grid must be at least 100")
-    elif cfg["method"] == "laminate" and cfg.get("depth", 2) < 0:
-        raise ConfigError("envelope.depth must be nonnegative")
-    elif cfg["method"] == "fe":
-        cells = cfg.get("mesh_cells", 32)
-        try:
-            Mesh.interval(cells) if f.n == 1 else Mesh.square(cells)
-        except ValueError as exc:
-            raise ConfigError(f"envelope.mesh_cells: {exc}") from exc
+    args = _parse(cfg, "envelope",
+                  {"energy": _is(str), "F": Mat.coerce,
+                   "rho_tilde": real(above=0.0), "method": _choice(*_METHODS)},
+                  {"energy_params": _is(dict), "grid": integer(least=100),
+                   "depth": integer(least=0), "angles": integer(least=0),
+                   "mesh_cells": _pow2, "iters": integer(least=0), **_COMMON})
+    energy = _build("envelope.energy", builtin_energy, args["energy"],
+                    args.get("energy_params"))
+    f, rho_tilde, method = args["F"], args["rho_tilde"], args["method"]
+    if method == "oracle1d" and f.n != 1:
+        raise ConfigError("envelope.F: the oracle method needs a 1x1 barycenter")
+    if method == "oracle1d" and rho_tilde < 1.0:
+        raise ConfigError("envelope.rho_tilde: the oracle method needs "
+                          "rho_tilde >= 1")
+    if method == "fe" and f.n > 2:
+        raise ConfigError("envelope.F: the fe method needs a 1x1 or 2x2 matrix")
     v = orho_extend(energy, rho_tilde)
 
     def run():
         from .envelope import qinv_fe_upper, qinv_laminate_upper, qinv_oracle_1d
-        if cfg["method"] == "oracle1d":
-            return qinv_oracle_1d(v, f, rho_tilde, grid=cfg.get("grid", 10000))
-        if cfg["method"] == "laminate":
+        if method == "oracle1d":
+            return qinv_oracle_1d(v, f, rho_tilde, **_pick(args, "grid"))
+        if method == "laminate":
             return qinv_laminate_upper(v, f, rho_tilde,
-                                       depth=cfg.get("depth", 2),
-                                       angles=cfg.get("angles", 32))
-        return qinv_fe_upper(v, f, cfg.get("mesh_cells", 32), rho_tilde,
-                             iters=cfg.get("iters", 200))
+                                       **_pick(args, "depth", "angles"))
+        return qinv_fe_upper(v, f, args.get("mesh_cells", 32), rho_tilde,
+                             **_pick(args, "iters"))
 
     def write(out_dir, est):
-        outputs = [_write_csv(out_dir, "witness.csv", _witness_rows(est.witness))]
-        return {"estimate": est.to_json_dict()}, outputs
+        rows = (_measure_rows([est.witness], False)
+                if isinstance(est.witness, AtomicMeasure)
+                else est.witness.to_csv_rows())
+        return {"estimate": est.to_json_dict()}, [
+            _write_csv(out_dir, "witness.csv", rows)]
 
     return run, write
 
 
 def _run_relax(cfg: dict, seed: int):
-    _expect(cfg, "relax", {"energy": str, "F": (int, float, list), "mesh": dict},
-            {"energy_params": dict, "p": (int, float), "q": (int, float),
-             "rho_cap": (int, float), "positive_det": bool,
-             "atom_budget": int, "max_outer": int, "tol": (int, float),
-             "seed": int, "out": str})
-    energy = _energy(cfg, "relax")
-    f = _mat(cfg["F"], "relax.F")
-    try:
-        mesh = Mesh.from_json_dict(cfg["mesh"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"relax.mesh: {exc}") from exc
+    args = _parse(cfg, "relax",
+                  {"energy": _is(str), "F": Mat.coerce, "mesh": Mesh.from_json_dict},
+                  {"energy_params": _is(dict), "p": as_real, "q": as_real,
+                   "rho_cap": as_real, "positive_det": _is(bool),
+                   "atom_budget": integer(), "max_outer": integer(least=0),
+                   "tol": as_real, **_COMMON})
+    energy = _build("relax.energy", builtin_energy, args["energy"],
+                    args.get("energy_params"))
     from .relax import RelaxProblem, relax_solve
-    try:
-        problem = RelaxProblem(
-            energy, mesh, f,
-            p=float(cfg.get("p", 2.0)), q=float(cfg.get("q", 2.0)),
-            rho_cap=(float(cfg["rho_cap"]) if "rho_cap" in cfg else None),
-            positive_det=bool(cfg.get("positive_det", False)),
-            atom_budget=int(cfg.get("atom_budget", 12)),
-            max_outer=int(cfg.get("max_outer", 30)),
-            tol=float(cfg.get("tol", 1e-9)),
-            seed=seed)
-    except ValueError as exc:
-        raise ConfigError(f"relax: {exc}") from exc
+    problem = _build("relax", RelaxProblem, energy, args["mesh"], args["F"],
+                     seed=seed, **_pick(args, "p", "q", "rho_cap", "positive_det",
+                                        "atom_budget", "max_outer", "tol"))
 
     def run():
         return relax_solve(problem)
 
     def write(out_dir, sol):
-        n = sol.field.matrix_dim
-        head = ["cell", "atom", "weight"] + [f"m{i}{j}" for i in range(n)
-                                             for j in range(n)]
-        rows = [head]
-        for c, nu in enumerate(sol.field.measures):
-            rows.extend(_measure_rows(nu, c))
+        rows = _measure_rows(sol.field.measures, True)
         outputs = [_write_csv(out_dir, "u_h.csv", sol.u_h.to_csv_rows()),
                    _write_csv(out_dir, "measures.csv", rows)]
         return {"solution": sol.to_json_dict()}, outputs
@@ -319,45 +322,36 @@ def _run_relax(cfg: dict, seed: int):
 
 
 def _run_generate(cfg: dict, seed: int):
-    _expect(cfg, "generate", {"atoms": list, "weights": list, "k_ladder": list},
-            {"v_battery": list, "g_battery": list, "boundary": dict,
-             "seed": int, "out": str})
-    atoms = [_mat(a, "generate.atoms") for a in cfg["atoms"]]
-    if not all(isinstance(k, int) and k >= 1 for k in cfg["k_ladder"]):
-        raise ConfigError("generate.k_ladder must be positive integers")
-    try:
-        spec = SequenceSpec(tuple(atoms), tuple(float(w) for w in cfg["weights"]),
-                            max(cfg["k_ladder"]))
-    except ValueError as exc:
-        raise ConfigError(f"generate: {exc}") from exc
-    n = atoms[0].n
-    if "v_battery" in cfg:
-        v_battery = _battery(cfg["v_battery"], "generate.v_battery")
-    elif n == 1:
-        v_battery = [named_testfn("entry_power", {"exponent": 1}),
-                     named_testfn("entry_power", {"exponent": 2}),
-                     named_testfn("quartic_well_1d")]
-    else:
-        v_battery = [named_testfn("frob_power", {"p": 2.0}),
-                     named_testfn("det")]
-    g_names = cfg.get("g_battery", ["one", "x1", "sin1"])
-    for gname in g_names:
-        if gname not in WEIGHT_FUNCTIONS:
-            raise ConfigError(f"generate.g_battery: unknown weight {gname!r}; "
-                              f"known: {sorted(WEIGHT_FUNCTIONS)}")
+    args = _parse(cfg, "generate",
+                  {"atoms": _list(Mat.coerce), "weights": _list(as_real),
+                   "k_ladder": _list(integer(least=1))},
+                  {"v_battery": _list(_testfn),
+                   "g_battery": _list(_choice(*WEIGHT_FUNCTIONS)),
+                   "boundary": ({"F": Mat.coerce, "layer_width": as_real,
+                                 "epsilon": as_real}, {}),
+                   **_COMMON})
+    ks = args["k_ladder"]
+    spec = _build("generate", SequenceSpec, tuple(args["atoms"]),
+                  tuple(args["weights"]), max(ks))
+    n = spec.atoms[0].n
+    v_battery = args.get("v_battery") or (
+        [named_testfn("entry_power", {"exponent": 1}),
+         named_testfn("entry_power", {"exponent": 2}),
+         named_testfn("quartic_well_1d")] if n == 1 else
+        [named_testfn("frob_power", {"p": 2.0}), named_testfn("det")])
+    g_names = args.get("g_battery", ["one", "x1", "sin1"])
     boundary = None
-    if "boundary" in cfg:
-        b = cfg["boundary"]
-        _expect(b, "generate.boundary",
-                {"F": (int, float, list), "layer_width": (int, float),
-                 "epsilon": (int, float)}, {})
-        boundary = BoundaryDatum(_mat(b["F"], "generate.boundary.F", n),
-                                 float(b["layer_width"]), float(b["epsilon"]))
+    if "boundary" in args:
+        b = args["boundary"]
+        if b["F"].n != n:
+            raise ConfigError(f"generate.boundary.F: expected a {n}x{n} matrix "
+                              "like the atoms")
+        boundary = _build("generate.boundary", BoundaryDatum, b["F"],
+                          b["layer_width"], b["epsilon"])
 
     def run():
-        report = verify_generation(spec, v_battery, g_names, cfg["k_ladder"])
-        finest = build_laminate_sequence(
-            SequenceSpec(spec.atoms, spec.weights, max(cfg["k_ladder"])))
+        report = verify_generation(spec, v_battery, g_names, ks)
+        finest = build_laminate_sequence(spec)
         glue_report = None
         if boundary is not None:
             finest, glue_report = boundary_glue(finest, boundary.f,
@@ -377,64 +371,34 @@ def _run_generate(cfg: dict, seed: int):
 
 
 def _run_certify(cfg: dict, seed: int):
-    theorem = cfg.get("theorem")
-    if theorem not in _THEOREMS:
-        raise ConfigError(f"certify.theorem must be one of {list(_THEOREMS)}")
+    theorem = _build("certify.theorem", _choice(*_CERTIFY), cfg.get("theorem"))
+    required, optional = _CERTIFY[theorem]
+    args = _parse(cfg, "certify", {"theorem": _is(str), **required},
+                  {**optional, **_COMMON})
     from . import certify as ct
 
     if theorem in ("thm1", "thm2"):
-        _expect(cfg, "certify", {"theorem": str, "field": dict,
-                                 "p": (int, float), "q": (int, float)},
-                {"seed": int, "out": str})
-        field = _field_from_json(cfg["field"], "certify.field")
-
         def run():
-            return ct.check_thm12(field, float(cfg["p"]), float(cfg["q"]),
+            return ct.check_thm12(args["field"], args["p"], args["q"],
                                   require_positive_det=(theorem == "thm2"))
     elif theorem == "support":
-        _expect(cfg, "certify",
-                {"theorem": str, "epsilon_ladder": list, "q": (int, float)},
-                {"laminate": dict, "fields": list, "k_ladder": list,
-                 "slopes_of_k": list, "slope_weights": list,
-                 "seed": int, "out": str})
-        fields = (_slope_fields(cfg, "certify") if "slopes_of_k" in cfg
-                  else _laminate_fields(cfg, "certify"))
+        fields = _sequence(args)
 
         def run():
             return ct.check_support_from_sequence(
-                fields, [float(e) for e in cfg["epsilon_ladder"]],
-                float(cfg["q"]))
+                fields, args["epsilon_ladder"], args["q"])
     elif theorem == "det_limit":
-        _expect(cfg, "certify", {"theorem": str, "p": (int, float)},
-                {"laminate": dict, "fields": list, "k_ladder": list,
-                 "slopes_of_k": list, "slope_weights": list,
-                 "seed": int, "out": str})
-        fields = (_slope_fields(cfg, "certify") if "slopes_of_k" in cfg
-                  else _laminate_fields(cfg, "certify"))
+        fields = _sequence(args)
 
         def run():
-            return ct.check_det_limit(fields, float(cfg["p"]))
+            return ct.check_det_limit(fields, args["p"])
     else:  # thm3
-        _expect(cfg, "certify",
-                {"theorem": str, "field": dict, "u_h": dict,
-                 "rho": (int, float), "rho_tilde": (int, float),
-                 "battery": list},
-                {"jensen_depth": int, "jensen_angles": int,
-                 "seed": int, "out": str})
-        field = _field_from_json(cfg["field"], "certify.field")
-        u_cls = GradientField if "normal" in cfg["u_h"] else MeshDeformation
-        try:
-            u_h = u_cls.from_json_dict(cfg["u_h"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"certify.u_h: {exc}") from exc
-        battery = [orho_extend(fn, float(cfg["rho_tilde"]))
-                   for fn in _battery(cfg["battery"], "certify.battery")]
+        battery = [orho_extend(fn, args["rho_tilde"]) for fn in args["battery"]]
 
         def run():
-            return ct.check_thm3(field, u_h, float(cfg["rho"]), battery,
-                                 float(cfg["rho_tilde"]),
-                                 jensen_depth=cfg.get("jensen_depth", 1),
-                                 jensen_angles=cfg.get("jensen_angles", 8))
+            return ct.check_thm3(args["field"], args["u_h"], args["rho"], battery,
+                                 args["rho_tilde"],
+                                 **_pick(args, "jensen_depth", "jensen_angles"))
 
     def write(out_dir, cert):
         return {"certificate": cert.to_json_dict()}, []
@@ -472,7 +436,8 @@ def main(argv=None) -> int:
             raise ConfigError(f"malformed JSON in {args.config}: {exc}") from exc
         if not isinstance(cfg, dict):
             raise ConfigError("config must be a JSON object")
-        seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
+        seed = args.seed if args.seed is not None else _build(
+            f"{args.command}.seed", _COMMON["seed"], cfg.get("seed", 0))
         # full validation happens before any artifact is written
         run, write = _COMMANDS[args.command](cfg, seed)
     except ConfigError as exc:
@@ -483,11 +448,8 @@ def main(argv=None) -> int:
     logger.info("running %s -> %s (seed %d)", args.command, out_dir, seed)
     try:
         result = run()
-    except ToolError as exc:
+    except (ToolError, ValueError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
-        print(f"ValueError: {exc}", file=sys.stderr)
         return 1
 
     os.makedirs(out_dir, exist_ok=True)

@@ -127,6 +127,8 @@ class GradientField:
         """Chain offsets so the deformation is continuous, starting from
         y(0) = start_value (default 0).  Gradient jumps must be rank one
         along the normal; zero-width pieces are dropped."""
+        if len(widths) != len(grads):
+            raise ValueError(f"{len(widths)} piece widths for {len(grads)} gradients")
         normal = tuple(float(x) for x in normal)
         kept = [(float(w), g) for w, g in zip(widths, grads) if w > 0.0]
         if not kept:
@@ -253,6 +255,12 @@ class BoundaryDatum:
     layer_width: float
     epsilon: float
 
+    def __post_init__(self):
+        if not 0.0 < self.layer_width < 0.5:
+            raise ValueError("layer width must sit in (0, 1/2)")
+        if self.epsilon <= 0.0:
+            raise ValueError("epsilon must be positive")
+
 
 @dataclass(frozen=True)
 class SequenceSpec:
@@ -261,7 +269,6 @@ class SequenceSpec:
     atoms: tuple
     weights: tuple
     k: int
-    boundary: BoundaryDatum | None = None
 
     def __post_init__(self):
         if len(self.atoms) != len(self.weights) or not self.atoms:
@@ -420,7 +427,7 @@ def verify_generation(spec: SequenceSpec, v_battery: Sequence,
     """
     ks = sorted(set(int(k) for k in k_ladder))
     fields = [build_laminate_sequence(
-        SequenceSpec(spec.atoms, spec.weights, k, None)) for k in ks]
+        SequenceSpec(spec.atoms, spec.weights, k)) for k in ks]
     gs = []
     for name in g_battery:
         if isinstance(name, str):
@@ -519,20 +526,43 @@ def _alpha_of(field: GradientField) -> float:
     return worst
 
 
-def _two_slope_layer(disp: float, width: float, cap: float) -> list:
-    """Split a layer of the given width into slopes +-cap realizing the
-    displacement exactly.  Returns [(width, slope), ...]."""
+def _slope_band(t: float, y: float, disp: float, width: float, cap: float) -> list:
+    """Pieces (t0, t1, grad, offset) of a 1D layer on [t, t + width]
+    that starts at the value y and rises by disp, with slopes +-cap."""
     avg = disp / width
     if abs(avg) > cap * (1.0 + 1e-12):
         raise InfeasibleLayer(f"layer needs average slope {avg:.6g}, "
                               f"cap is {cap:.6g}; shrink the layer or raise epsilon")
     theta = 0.5 * (1.0 + min(1.0, max(-1.0, avg / cap)))
     out = []
-    if theta > 0.0:
-        out.append((theta * width, cap))
-    if theta < 1.0:
-        out.append(((1.0 - theta) * width, -cap))
+    for part, slope in ((theta * width, cap), ((1.0 - theta) * width, -cap)):
+        # a side whose width vanishes against t (an average slope at the
+        # cap up to rounding) is dropped
+        if t + part > t:
+            out.append((t, t + part, Mat.scalar(slope), (y - slope * t,)))
+        y = y + slope * part
+        t += part
     return out
+
+
+def _band_2d(f: Mat, m: tuple, w: float, cap: float, inner: tuple,
+             left: bool) -> tuple:
+    """The affine band on the left or right end that meets the inner
+    piece (t0, t1, grad, offset) next to it and the boundary value."""
+    _, _, g, b = inner
+    if left:
+        band = g + Mat.outer(tuple(x / w for x in b), m)
+        piece = (0.0, w, band, (0.0, 0.0))
+    else:
+        fm = f.mul_vec(m)
+        gm = g.mul_vec(m)
+        c = tuple((fm[i] - gm[i] - b[i]) / w for i in range(2))
+        band = g + Mat.outer(c, m)
+        piece = (1.0 - w, 1.0, band, tuple(b[i] - (1.0 - w) * c[i] for i in range(2)))
+    if not in_rho_ball(band, RhoBall(cap)):
+        raise InfeasibleLayer(f"{'left' if left else 'right'} band gradient leaves "
+                              f"the {cap:.4g}-ball (|G| = {frob_norm(band):.4g})")
+    return piece
 
 
 def boundary_glue(field: GradientField, f: Mat, layer_width: float,
@@ -551,10 +581,7 @@ def boundary_glue(field: GradientField, f: Mat, layer_width: float,
     reported as boundary_mismatch.  Band gradients must stay in the
     (alpha + epsilon)-ball or InfeasibleLayer is raised.
     """
-    if not 0.0 < layer_width < 0.5:
-        raise ValueError("layer width must sit in (0, 1/2)")
-    if epsilon <= 0.0:
-        raise ValueError("epsilon must be positive")
+    BoundaryDatum(f, layer_width, epsilon)  # checks the width and epsilon
     if f.n != field.n:
         raise ValueError("boundary matrix dimension mismatch")
     alpha = _alpha_of(field)
@@ -563,108 +590,46 @@ def boundary_glue(field: GradientField, f: Mat, layer_width: float,
                               f"bound alpha = {alpha:.6g}")
     cap = alpha + epsilon
     w = layer_width
+    if field.n == 2:
+        perp = _perp(field.normal)
+        g_tan = field.grads[0].mul_vec(perp)
+        f_tan = f.mul_vec(perp)
+        tan_err = math.sqrt(math.fsum((a - b) ** 2 for a, b in zip(g_tan, f_tan)))
+        if tan_err > 1e-9 * max(1.0, frob_norm(f)):
+            raise InfeasibleLayer("boundary matrix acts differently on the lateral "
+                                  f"direction than the field (mismatch {tan_err:.3e}); "
+                                  "no slab-wise transition band exists")
 
+    do_left = not _layer_is_affine(field, f, 0.0, w)
+    do_right = not _layer_is_affine(field, f, 1.0 - w, 1.0)
+    if not (do_left or do_right):
+        report = GlueReport(0.0, alpha, cap, field.sup_norm(), field.sup_inv_norm(),
+                            field.min_det(), (), 0.0, field.min_det() > 0.0)
+        return field, report
+
+    middle = _restrict_pieces(field, w if do_left else 0.0,
+                              1.0 - w if do_right else 1.0)
+    left, right = [], []
     if field.n == 1:
-        return _glue_1d(field, f, w, cap, alpha)
-    return _glue_2d(field, f, w, cap, alpha)
-
-
-def _glue_1d(field: GradientField, f: Mat, w: float, cap: float, alpha: float):
-    fs = f.flat[0]
-    do_left = not _layer_is_affine(field, f, 0.0, w)
-    do_right = not _layer_is_affine(field, f, 1.0 - w, 1.0)
-    if not (do_left or do_right):
-        report = GlueReport(0.0, alpha, cap, field.sup_norm(), field.sup_inv_norm(),
-                            field.min_det(), (), 0.0, field.min_det() > 0.0)
-        return field, report
-
-    mid_lo = w if do_left else 0.0
-    mid_hi = 1.0 - w if do_right else 1.0
-    middle = _restrict_pieces(field, mid_lo, mid_hi)
-    layer_grads = []
-
-    pieces = []  # (t0, t1, grad, offset)
-    if do_left:
-        y_at_w = field.value((w,))[0]
-        t = 0.0
-        b = 0.0
-        for width, slope in _two_slope_layer(y_at_w, w, cap):
-            pieces.append((t, t + width, Mat.scalar(slope), (b - slope * t,)))
-            b = b + slope * width
-            t += width
-            layer_grads.append(Mat.scalar(slope))
-    pieces.extend(middle)
-    if do_right:
-        y_in = field.value((1.0 - w,))[0]
-        t = 1.0 - w
-        val = y_in
-        for width, slope in _two_slope_layer(fs - y_in, w, cap):
-            pieces.append((t, t + width, Mat.scalar(slope), (val - slope * t,)))
-            val = val + slope * width
-            t += width
-            layer_grads.append(Mat.scalar(slope))
-
-    glued = _assemble(1, (1.0,), pieces)
-    mismatch = max(abs(glued.value((0.0,))[0]), abs(glued.value((1.0,))[0] - fs))
+        if do_left:
+            left = _slope_band(0.0, 0.0, field.value((w,))[0], w, cap)
+        if do_right:
+            y_in = field.value((1.0 - w,))[0]
+            right = _slope_band(1.0 - w, y_in, f.flat[0] - y_in, w, cap)
+        glued = _assemble(1, (1.0,), left + middle + right)
+        mismatch = max(abs(glued.value((0.0,))[0]),
+                       abs(glued.value((1.0,))[0] - f.flat[0]))
+    else:
+        if do_left:
+            left = [_band_2d(f, field.normal, w, cap, middle[0], True)]
+        if do_right:
+            right = [_band_2d(f, field.normal, w, cap, middle[-1], False)]
+        glued = _assemble(2, field.normal, left + middle + right)
+        mismatch = _lateral_mismatch(glued, f)
     report = GlueReport((w if do_left else 0.0) + (w if do_right else 0.0),
                         alpha, cap, glued.sup_norm(), glued.sup_inv_norm(),
-                        glued.min_det(), tuple(layer_grads), mismatch,
-                        glued.min_det() > 0.0)
-    return glued, report
-
-
-def _glue_2d(field: GradientField, f: Mat, w: float, cap: float, alpha: float):
-    m = field.normal
-    perp = _perp(m)
-    g_tan = field.grads[0].mul_vec(perp)
-    f_tan = f.mul_vec(perp)
-    tan_err = math.sqrt(math.fsum((a - b) ** 2 for a, b in zip(g_tan, f_tan)))
-    if tan_err > 1e-9 * max(1.0, frob_norm(f)):
-        raise InfeasibleLayer("boundary matrix acts differently on the lateral "
-                              f"direction than the field (mismatch {tan_err:.3e}); "
-                              "no slab-wise transition band exists")
-    ball = RhoBall(cap)
-    do_left = not _layer_is_affine(field, f, 0.0, w)
-    do_right = not _layer_is_affine(field, f, 1.0 - w, 1.0)
-    if not (do_left or do_right):
-        report = GlueReport(0.0, alpha, cap, field.sup_norm(), field.sup_inv_norm(),
-                            field.min_det(), (), 0.0, field.min_det() > 0.0)
-        return field, report
-
-    mid_lo = w if do_left else 0.0
-    mid_hi = 1.0 - w if do_right else 1.0
-    middle = _restrict_pieces(field, mid_lo, mid_hi)
-    layer_grads = []
-    pieces = []
-
-    if do_left:
-        _, _, g1, b1 = middle[0]
-        band = g1 + Mat.outer(tuple(x / w for x in b1), m)
-        if not in_rho_ball(band, ball):
-            raise InfeasibleLayer(f"left band gradient leaves the {cap:.4g}-ball "
-                                  f"(|G| = {frob_norm(band):.4g})")
-        pieces.append((0.0, w, band, (0.0, 0.0)))
-        layer_grads.append(band)
-    pieces.extend(middle)
-    if do_right:
-        _, _, ge, be = middle[-1]
-        fm = f.mul_vec(m)
-        gem = ge.mul_vec(m)
-        c = tuple((fm[i] - gem[i] - be[i]) / w for i in range(2))
-        band = ge + Mat.outer(c, m)
-        bb = tuple(be[i] - (1.0 - w) * c[i] for i in range(2))
-        if not in_rho_ball(band, ball):
-            raise InfeasibleLayer(f"right band gradient leaves the {cap:.4g}-ball "
-                                  f"(|G| = {frob_norm(band):.4g})")
-        pieces.append((1.0 - w, 1.0, band, bb))
-        layer_grads.append(band)
-
-    glued = _assemble(2, m, pieces)
-    mismatch = _lateral_mismatch(glued, f)
-    report = GlueReport((w if do_left else 0.0) + (w if do_right else 0.0),
-                        alpha, cap, glued.sup_norm(), glued.sup_inv_norm(),
-                        glued.min_det(), tuple(layer_grads), mismatch,
-                        glued.min_det() > 0.0)
+                        glued.min_det(), tuple(p[2] for p in left + right),
+                        mismatch, glued.min_det() > 0.0)
     return glued, report
 
 
@@ -677,26 +642,16 @@ def _assemble(n: int, normal: tuple, pieces: list) -> GradientField:
 
 
 def _lateral_mismatch(field: GradientField, f: Mat) -> float:
-    """sup |y - Fx| over the whole domain boundary, sampled at piece corners."""
+    """sup |y - Fx| over the whole domain boundary, sampled at piece
+    corners and at the midpoints of the two slab-end edges."""
     m = field.normal
     perp = _perp(m)
+    stations = [(t, s) for t in field.breaks for s in (0.0, 1.0)]
     worst = 0.0
-    for i in range(field.pieces):
-        for t in (field.breaks[i], field.breaks[i + 1]):
-            for s in (0.0, 1.0):
-                x = tuple(t * m[k] + s * perp[k] for k in range(2))
-                y = field.value(x)
-                fx = f.mul_vec(x)
-                worst = max(worst, math.sqrt(math.fsum(
-                    (a - b) ** 2 for a, b in zip(y, fx))))
-    # slab-end edges
-    for t in (0.0, 1.0):
-        for s in (0.0, 0.5, 1.0):
-            x = tuple(t * m[k] + s * perp[k] for k in range(2))
-            y = field.value(x)
-            fx = f.mul_vec(x)
-            worst = max(worst, math.sqrt(math.fsum(
-                (a - b) ** 2 for a, b in zip(y, fx))))
+    for t, s in stations + [(0.0, 0.5), (1.0, 0.5)]:
+        x = tuple(t * m[k] + s * perp[k] for k in range(2))
+        worst = max(worst, math.sqrt(math.fsum(
+            (a - b) ** 2 for a, b in zip(field.value(x), f.mul_vec(x)))))
     return worst
 
 

@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from ._values import as_real
 from .errors import SingularError
 
 # A matrix counts as singular when |det A| < SINGULAR_RTOL * max(1, |A|^n).
@@ -93,18 +94,17 @@ class Mat:
 
     @classmethod
     def coerce(cls, value, n: int | None = None) -> "Mat":
-        """Accept a Mat, a scalar (1x1), a flat list or nested rows."""
+        """Accept a Mat, a scalar (1x1), a flat list or nested rows of
+        real numbers; booleans and strings are not numbers."""
         if isinstance(value, Mat):
             out = value
-        elif isinstance(value, (int, float)):
-            out = cls.scalar(float(value))
         elif isinstance(value, (list, tuple)):
             if value and isinstance(value[0], (list, tuple)):
-                out = cls.from_rows(value)
+                out = cls.from_rows([[as_real(x) for x in row] for row in value])
             else:
-                out = cls.from_flat(value)
+                out = cls.from_flat([as_real(x) for x in value])
         else:
-            raise TypeError(f"cannot interpret {type(value).__name__} as a matrix")
+            out = cls.scalar(as_real(value))
         if n is not None and out.n != n:
             raise ValueError(f"expected a {n}x{n} matrix, got {out.n}x{out.n}")
         return out

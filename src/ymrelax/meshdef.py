@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -102,6 +103,16 @@ def _as_nodes(values: np.ndarray) -> np.ndarray:
     return values.reshape(values.shape[0], -1)
 
 
+@lru_cache(maxsize=32)
+def _inverse_edges(mesh: Mesh) -> tuple:
+    """Inverse edge matrices (x1 - x0, x2 - x0) of the lower and the upper
+    triangle (cells 0 and 1); vertex coordinates are dyadic, so every
+    cell's edge matrix equals one of the two bit for bit."""
+    corners = (np.array(mesh.triangle_vertices(c)) for c in (0, 1))
+    return tuple(np.linalg.inv(np.column_stack((x1 - x0, x2 - x0)))
+                 for x0, x1, x2 in corners)
+
+
 def p1_gradient(mesh: Mesh, nodes: np.ndarray, c: int) -> Mat:
     """Gradient on cell c of the piecewise-affine interpolant of nodes,
     an array with one row per mesh vertex."""
@@ -109,10 +120,8 @@ def p1_gradient(mesh: Mesh, nodes: np.ndarray, c: int) -> Mat:
     if mesh.dim == 1:
         return Mat.scalar((nodes[idx[1], 0] - nodes[idx[0], 0]) * mesh.shape[0])
     y = nodes[list(idx)]  # (3, 2)
-    x0, x1, x2 = (np.array(p) for p in mesh.triangle_vertices(c))
-    dx = np.column_stack((x1 - x0, x2 - x0))  # (2, 2)
     dy = np.column_stack((y[1] - y[0], y[2] - y[0]))
-    return Mat.from_flat((dy @ np.linalg.inv(dx)).reshape(-1))
+    return Mat.from_flat((dy @ _inverse_edges(mesh)[c % 2]).reshape(-1))
 
 
 def descend_nodes(u: MeshDeformation, cell_cost, radius: float, sweeps: int,

@@ -21,6 +21,7 @@ from typing import Callable
 
 import numpy as np
 
+from ._values import integer, real
 from .errors import DomainError, UnknownEnergy
 from .matcore import (
     Mat,
@@ -196,48 +197,57 @@ def _double_well(well_a: Mat, well_b: Mat, p: float, gamma: float):
     return evaluate
 
 
+def _wells(value) -> tuple:
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise ValueError("needs exactly two wells")
+    wa = Mat.coerce(value[0])
+    return wa, Mat.coerce(value[1], n=wa.n)
+
+
+def _params(name: str, params, spec: dict) -> dict:
+    """Read params against spec, a map key -> (default, convert).  An
+    absent key takes its default; a given one is passed through convert.
+    Unknown keys and values convert rejects raise UnknownEnergy."""
+    params = {} if params is None else params
+    if not isinstance(params, dict):
+        raise UnknownEnergy(f"parameters for {name} must be a mapping")
+    unknown = sorted(set(params) - set(spec))
+    if unknown:
+        raise UnknownEnergy(f"unexpected parameters for {name}: {unknown}")
+    out = {}
+    for key, (default, convert) in spec.items():
+        try:
+            out[key] = convert(params[key]) if key in params else default
+        except (TypeError, ValueError, ArithmeticError) as exc:
+            raise UnknownEnergy(f"{name} parameter {key!r}: {exc}") from exc
+    return out
+
+
 def builtin_energy(name: str, params: dict | None = None) -> TestFn:
     """Energy library.  All members are +inf on singular matrices and sit
     inside the two-sided sandwich c(-1 + |s|^p + |s^-1|^p) <= W <=
     c'(1 + |s|^p + |s^-1|^p) for the exponents stated in the description.
     """
-    params = dict(params or {})
-
-    def take(key, default):
-        return params.pop(key, default)
-
     if name == "inv_penalty":
-        p = float(take("p", 2.0))
-        if params:
-            raise UnknownEnergy(f"unexpected parameters for inv_penalty: {sorted(params)}")
-        if not p > 0.0:
-            raise UnknownEnergy("inv_penalty needs p > 0")
+        p = _params(name, params, {"p": (2.0, real(above=0.0))})["p"]
         return TestFn(_inv_penalty(p), Growth.c_pmp(p),
                       f"|s|^{p:g} + |s^-1|^{p:g}, sandwich constants c=c'=1")
 
     if name == "double_well_inv":
-        wells = take("wells", (1.0, -1.0))
-        p = float(take("p", 2.0))
-        gamma = float(take("gamma", 0.0))
-        if params:
-            raise UnknownEnergy(f"unexpected parameters for double_well_inv: {sorted(params)}")
-        if len(wells) != 2:
-            raise UnknownEnergy("double_well_inv needs exactly two wells")
-        wa = Mat.coerce(wells[0])
-        wb = Mat.coerce(wells[1], n=wa.n)
-        if gamma < 0.0:
-            raise UnknownEnergy("double_well_inv needs gamma >= 0")
+        a = _params(name, params, {
+            "wells": ((Mat.scalar(1.0), Mat.scalar(-1.0)), _wells),
+            "p": (2.0, real()), "gamma": (0.0, real(least=0.0))})
+        (wa, wb), p, gamma = a["wells"], a["p"], a["gamma"]
         desc = (f"two-well distance energy, wells at {list(wa.flat)} and {list(wb.flat)}, "
                 f"inverse coupling {gamma:g}*|s^-1|^{p:g}; "
                 f"sandwich exponents (2, -{p:g}) with c=min(1/2, gamma), c'=2+gamma+2*max well norm^2")
         return TestFn(_double_well(wa, wb, p, gamma), Growth.c_pmp(max(2.0, p)), desc)
 
     if name == "shear_well_2d":
-        kappa = float(take("kappa", 1.0))
-        gamma = float(take("gamma", 0.0))
-        p = float(take("p", 2.0))
-        if params:
-            raise UnknownEnergy(f"unexpected parameters for shear_well_2d: {sorted(params)}")
+        a = _params(name, params, {"kappa": (1.0, real()),
+                                   "gamma": (0.0, real(least=0.0)),
+                                   "p": (2.0, real())})
+        kappa, gamma, p = a["kappa"], a["gamma"], a["p"]
         wa = Mat.identity(2)
         wb = Mat.from_rows([[1.0, kappa], [0.0, 1.0]])
         desc = (f"planar shear wells I and I + {kappa:g} e1(x)e2, "
@@ -251,30 +261,26 @@ def builtin_energy(name: str, params: dict | None = None) -> TestFn:
 
 
 def named_testfn(kind: str, params: dict | None = None) -> TestFn:
-    """Small registry of plain test functions addressable by name."""
-    params = dict(params or {})
+    """Small registry of plain test functions addressable by name.  Kind
+    "energy" wraps builtin_energy: {"name": ..., "params": {...}}, or
+    the energy parameters inline next to the name."""
     if kind == "energy":
-        name = params.pop("name")
-        return builtin_energy(name, params.pop("params", None) or params or None)
+        params = dict(params or {})
+        name = params.pop("name", None)
+        nested = set(params) == {"params"}  # else "params" is an unknown key
+        return builtin_energy(name, params["params"] if nested else params)
     if kind == "frob_power":
-        p = float(params.pop("p", 2.0))
-        if params:
-            raise UnknownEnergy(f"unexpected parameters for frob_power: {sorted(params)}")
+        p = _params(kind, params, {"p": (2.0, real())})["p"]
         return TestFn(lambda a, _p=p: frob_norm(a) ** _p, Growth.c_p(p + 1.0),
                       f"|s|^{p:g}")
     if kind == "det":
-        if params:
-            raise UnknownEnergy(f"unexpected parameters for det: {sorted(params)}")
+        _params(kind, params, {})
         return TestFn(det, Growth.c_p(3.0), "det s")
     if kind == "phi_rho":
-        rho = float(params.pop("rho", 2.0))
-        if params:
-            raise UnknownEnergy(f"unexpected parameters for phi_rho: {sorted(params)}")
+        rho = _params(kind, params, {"rho": (2.0, real(above=0.0))})["rho"]
         return make_phi_rho(rho).to_testfn()
     if kind == "entry_power":
-        k = int(params.pop("exponent", 2))
-        if params:
-            raise UnknownEnergy(f"unexpected parameters for entry_power: {sorted(params)}")
+        k = _params(kind, params, {"exponent": (2, integer(least=0))})["exponent"]
 
         def evaluate(a: Mat, _k=k) -> float:
             if a.n != 1:
@@ -282,8 +288,7 @@ def named_testfn(kind: str, params: dict | None = None) -> TestFn:
             return a.flat[0] ** _k
         return TestFn(evaluate, Growth.c_p(float(k + 1)), f"s^{k} (1D)")
     if kind == "quartic_well_1d":
-        if params:
-            raise UnknownEnergy(f"unexpected parameters for quartic_well_1d: {sorted(params)}")
+        _params(kind, params, {})
 
         def evaluate(a: Mat) -> float:
             if a.n != 1:
@@ -292,9 +297,7 @@ def named_testfn(kind: str, params: dict | None = None) -> TestFn:
             return (s * s - 1.0) ** 2
         return TestFn(evaluate, Growth.c_p(5.0), "(s^2 - 1)^2 (1D)")
     if kind == "inv_power":
-        q = float(params.pop("q", 2.0))
-        if params:
-            raise UnknownEnergy(f"unexpected parameters for inv_power: {sorted(params)}")
+        q = _params(kind, params, {"q": (2.0, real())})["q"]
 
         def evaluate(a: Mat, _q=q) -> float:
             if not is_invertible(a):

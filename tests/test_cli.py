@@ -144,6 +144,93 @@ class TestConfigErrors:
         assert not out.exists()
 
 
+BIG = 10 ** 400  # an integer beyond the float range
+SUPPORT_CFG = {"theorem": "support", "q": 2, "epsilon_ladder": [0.5, 0.1],
+               "slopes_of_k": ["1/k", 1], "k_ladder": [4, 8, 16]}
+THM3_CFG = {"theorem": "thm3", "rho": 2, "rho_tilde": 3,
+            "field": {"mesh": {"dim": 1, "cells": 4},
+                      "constant_measure": {"atoms": [{"mat": [1.0], "w": 1.0}]}},
+            "u_h": {"mesh": {"dim": 1, "cells": 4},
+                    "values": [0.0, 0.25, 0.5, 0.75, 1.0]},
+            "battery": [{"kind": "quartic_well_1d"}]}
+THM3_2D_CFG = {"theorem": "thm3", "rho": 2, "rho_tilde": 3,
+               "field": {"mesh": {"dim": 2, "cells": [1, 1]},
+                         "constant_measure": {
+                             "atoms": [{"mat": [1.0, 0.0, 0.0, 1.0], "w": 1.0}]}},
+               "u_h": {"mesh": {"dim": 2, "cells": [1, 1]},
+                       "values": [[0, 0], [1, 0], [0, 1], [1, 1]]},
+               "battery": [{"kind": "frob_power"}]}
+RELAX_CFG = {"energy": "double_well_inv",
+             "energy_params": {"gamma": 1e-3, "p": 2.0},
+             "F": 0.0, "mesh": {"dim": 1, "cells": 8},
+             "atom_budget": 6, "max_outer": 10}
+GLUE_CFG = {"atoms": [-1.0, 1.0], "weights": [0.5, 0.5], "k_ladder": [4],
+            "boundary": {"F": 0.0, "layer_width": 0.125, "epsilon": 0.5}}
+
+
+class TestMalformedValues:
+    """Configs one key away from a valid one, each of which once ended in
+    a traceback, a solver error or a silent misreading."""
+
+    @pytest.mark.parametrize("command, cfg, key", [
+        pytest.param("envelope", {**ENVELOPE_CFG, "rho_tilde": BIG},
+                     "envelope.rho_tilde", id="rho_tilde_huge"),
+        pytest.param("envelope", {**ENVELOPE_CFG,
+                                  "energy_params": {"wells": [1, "a"]}},
+                     "'wells'", id="wells_str"),
+        pytest.param("envelope", {**ENVELOPE_CFG, "energy_params": {"wells": 5}},
+                     "'wells'", id="wells_int"),
+        pytest.param("envelope", {**ENVELOPE_CFG, "energy_params": {"p": "x"}},
+                     "'p'", id="energy_p_str"),
+        pytest.param("envelope", {**ENVELOPE_CFG, "energy": "inv_penalty",
+                                  "F": 1, "energy_params": {"p": BIG}},
+                     "'p'", id="energy_p_huge"),
+        pytest.param("envelope", {"energy": "shear_well_2d",
+                                  "energy_params": {"kappa": [1]},
+                                  "F": [[1.0, 0.5], [0.0, 1.0]],
+                                  "rho_tilde": 3, "method": "laminate"},
+                     "'kappa'", id="kappa_list"),
+        pytest.param("certify", {**THM3_CFG, "battery": [
+            {"kind": "entry_power", "exponent": "a"}]}, "'exponent'",
+                     id="exponent_str"),
+        pytest.param("certify", {**THM3_CFG, "battery": [
+            {"kind": "phi_rho", "rho": -1}]}, "'rho'", id="phi_rho_negative"),
+        pytest.param("certify", {**THM3_CFG, "battery": [{"kind": "energy"}]},
+                     "certify.battery", id="energy_entry_nameless"),
+        pytest.param("relax", {**RELAX_CFG, "rho_cap": BIG}, "relax.rho_cap",
+                     id="rho_cap_huge"),
+        pytest.param("generate", {**GLUE_CFG, "boundary": {
+            **GLUE_CFG["boundary"], "layer_width": BIG}},
+                     "generate.boundary.layer_width", id="layer_width_huge"),
+        pytest.param("certify", {**SUPPORT_CFG, "k_ladder": [0]},
+                     "certify.k_ladder", id="k_zero"),
+        pytest.param("envelope", {**ENVELOPE_CFG, "seed": "x"}, "envelope.seed",
+                     id="seed_str"),
+        pytest.param("envelope", {"energy": "inv_penalty",
+                                  "F": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+                                  "rho_tilde": 2, "method": "fe"},
+                     "envelope.F", id="fe_3x3"),
+        pytest.param("certify", {**SUPPORT_CFG, "epsilon_ladder": ["a"]},
+                     "certify.epsilon_ladder", id="epsilon_str"),
+        pytest.param("certify", {**THM3_2D_CFG, "jensen_depth": -1},
+                     "certify.jensen_depth", id="jensen_depth_negative"),
+        pytest.param("envelope", {**ENVELOPE_CFG, "rho_tilde": True},
+                     "envelope.rho_tilde", id="rho_tilde_bool"),
+        pytest.param("relax", {**RELAX_CFG, "p": True}, "relax.p",
+                     id="relax_p_bool"),
+        pytest.param("certify", {**SUPPORT_CFG, "slope_weights": [1]},
+                     "certify.slope_weights", id="slope_weights_short"),
+    ])
+    def test_exit_2_one_line(self, tmp_path, capsys, command, cfg, key):
+        code, out = run(tmp_path, command, cfg)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert not out.exists()
+        assert "Traceback" not in err
+        assert err.startswith("ConfigError: ") and err.count("\n") == 1
+        assert key in err
+
+
 class TestDeterminism:
     def test_rerun_byte_identical(self, tmp_path):
         cfg = {"energy": "double_well_inv", "F": 0.3, "rho_tilde": 2,
@@ -216,6 +303,15 @@ class TestGenerateCommand:
         glue = load_result(out)["glue"]
         assert glue["boundary_mismatch"] == pytest.approx(0.0, abs=1e-12)
         assert glue["modified_volume"] == pytest.approx(0.25)
+
+    def test_glue_with_the_layer_slope_at_the_cap(self, tmp_path):
+        # the layer needs the average slope -3 = -cap up to rounding; the
+        # vanishing +cap side of the layer is dropped
+        cfg = {"atoms": [-1, 1], "weights": [0.5, 0.5], "k_ladder": [2, 4, 8],
+               "boundary": {"F": -0.2, "layer_width": 0.05, "epsilon": 2}}
+        code, out = run(tmp_path, "generate", cfg)
+        assert code == 0
+        assert load_result(out)["glue"]["boundary_mismatch"] <= 1e-12
 
     def test_infeasible_layer_exits_1(self, tmp_path):
         cfg = {"atoms": [-1.0, 1.0], "weights": [0.5, 0.5],

@@ -36,6 +36,13 @@ class TestGradientField:
         with pytest.raises(ValueError):
             GradientField.from_slopes_1d([1.0, 2.0], [0.5, 0.4])
 
+    def test_piece_lists_must_match(self):
+        # a shorter width list used to drop the unmatched slope silently
+        with pytest.raises(ValueError):
+            GradientField.from_slopes_1d([1.0, 1.0], [1.0])
+        with pytest.raises(ValueError):
+            GradientField.from_pieces(1, (1.0,), [0.5, 0.5], [Mat.scalar(1.0)])
+
     def test_affine(self):
         f = GradientField.affine(Mat.scalar(2.0))
         assert f.pieces == 1

@@ -24,6 +24,22 @@ class TestAffine:
                 assert frob_norm(u.cell_gradient(c) - f) <= 1e-12
 
 
+class TestP1Gradient:
+    def test_matches_a_direct_solve(self, rng):
+        # the gradient G of the affine interpolant on a triangle solves
+        # G (x1 - x0, x2 - x0) = (y1 - y0, y2 - y0)
+        for mesh in (Mesh.square(2, 2), Mesh.square(4, 2), Mesh.square(1, 8)):
+            u = MeshDeformation(mesh, rng.normal(size=(mesh.n_vertices, 2)))
+            for c in range(mesh.n_cells):
+                x0, x1, x2 = (np.array(p) for p in mesh.triangle_vertices(c))
+                y0, y1, y2 = (u.values[k] for k in mesh.cell_vertices(c))
+                dx = np.column_stack((x1 - x0, x2 - x0))
+                dy = np.column_stack((y1 - y0, y2 - y0))
+                want = np.linalg.solve(dx.T, dy.T).T
+                got = np.array(u.cell_gradient(c).rows())
+                assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+
+
 class TestIncidence:
     def test_square_vertex_cells(self):
         mesh = Mesh.square(4)

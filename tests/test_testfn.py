@@ -137,6 +137,29 @@ class TestBuiltinEnergies:
         assert w.evaluate(Mat.from_rows([[1.0, 1.0], [0.0, 1.0]])) == 0.0
         assert w.evaluate(Mat.from_rows([[1.0, 0.5], [0.0, 1.0]])) == pytest.approx(0.25)
 
+    @pytest.mark.parametrize("name, params", [
+        ("inv_penalty", {"p": True}),
+        ("inv_penalty", {"p": "2"}),
+        ("inv_penalty", {"p": 10 ** 400}),
+        ("inv_penalty", {"p": math.inf}),
+        ("double_well_inv", {"gamma": math.nan}),
+        ("double_well_inv", {"gamma": -0.5}),
+        ("double_well_inv", {"wells": 5}),
+        ("double_well_inv", {"wells": [1.0, "a"]}),
+        ("double_well_inv", {"wells": [1.0, [1.0, 0.0, 0.0, 1.0]]}),
+        ("shear_well_2d", {"kappa": [1.0]}),
+        ("shear_well_2d", {"gamma": -1.0}),
+        ("inv_penalty", [("p", 2.0)]),
+    ])
+    def test_bad_parameter_values(self, name, params):
+        with pytest.raises(UnknownEnergy):
+            builtin_energy(name, params)
+
+    def test_defaults_fill_absent_keys(self):
+        assert (builtin_energy("double_well_inv").description
+                == builtin_energy("double_well_inv",
+                                  {"wells": [1, -1], "p": 2, "gamma": 0}).description)
+
     def test_unknown_name_and_params(self):
         with pytest.raises(UnknownEnergy):
             builtin_energy("nonsense")
@@ -165,6 +188,24 @@ class TestNamedTestFn:
     def test_energy_passthrough(self):
         v = named_testfn("energy", {"name": "inv_penalty", "params": {"p": 2.0}})
         assert v.evaluate(Mat.scalar(1.0)) == 2.0
+        inline = named_testfn("energy", {"name": "inv_penalty", "p": 3.0})
+        assert inline.evaluate(Mat.scalar(1.0)) == 2.0
+        assert inline.description == named_testfn(
+            "energy", {"name": "inv_penalty", "params": {"p": 3}}).description
+
+    @pytest.mark.parametrize("kind, params", [
+        ("energy", {}),
+        ("energy", {"name": "inv_penalty", "params": {"p": 2.0}, "p": 2.0}),
+        ("entry_power", {"exponent": "a"}),
+        ("entry_power", {"exponent": 2.5}),
+        ("entry_power", {"exponent": -1}),
+        ("phi_rho", {"rho": -1}),
+        ("frob_power", {"p": None}),
+        ("det", {"p": 2.0}),
+    ])
+    def test_bad_parameters(self, kind, params):
+        with pytest.raises(UnknownEnergy):
+            named_testfn(kind, params)
 
     def test_unknown_kind(self):
         with pytest.raises(UnknownEnergy):
