@@ -33,6 +33,8 @@ from .matcore import (
     det,
     frob_norm,
     in_rho_ball,
+    inv_norm,
+    inverse,
     invert,
     is_invertible,
     iter_coordinate_dyads,
@@ -97,7 +99,6 @@ from .envelope import (
     qinv_oracle_1d,
 )
 from .relax import (
-    AdmissibleSet,
     LpSolution,
     RelaxProblem,
     RelaxSolution,
@@ -123,8 +124,9 @@ __all__ = [
     "UnknownEnergy", "HypothesisViolated", "ConfigError",
     # matrices
     "Mat", "RhoBall", "mat_close", "frob_norm", "det", "singular_threshold",
-    "is_invertible", "invert", "singular_values", "largest_singular_value",
-    "rank_one_difference", "in_rho_ball", "max_norm_pair",
+    "is_invertible", "inverse", "invert", "inv_norm", "singular_values",
+    "largest_singular_value", "rank_one_difference", "in_rho_ball",
+    "max_norm_pair",
     "iter_coordinate_dyads",
     # test functions
     "Growth", "TestFn", "CutoffFn", "smoothstep", "make_phi_rho",
@@ -146,7 +148,7 @@ __all__ = [
     "EnvelopeEstimate", "qinv_oracle_1d", "qinv_laminate_upper",
     "qinv_fe_upper",
     # relaxation
-    "AdmissibleSet", "LpSolution", "lp_weights", "refine_atoms",
+    "LpSolution", "lp_weights", "refine_atoms",
     "RelaxProblem", "RelaxSolution", "relax_solve",
     # certificates
     "Check", "Certificate", "check_thm12", "check_support_from_sequence",

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field as dc_field
 
 from .errors import HypothesisViolated
-from .matcore import Mat, det, frob_norm, is_invertible, max_norm_pair
+from .matcore import Mat, RhoBall, det, frob_norm, in_rho_ball, max_norm_pair
 from .measure import YoungMeasureField, classify, first_moment, pair as pair_fn
 from .meshdef import MeshDeformation
 
@@ -198,9 +198,10 @@ def check_det_limit(fields, p: float) -> Certificate:
     if not p > n:
         raise HypothesisViolated(f"integrability exponent {p:g} must exceed "
                                  f"the dimension {n}")
+    k_plus = RhoBall(math.inf, positive_det_only=True)
     for f in fields:
         for g in f.grads:
-            if not is_invertible(g) or det(g) <= 0.0:
+            if not in_rho_ball(g, k_plus):
                 raise HypothesisViolated("the sequence must consist of "
                                          "orientation-preserving gradients")
 

@@ -5,7 +5,8 @@ before any artifact is written.  Each run emits result.json (schema 1,
 deterministic for a fixed seed: sorted keys, no timestamps, infinities
 as the string "infinite"), CSV dumps of witnesses/fields, and a
 manifest.json carrying versions, seed and timings.  Exit codes: 0 ok,
-1 domain error, 2 config error.  TOOL_LOG selects error/info/debug.
+1 domain error or internal error (one line; the traceback too at
+TOOL_LOG=debug), 2 config error.  TOOL_LOG selects error/info/debug.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import math
 import os
 import sys
 import time
+import traceback
 
 import numpy as np
 
@@ -205,6 +207,15 @@ def _sequence(args: dict) -> list:
             for k in ks]
 
 
+def _energy(args: dict, where: str):
+    """The builtin energy of the config, evaluated once at the identity of
+    F's size so that wells of another dimension are a config error."""
+    energy = _build(f"{where}.energy", builtin_energy, args["energy"],
+                    args.get("energy_params"))
+    _build(f"{where}.energy", energy.evaluate, Mat.identity(args["F"].n))
+    return energy
+
+
 # -- sanitizing and writing ---------------------------------------------------
 
 
@@ -263,8 +274,7 @@ def _run_envelope(cfg: dict, seed: int):
                   {"energy_params": _is(dict), "grid": integer(least=100),
                    "depth": integer(least=0), "angles": integer(least=0),
                    "mesh_cells": _pow2, "iters": integer(least=0), **_COMMON})
-    energy = _build("envelope.energy", builtin_energy, args["energy"],
-                    args.get("energy_params"))
+    energy = _energy(args, "envelope")
     f, rho_tilde, method = args["F"], args["rho_tilde"], args["method"]
     if method == "oracle1d" and f.n != 1:
         raise ConfigError("envelope.F: the oracle method needs a 1x1 barycenter")
@@ -302,8 +312,7 @@ def _run_relax(cfg: dict, seed: int):
                    "rho_cap": as_real, "positive_det": _is(bool),
                    "atom_budget": integer(), "max_outer": integer(least=0),
                    "tol": as_real, **_COMMON})
-    energy = _build("relax.energy", builtin_energy, args["energy"],
-                    args.get("energy_params"))
+    energy = _energy(args, "relax")
     from .relax import RelaxProblem, relax_solve
     problem = _build("relax", RelaxProblem, energy, args["mesh"], args["F"],
                      seed=seed, **_pick(args, "p", "q", "rho_cap", "positive_det",
@@ -450,6 +459,12 @@ def main(argv=None) -> int:
         result = run()
     except (ToolError, ValueError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
+    except Exception as exc:
+        # a fault of the toolkit rather than of the input
+        if logger.isEnabledFor(logging.DEBUG):
+            traceback.print_exc()
+        print(f"InternalError: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 
     os.makedirs(out_dir, exist_ok=True)

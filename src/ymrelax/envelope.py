@@ -19,9 +19,10 @@ from dataclasses import dataclass
 
 from ._search import golden_min, lower_hull
 from .errors import InfeasibleBarycenter, NoAdmissibleSplit, NoFeasibleStart
-from .matcore import Mat, RhoBall, in_rho_ball, iter_coordinate_dyads
+from .matcore import Mat, iter_coordinate_dyads
 from .measure import AtomicMeasure, Mesh
 from .meshdef import MeshDeformation, descend_nodes
+from .testfn import orho_extend
 
 REPRODUCE_TOL = 1e-9
 
@@ -277,22 +278,6 @@ def qinv_laminate_upper(v, f, rho_tilde: float, depth: int = 2,
 # -- finite element upper bound ----------------------------------------------
 
 
-class _BallCost:
-    """v restricted to the rho_tilde ball (+inf outside), with the
-    evaluate method MeshDeformation.energy calls."""
-
-    description = "fe cell cost"
-
-    def __init__(self, v, rho_tilde: float):
-        self.v = v
-        self.ball = RhoBall(rho_tilde)
-
-    def evaluate(self, g: Mat) -> float:
-        if not in_rho_ball(g, self.ball):
-            return math.inf
-        return self.v.evaluate(g)
-
-
 def _fe_start_1d(v, cost, fs: float, cells: int, rho_tilde: float):
     """Node values with finite energy: affine if possible, else a snapped
     two-slope profile built from the coarse 1D oracle support."""
@@ -336,7 +321,7 @@ def qinv_fe_upper(v, f, mesh_cells: int, rho_tilde: float,
     """
     fmat = Mat.coerce(f)
     n = fmat.n
-    costfn = _BallCost(v, rho_tilde)
+    costfn = orho_extend(v.evaluate, rho_tilde)
     cost = costfn.evaluate
 
     if n == 1:

@@ -30,8 +30,8 @@ from .matcore import (
     det,
     frob_norm,
     in_rho_ball,
-    invert,
-    is_invertible,
+    inv_norm,
+    max_norm_pair,
     rank_one_difference,
 )
 
@@ -211,12 +211,7 @@ class GradientField:
         return max(frob_norm(g) for g in self.grads)
 
     def sup_inv_norm(self) -> float:
-        worst = 0.0
-        for g in self.grads:
-            if not is_invertible(g):
-                return math.inf
-            worst = max(worst, frob_norm(invert(g)))
-        return worst
+        return max(inv_norm(g) for g in self.grads)
 
     def min_det(self) -> float:
         return min(det(g) for g in self.grads)
@@ -280,6 +275,8 @@ class SequenceSpec:
         if self.k < 1:
             raise ValueError("k must be at least 1")
         n = self.atoms[0].n
+        if n not in (1, 2):
+            raise ValueError("laminate construction supports dimensions 1 and 2")
         for a in self.atoms:
             if a.n != n:
                 raise ValueError("atoms must share one dimension")
@@ -316,9 +313,6 @@ def build_laminate_sequence(spec: SequenceSpec) -> GradientField:
     """Fine laminate with k periods; every atom occupies volume fraction
     equal to its weight, exactly, at every k."""
     atoms = spec.atoms
-    n = atoms[0].n
-    if n not in (1, 2):
-        raise ValueError("laminate construction supports dimensions 1 and 2")
     normal = _laminate_normal(atoms, periodic=spec.k > 1)
     if min(spec.weights) / spec.k < MIN_PIECE_WIDTH:
         raise BudgetExceeded(f"k={spec.k} drives slab widths below resolution")
@@ -328,7 +322,7 @@ def build_laminate_sequence(spec: SequenceSpec) -> GradientField:
         for a, w in zip(atoms, spec.weights):
             widths.append(w / spec.k)
             grads.append(a)
-    return GradientField.from_pieces(n, normal, widths, grads)
+    return GradientField.from_pieces(atoms[0].n, normal, widths, grads)
 
 
 # -- empirical pairings ----------------------------------------------------
@@ -516,16 +510,6 @@ def _layer_is_affine(field: GradientField, f: Mat, lo: float, hi: float) -> bool
     return True
 
 
-def _alpha_of(field: GradientField) -> float:
-    worst = 0.0
-    for g in field.grads:
-        if not is_invertible(g):
-            raise InfeasibleLayer("an interior gradient is singular; no slope "
-                                  "cap bounds the field")
-        worst = max(worst, frob_norm(g), frob_norm(invert(g)))
-    return worst
-
-
 def _slope_band(t: float, y: float, disp: float, width: float, cap: float) -> list:
     """Pieces (t0, t1, grad, offset) of a 1D layer on [t, t + width]
     that starts at the value y and rises by disp, with slopes +-cap."""
@@ -584,7 +568,10 @@ def boundary_glue(field: GradientField, f: Mat, layer_width: float,
     BoundaryDatum(f, layer_width, epsilon)  # checks the width and epsilon
     if f.n != field.n:
         raise ValueError("boundary matrix dimension mismatch")
-    alpha = _alpha_of(field)
+    alpha = max(max_norm_pair(g) for g in field.grads)
+    if alpha == math.inf:
+        raise InfeasibleLayer("an interior gradient is singular; no slope "
+                              "cap bounds the field")
     if frob_norm(f) > alpha + 1e-12:
         raise InfeasibleLayer(f"|F| = {frob_norm(f):.6g} exceeds the interior "
                               f"bound alpha = {alpha:.6g}")

@@ -4,7 +4,8 @@ Everything the measure algebra needs from linear algebra lives here:
 Frobenius norms, determinants, inverses, singular values, rho-ball
 membership and rank-one decompositions.  The dimension is capped at 3
 so every quantity has a deterministic closed form; no iterative
-factorization is involved anywhere.
+factorization is involved anywhere.  Invertibility, |A^-1| and rho-ball
+membership are decided here only, through the one inverse().
 """
 
 from __future__ import annotations
@@ -201,11 +202,12 @@ def is_invertible(a: Mat) -> bool:
     return abs(det(a)) >= singular_threshold(a)
 
 
-def invert(a: Mat) -> Mat:
-    """Closed-form inverse; raises SingularError below the det threshold."""
+def inverse(a: Mat) -> Mat | None:
+    """Closed-form inverse, or None below the det threshold: the one
+    place that decides invertibility and builds A^-1."""
     d = det(a)
     if abs(d) < singular_threshold(a):
-        raise SingularError(f"matrix is numerically singular (det={d:.3e})")
+        return None
     f = a.flat
     if a.n == 1:
         return Mat(1, (1.0 / d,))
@@ -224,6 +226,20 @@ def invert(a: Mat) -> Mat:
         f[0] * f[4] - f[1] * f[3],
     )
     return Mat(3, tuple(x / d for x in c))
+
+
+def invert(a: Mat) -> Mat:
+    """The inverse; raises SingularError below the det threshold."""
+    inv = inverse(a)
+    if inv is None:
+        raise SingularError(f"matrix is numerically singular (det={det(a):.3e})")
+    return inv
+
+
+def inv_norm(a: Mat) -> float:
+    """|A^-1|, infinite for singular matrices."""
+    inv = inverse(a)
+    return math.inf if inv is None else frob_norm(inv)
 
 
 # -- singular values ---------------------------------------------------
@@ -314,36 +330,30 @@ def rank_one_difference(a: Mat, b: Mat):
 
 @dataclass(frozen=True)
 class RhoBall:
-    """Invertible matrices with max(|A|, |A^-1|) <= rho, optionally det > 0."""
+    """Invertible matrices with max(|A|, |A^-1|) <= rho, optionally det > 0.
+    rho = inf is K_inf, every invertible matrix."""
 
     rho: float
     positive_det_only: bool = False
 
     def __post_init__(self):
-        if not (self.rho > 0.0 and math.isfinite(self.rho)):
-            raise ValueError("rho must be positive and finite")
-
-    def contains(self, a: Mat) -> bool:
-        return in_rho_ball(a, self)
+        if not self.rho > 0.0:
+            raise ValueError("rho must be positive")
 
 
 def in_rho_ball(a: Mat, ball: RhoBall) -> bool:
-    """Membership test; singular matrices are never members."""
-    d = det(a)
-    if abs(d) < singular_threshold(a):
+    """Membership test; singular matrices are never members.  The
+    unbounded ball checks the determinant only."""
+    if ball.positive_det_only and det(a) <= 0.0:
         return False
-    if ball.positive_det_only and d <= 0.0:
-        return False
-    if frob_norm(a) > ball.rho:
-        return False
-    return frob_norm(invert(a)) <= ball.rho
+    if ball.rho == math.inf:
+        return is_invertible(a)
+    return frob_norm(a) <= ball.rho and inv_norm(a) <= ball.rho
 
 
 def max_norm_pair(a: Mat) -> float:
     """max(|A|, |A^-1|), infinite for singular matrices."""
-    if not is_invertible(a):
-        return math.inf
-    return max(frob_norm(a), frob_norm(invert(a)))
+    return max(frob_norm(a), inv_norm(a))
 
 
 def iter_coordinate_dyads(n: int) -> Iterable[Mat]:

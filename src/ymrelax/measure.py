@@ -21,15 +21,8 @@ from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 from .errors import SingularAtom
-from .matcore import (
-    Mat,
-    RhoBall,
-    det,
-    frob_norm,
-    invert,
-    is_invertible,
-    mat_close,
-)
+from .matcore import (Mat, RhoBall, det, frob_norm, in_rho_ball, inv_norm,
+                      inverse, mat_close)
 
 MERGE_TOL = 1e-10
 WEIGHT_TOL = 1e-12
@@ -179,10 +172,10 @@ def first_moment(nu: AtomicMeasure) -> Mat:
 def hat_pushforward(nu: AtomicMeasure) -> AtomicMeasure:
     """Pushforward under matrix inversion.  Requires invertible atoms;
     applying it twice returns the original measure."""
-    for a, _ in nu.atoms:
-        if not is_invertible(a):
-            raise SingularAtom("cannot push a singular atom through inversion")
-    return AtomicMeasure.from_pairs((invert(a), w) for a, w in nu.atoms)
+    pairs = [(inverse(a), w) for a, w in nu.atoms]
+    if any(inv is None for inv, _ in pairs):
+        raise SingularAtom("cannot push a singular atom through inversion")
+    return AtomicMeasure.from_pairs(pairs)
 
 
 def truncate(nu: AtomicMeasure, rho: float, phi) -> AtomicMeasure:
@@ -211,10 +204,11 @@ def mass_moments(nu: AtomicMeasure, p: float, q: float):
     m1 = 0.0
     m2 = 0.0
     for a, w in nu.atoms:
-        if not is_invertible(a):
+        inv = inv_norm(a)
+        if inv == math.inf:
             return INFINITE
         m1 += w * frob_norm(a) ** p
-        m2 += w * frob_norm(invert(a)) ** q
+        m2 += w * inv ** q
     return (m1, m2)
 
 
@@ -226,9 +220,10 @@ def inverse_penalty_moment(nu: AtomicMeasure, f: Callable) -> float:
     """
     total = 0.0
     for a, w in nu.atoms:
-        if not is_invertible(a):
+        inv = inverse(a)
+        if inv is None:
             return INFINITE
-        total += w * f(invert(a))
+        total += w * f(inv)
     return total
 
 
@@ -450,13 +445,14 @@ def classify(field: YoungMeasureField, p: float, q: float) -> ClassReport:
     for nu in field.measures:
         for a, w in nu.atoms:
             m1 += vol * w * frob_norm(a) ** p
-            if not is_invertible(a):
+            inv = inv_norm(a)
+            if inv == math.inf:
                 inv_deficit += vol * w
                 pos_deficit += vol * w
                 m2 = math.inf
                 continue
             if m2 != math.inf:
-                m2 += vol * w * frob_norm(invert(a)) ** q
+                m2 += vol * w * inv ** q
             if det(a) <= 0.0:
                 pos_deficit += vol * w
     in_ypq = inv_deficit == 0.0
@@ -484,4 +480,4 @@ def measures_equal(nu: AtomicMeasure, mu: AtomicMeasure, family: Sequence,
 
 
 def support_in_ball(nu: AtomicMeasure, ball: RhoBall) -> bool:
-    return all(ball.contains(a) for a, _ in nu.atoms)
+    return all(in_rho_ball(a, ball) for a, _ in nu.atoms)

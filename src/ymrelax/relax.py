@@ -22,7 +22,7 @@ import numpy as np
 
 from ._search import golden_min, lower_hull
 from .errors import Infeasible, Stalled
-from .matcore import Mat, RhoBall, frob_norm, in_rho_ball, is_invertible, det
+from .matcore import Mat, RhoBall, frob_norm, in_rho_ball
 from .measure import (AtomicMeasure, Mesh, YoungMeasureField, classify,
                       first_moment, pair)
 from .meshdef import MeshDeformation, descend_nodes
@@ -30,22 +30,6 @@ from .meshdef import MeshDeformation, descend_nodes
 REDUCED_COST_TOL = 1e-8
 MOMENT_TOL = 1e-8
 PIVOT_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class AdmissibleSet:
-    """Matrices a generated atom may use: optional norm cap, optional
-    orientation constraint, always invertible."""
-
-    rho_cap: float | None = None
-    positive_det: bool = False
-
-    def ok(self, a: Mat) -> bool:
-        if self.rho_cap is not None:
-            return in_rho_ball(a, RhoBall(self.rho_cap, self.positive_det))
-        if not is_invertible(a):
-            return False
-        return det(a) > 0.0 if self.positive_det else True
 
 
 # -- dense two-phase simplex -------------------------------------------------
@@ -58,7 +42,6 @@ class LpSolution:
     dual_moment: tuple
     dual_mass: float
     residual: float
-    basis: tuple
 
 
 def _pivot(tab: np.ndarray, row: int, col: int):
@@ -168,15 +151,16 @@ def lp_weights(atoms, target: Mat, costs) -> LpSolution:
     y, *_ = np.linalg.lstsq(bmat, cb, rcond=None)
     resid = a_mat @ np.array([weights[i] for i in keep]) - b
     return LpSolution(tuple(weights), value, tuple(y[:-1]), float(y[-1]),
-                      float(np.max(np.abs(resid))), tuple(keep[bi] for bi in basis if bi < nk))
+                      float(np.max(np.abs(resid))))
 
 
 # -- column generation -------------------------------------------------------
 
 
-def refine_atoms(atoms, dual_moment, dual_mass: float, w, admissible: AdmissibleSet,
+def refine_atoms(atoms, dual_moment, dual_mass: float, w, ball: RhoBall,
                  rng, n: int, starts: int = 16):
-    """Search for a matrix with negative reduced cost against the duals.
+    """Search for a matrix in the ball with negative reduced cost against
+    the duals.
 
     Multistart local descent: the identity, the current atoms, and
     random perturbations of the atoms, each polished entrywise by
@@ -187,7 +171,7 @@ def refine_atoms(atoms, dual_moment, dual_mass: float, w, admissible: Admissible
 
     def reduced_flat(flat) -> float:
         mat = Mat.from_flat(flat)
-        if not admissible.ok(mat):
+        if not in_rho_ball(mat, ball):
             return math.inf
         val = w.evaluate(mat)
         if val == math.inf:
@@ -283,9 +267,9 @@ class RelaxSolution:
         }
 
 
-def _spanning_atoms(center: Mat, delta: float, admissible: AdmissibleSet,
-                    rng) -> list:
-    """center plus axis perturbations; inadmissible members get jittered."""
+def _spanning_atoms(center: Mat, delta: float, ball: RhoBall, rng) -> list:
+    """center plus axis perturbations; members outside the ball get
+    jittered."""
     n = center.n
     out = []
     cands = [center]
@@ -295,25 +279,25 @@ def _spanning_atoms(center: Mat, delta: float, admissible: AdmissibleSet,
             flat[idx] += s * delta
             cands.append(Mat.from_flat(flat))
     for cand in cands:
-        if admissible.ok(cand):
+        if in_rho_ball(cand, ball):
             out.append(cand)
             continue
         for _ in range(12):
             jit = Mat.from_flat(tuple(x + e for x, e in
                                       zip(cand.flat, rng.normal(0.0, 0.1 * delta, n * n))))
-            if admissible.ok(jit):
+            if in_rho_ball(jit, ball):
                 out.append(jit)
                 break
     return out
 
 
-def _initial_atoms(g: Mat, w, admissible: AdmissibleSet, rng) -> list:
+def _initial_atoms(g: Mat, w, ball: RhoBall, rng) -> list:
     n = g.n
-    base = g if admissible.ok(g) and w.evaluate(g) < math.inf else Mat.identity(n)
+    base = g if in_rho_ball(g, ball) and w.evaluate(g) < math.inf else Mat.identity(n)
     delta = max(0.5, 2.0 * max((abs(a - b) for a, b in
                                 zip(g.flat, base.flat)), default=0.0))
     for _ in range(8):
-        atoms = _spanning_atoms(base, delta, admissible, rng)
+        atoms = _spanning_atoms(base, delta, ball, rng)
         costs = [w.evaluate(a) for a in atoms]
         finite = [a for a, c in zip(atoms, costs) if c < math.inf]
         if len(finite) >= n * n + 1:
@@ -355,14 +339,16 @@ def relax_solve(problem: RelaxProblem) -> RelaxSolution:
     w = problem.w
     mesh = problem.mesh
     n = problem.f.n
-    admissible = AdmissibleSet(problem.rho_cap, problem.positive_det)
+    # the matrices an atom may use: invertible, in the rho_cap ball when
+    # one is given, with det > 0 when asked
+    ball = RhoBall(problem.rho_cap or math.inf, problem.positive_det)
     vol = mesh.cell_volume
     ncells = mesh.n_cells
     u = MeshDeformation.affine(mesh, problem.f)
 
     seed_rng = np.random.default_rng([problem.seed, 0])
     grads = u.cell_gradients()
-    atoms = [list(_initial_atoms(grads[c], w, admissible, seed_rng))
+    atoms = [list(_initial_atoms(grads[c], w, ball, seed_rng))
              for c in range(ncells)]
     costs = [[w.evaluate(a) for a in atoms[c]] for c in range(ncells)]
 
@@ -398,7 +384,7 @@ def relax_solve(problem: RelaxProblem) -> RelaxSolution:
                 sol = sols[c]
                 rng = np.random.default_rng([problem.seed, it, rnd, c])
                 cand, red = refine_atoms(atoms[c], sol.dual_moment,
-                                         sol.dual_mass, w, admissible, rng, n)
+                                         sol.dual_mass, w, ball, rng, n)
                 last_reduced[c] = red
                 if cand is None or not add_atom(c, cand, sol):
                     break
@@ -422,7 +408,7 @@ def relax_solve(problem: RelaxProblem) -> RelaxSolution:
     for c in range(ncells):
         rng = np.random.default_rng([problem.seed, problem.max_outer + 1, 0, c])
         _, red = refine_atoms(atoms[c], sols[c].dual_moment, sols[c].dual_mass,
-                              w, admissible, rng, n)
+                              w, ball, rng, n)
         last_reduced[c] = red
 
     measures = []

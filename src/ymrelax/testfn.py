@@ -23,15 +23,7 @@ import numpy as np
 
 from ._values import integer, real
 from .errors import DomainError, UnknownEnergy
-from .matcore import (
-    Mat,
-    RhoBall,
-    det,
-    frob_norm,
-    in_rho_ball,
-    invert,
-    is_invertible,
-)
+from .matcore import Mat, RhoBall, det, frob_norm, in_rho_ball, inv_norm, is_invertible
 
 
 @dataclass(frozen=True)
@@ -118,13 +110,10 @@ def make_phi_rho(rho: float) -> CutoffFn:
         raise ValueError("rho must be positive")
 
     def evaluate(a: Mat) -> float:
-        if not is_invertible(a):
-            return 0.0
         t1 = _theta(frob_norm(a), rho)
         if t1 == 0.0:
             return 0.0
-        t2 = _theta(frob_norm(invert(a)), rho)
-        return t1 * t2
+        return t1 * _theta(inv_norm(a), rho)
 
     return CutoffFn("phi_rho", evaluate, rho=float(rho),
                     description=f"rho-ball cutoff, quintic transition on [{rho}, {rho + 1}]")
@@ -178,22 +167,24 @@ def orho_extend(core, rho: float, description: str = "") -> TestFn:
 
 def _inv_penalty(p: float):
     def evaluate(a: Mat) -> float:
-        if not is_invertible(a):
-            return math.inf
-        return frob_norm(a) ** p + frob_norm(invert(a)) ** p
+        inv = inv_norm(a)
+        return math.inf if inv == math.inf else frob_norm(a) ** p + inv ** p
     return evaluate
 
 
 def _double_well(well_a: Mat, well_b: Mat, p: float, gamma: float):
-    def evaluate(a: Mat) -> float:
-        if not is_invertible(a):
-            return math.inf
+    def wells(a: Mat) -> float:
         da = frob_norm(a - well_a)
         db = frob_norm(a - well_b)
-        w = min(da * da, db * db)
-        if gamma != 0.0:
-            w += gamma * frob_norm(invert(a)) ** p
-        return w
+        return min(da * da, db * db)
+
+    if gamma == 0.0:
+        # without the coupling only invertibility matters, not A^-1
+        return lambda a: wells(a) if is_invertible(a) else math.inf
+
+    def evaluate(a: Mat) -> float:
+        inv = inv_norm(a)
+        return math.inf if inv == math.inf else wells(a) + gamma * inv ** p
     return evaluate
 
 
@@ -300,9 +291,10 @@ def named_testfn(kind: str, params: dict | None = None) -> TestFn:
         q = _params(kind, params, {"q": (2.0, real())})["q"]
 
         def evaluate(a: Mat, _q=q) -> float:
-            if not is_invertible(a):
+            inv = inv_norm(a)
+            if inv == math.inf:
                 raise DomainError("inv_power is undefined on singular matrices")
-            return frob_norm(invert(a)) ** _q
+            return inv ** _q
         return TestFn(evaluate, Growth.c_pmp(q), f"|s^-1|^{q:g}")
     raise UnknownEnergy(f"no named test function of kind {kind!r}")
 
@@ -360,7 +352,8 @@ def growth_check(v: TestFn, samples: int = 64) -> GrowthReport:
     consistent = True
     notes = []
     for a in mats:
-        scale = frob_norm(a) + (frob_norm(invert(a)) if is_invertible(a) else math.inf)
+        inv = inv_norm(a)
+        scale = frob_norm(a) + inv
         if kind == "O_rho":
             ball = RhoBall(p)
             val = v.evaluate(a)
@@ -387,7 +380,7 @@ def growth_check(v: TestFn, samples: int = 64) -> GrowthReport:
         if kind == "C_p":
             denom = max(frob_norm(a), 1e-300) ** p
         elif kind == "C_pmp":
-            denom = frob_norm(a) ** p + frob_norm(invert(a)) ** p
+            denom = frob_norm(a) ** p + inv ** p
         else:  # C_0inv
             denom = 1.0
         entries.append((scale, abs(val) / denom))

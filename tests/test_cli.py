@@ -145,6 +145,8 @@ class TestConfigErrors:
 
 
 BIG = 10 ** 400  # an integer beyond the float range
+I2 = [[1, 0], [0, 1]]
+I3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
 SUPPORT_CFG = {"theorem": "support", "q": 2, "epsilon_ladder": [0.5, 0.1],
                "slopes_of_k": ["1/k", 1], "k_ladder": [4, 8, 16]}
 THM3_CFG = {"theorem": "thm3", "rho": 2, "rho_tilde": 3,
@@ -220,6 +222,15 @@ class TestMalformedValues:
                      id="relax_p_bool"),
         pytest.param("certify", {**SUPPORT_CFG, "slope_weights": [1]},
                      "certify.slope_weights", id="slope_weights_short"),
+        pytest.param("generate", {"atoms": [I3, [[2, 0, 0], [0, 1, 0], [0, 0, 1]]],
+                                  "weights": [0.5, 0.5], "k_ladder": [2]},
+                     "dimensions 1 and 2", id="generate_3x3"),
+        pytest.param("envelope", {"energy": "shear_well_2d", "F": 0.5,
+                                  "method": "oracle1d", "rho_tilde": 2},
+                     "envelope.energy", id="energy_2x2_F_1x1"),
+        pytest.param("relax", {**RELAX_CFG, "energy_params": {
+            "wells": [I2, [[1, 1], [0, 1]]]}}, "relax.energy",
+                     id="relax_wells_2x2_F_1x1"),
     ])
     def test_exit_2_one_line(self, tmp_path, capsys, command, cfg, key):
         code, out = run(tmp_path, command, cfg)
@@ -229,6 +240,43 @@ class TestMalformedValues:
         assert "Traceback" not in err
         assert err.startswith("ConfigError: ") and err.count("\n") == 1
         assert key in err
+
+
+OVERFLOWS = [  # valid configs whose arithmetic overflows a float at run time
+    pytest.param("certify", {**THM3_CFG, "battery": [
+        {"kind": "entry_power", "exponent": 2000}]}, id="thm3_entry_power_2000"),
+    pytest.param("certify", {"theorem": "thm1", "p": 2000, "q": 2, "field": {
+        "mesh": {"dim": 1, "cells": 4},
+        "constant_measure": {"atoms": [{"mat": [3.0], "w": 1.0}]}}},
+                 id="thm1_p_2000"),
+    pytest.param("relax", {**RELAX_CFG, "energy_params": {"gamma": 1, "p": -2000}},
+                 id="relax_p_minus_2000"),
+]
+
+
+class TestInternalErrors:
+    """A fault outside the toolkit's own errors exits 1 with one line."""
+
+    @pytest.mark.parametrize("command, cfg", OVERFLOWS)
+    def test_exit_1_one_line(self, tmp_path, capsys, monkeypatch, command, cfg):
+        monkeypatch.delenv("TOOL_LOG", raising=False)
+        code, out = run(tmp_path, command, cfg)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert not out.exists()
+        assert "Traceback" not in err
+        assert err.startswith("InternalError: OverflowError: ")
+        assert err.count("\n") == 1
+
+    def test_debug_prints_the_traceback(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("TOOL_LOG", "debug")
+        command, cfg = OVERFLOWS[0].values
+        code, out = run(tmp_path, command, cfg)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert not out.exists()
+        assert "Traceback (most recent call last)" in err
+        assert err.splitlines()[-1].startswith("InternalError: OverflowError: ")
 
 
 class TestDeterminism:

@@ -12,6 +12,8 @@ from ymrelax.matcore import (
     det,
     frob_norm,
     in_rho_ball,
+    inv_norm,
+    inverse,
     invert,
     is_invertible,
     iter_coordinate_dyads,
@@ -33,6 +35,20 @@ def np_of(a: Mat) -> np.ndarray:
 
 def mats(n):
     return st.lists(finite, min_size=n * n, max_size=n * n).map(Mat.from_flat)
+
+
+@st.composite
+def kernel_cases(draw):
+    """(matrix, exactly singular?) for n = 1..3; a singular one has a
+    zero last row or repeats its first row, so det is exactly 0."""
+    n = draw(st.integers(1, 3))
+    entries = st.one_of(finite, st.integers(-3, 3).map(float))
+    flat = draw(st.lists(entries, min_size=n * n, max_size=n * n))
+    singular = draw(st.booleans())
+    if singular:
+        last = [0.0] * n if n == 1 or draw(st.booleans()) else flat[:n]
+        flat[-n:] = last
+    return Mat.from_flat(flat), singular
 
 
 class TestAlgebra:
@@ -175,6 +191,44 @@ class TestRhoBall:
         a = Mat.scalar(0.01)
         assert not in_rho_ball(a, RhoBall(10.0))
         assert in_rho_ball(a, RhoBall(100.0))
+
+
+class TestInverseKernel:
+    """inverse, invert, inv_norm, max_norm_pair and in_rho_ball against
+    their definitions through is_invertible, det and frob_norm."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(kernel_cases(), st.booleans())
+    def test_against_definitions(self, case, positive):
+        a, singular = case
+        if singular:
+            assert not is_invertible(a)
+        if is_invertible(a):
+            inv = invert(a)
+            assert inverse(a) == inv
+            assert inv_norm(a) == frob_norm(inv)
+        else:
+            assert inverse(a) is None
+            assert inv_norm(a) == math.inf
+            with pytest.raises(SingularError):
+                invert(a)
+        assert max_norm_pair(a) == max(frob_norm(a), inv_norm(a))
+        oriented = is_invertible(a) and (not positive or det(a) > 0.0)
+        assert in_rho_ball(a, RhoBall(math.inf, positive)) == oriented
+        for rho in (1.0, 3.0, 50.0):
+            inside = oriented and frob_norm(a) <= rho and \
+                frob_norm(invert(a)) <= rho
+            assert in_rho_ball(a, RhoBall(rho, positive)) == inside
+
+    @pytest.mark.parametrize("rho", [math.nan, 0.0, -1.0, -math.inf])
+    def test_radius_must_be_positive(self, rho):
+        with pytest.raises(ValueError):
+            RhoBall(rho)
+
+    def test_unbounded_ball(self):
+        ball = RhoBall(math.inf)
+        assert in_rho_ball(Mat.diag(1e-5, 1e5), ball)
+        assert not in_rho_ball(Mat.zero(2), ball)
 
 
 def test_coordinate_dyads():

@@ -6,10 +6,9 @@ import pytest
 
 from ymrelax.envelope import qinv_oracle_1d
 from ymrelax.errors import Infeasible
-from ymrelax.matcore import Mat, det, frob_norm
+from ymrelax.matcore import Mat, RhoBall, det, frob_norm, in_rho_ball
 from ymrelax.measure import Mesh, classify, first_moment
 from ymrelax.relax import (
-    AdmissibleSet,
     RelaxProblem,
     lp_weights,
     refine_atoms,
@@ -96,30 +95,31 @@ class TestLpWeights:
 class TestRefineAtoms:
     def test_finds_negative_reduced_cost(self, rng):
         v = orho_extend(named_testfn("quartic_well_1d"), 3.0)
-        adm = AdmissibleSet(rho_cap=3.0)
         # duals make the wells strictly attractive
         atom, reduced = refine_atoms(
-            [Mat.scalar(0.2)], np.zeros(1), 0.5, v, adm, rng, 1)
+            [Mat.scalar(0.2)], np.zeros(1), 0.5, v, RhoBall(3.0), rng, 1)
         assert reduced == pytest.approx(-0.5, abs=1e-6)
         assert atom is not None
         assert abs(atom.flat[0]) == pytest.approx(1.0, abs=1e-3)
 
     def test_none_when_everything_nonnegative(self, rng):
         v = orho_extend(named_testfn("quartic_well_1d"), 3.0)
-        adm = AdmissibleSet(rho_cap=3.0)
         atom, reduced = refine_atoms(
-            [Mat.scalar(1.0)], np.zeros(1), -0.1, v, adm, rng, 1)
+            [Mat.scalar(1.0)], np.zeros(1), -0.1, v, RhoBall(3.0), rng, 1)
         assert atom is None
         assert reduced >= -1e-8
 
 
 class TestAdmissibleSet:
+    """The matrices a relax atom may use: the RhoBall relax_solve builds
+    from rho_cap (unbounded without one) and positive_det."""
+
     def test_cap_and_orientation(self):
-        assert AdmissibleSet().ok(Mat.scalar(5.0))
-        assert not AdmissibleSet().ok(Mat.scalar(0.0))
-        assert not AdmissibleSet(rho_cap=2.0).ok(Mat.scalar(3.0))
-        assert not AdmissibleSet(positive_det=True).ok(Mat.scalar(-1.0))
-        assert AdmissibleSet(rho_cap=2.0, positive_det=True).ok(Mat.scalar(1.0))
+        assert in_rho_ball(Mat.scalar(5.0), RhoBall(math.inf))
+        assert not in_rho_ball(Mat.scalar(0.0), RhoBall(math.inf))
+        assert not in_rho_ball(Mat.scalar(3.0), RhoBall(2.0))
+        assert not in_rho_ball(Mat.scalar(-1.0), RhoBall(math.inf, True))
+        assert in_rho_ball(Mat.scalar(1.0), RhoBall(2.0, True))
 
 
 class TestRelaxProblem:
