@@ -51,6 +51,7 @@ from .testfn import (
     GrowthReport,
     TestFn,
     builtin_energy,
+    evaluate_slopes,
     growth_check,
     make_det_cutoff,
     make_phi_rho,
@@ -131,6 +132,7 @@ __all__ = [
     # test functions
     "Growth", "TestFn", "CutoffFn", "smoothstep", "make_phi_rho",
     "make_det_cutoff", "orho_extend", "builtin_energy", "named_testfn",
+    "evaluate_slopes",
     "GrowthReport", "growth_check",
     # measures
     "INFINITE", "AtomicMeasure", "pair", "first_moment", "hat_pushforward",

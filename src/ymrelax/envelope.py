@@ -5,7 +5,9 @@ Three routes, in decreasing exactness:
 
 * qinv_oracle_1d: exact on the interval, by lower convex hull of the
   function over the admissible slope set (two components separated by
-  the singular gap) plus a local polish of the supporting segment.
+  the singular gap) plus a local polish of the supporting segment.  The
+  grid scan is batched by evaluate_slopes, with scalar evaluate as its
+  reference.
 * qinv_laminate_upper: greedy recursive rank-one splitting; sound upper
   bound in any supported dimension, witnessed by an atomic measure.
 * qinv_fe_upper: coordinate descent over mesh deformations with the
@@ -17,14 +19,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from ._search import golden_min, lower_hull
 from .errors import InfeasibleBarycenter, NoAdmissibleSplit, NoFeasibleStart
 from .matcore import Mat, iter_coordinate_dyads
 from .measure import AtomicMeasure, Mesh
 from .meshdef import MeshDeformation, descend_nodes
-from .testfn import orho_extend
+from .testfn import evaluate_slopes, orho_extend
 
 REPRODUCE_TOL = 1e-9
+
+# slopes per evaluate_slopes call in the oracle scan; bounds the arrays
+# alive at once whatever the grid
+_SCAN_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -96,16 +104,16 @@ def qinv_oracle_1d(v, f, rho_tilde: float, grid: int = 10000) -> EnvelopeEstimat
     if abs(fs) > rho_tilde * (1.0 + 1e-12):
         raise InfeasibleBarycenter(f"barycenter {fs:.6g} outside "
                                    f"[-{rho_tilde:.6g}, {rho_tilde:.6g}]")
-    half = max(2, grid // 2)
+    half = grid // 2
     comps = ((-rho_tilde, -1.0 / rho_tilde), (1.0 / rho_tilde, rho_tilde))
     pts = []
     for lo, hi in comps:
-        m = half - 1
-        for i in range(half):
-            s = lo + (hi - lo) * (i / m) if m else lo
-            val = _scalar_eval(v, s)
-            if val < math.inf:
-                pts.append((s, val))
+        for start in range(0, half, _SCAN_BLOCK):
+            i = np.arange(start, min(start + _SCAN_BLOCK, half))
+            s = lo + (hi - lo) * (i / (half - 1))
+            vals = evaluate_slopes(v, s)
+            keep = vals < math.inf
+            pts.extend(zip(s[keep].tolist(), vals[keep].tolist()))
     if len(pts) < 2:
         raise NoAdmissibleSplit("the function is infinite on the admissible set")
     hull = lower_hull(pts)
@@ -123,28 +131,38 @@ def qinv_oracle_1d(v, f, rho_tilde: float, grid: int = 10000) -> EnvelopeEstimat
     def comp_of(s: float):
         return comps[0] if s < 0.0 else comps[1]
 
-    def lever(a: float, b: float) -> float:
+    def lever(a: float, b: float, va=None, vb=None) -> float:
+        """la v(a) + (1 - la) v(b) at the lever rule weight la; an end
+        whose value is given is not evaluated again."""
         if b - a < 1e-15:
-            return _scalar_eval(v, a) if abs(a - fs) < 1e-12 else math.inf
+            if abs(a - fs) >= 1e-12:
+                return math.inf
+            return _scalar_eval(v, a) if va is None else va
         la = (b - fs) / (b - a)
         if la < -1e-12 or la > 1.0 + 1e-12:
             return math.inf
         la = min(1.0, max(0.0, la))
-        return la * _scalar_eval(v, a) + (1.0 - la) * _scalar_eval(v, b)
+        va = _scalar_eval(v, a) if va is None else va
+        vb = _scalar_eval(v, b) if vb is None else vb
+        return la * va + (1.0 - la) * vb
 
     best_val = lever(sa, sb)
-    # polish the supporting pair against grid bias
+    # polish the supporting pair against grid bias, one end held fixed
     for _ in range(2):
         lo, hi = comp_of(sa)
         hi = min(hi, fs)
         if hi > lo:
-            sa_new, val = golden_min(lambda a: lever(a, sb), lo, hi, iters=48)
+            vb = _scalar_eval(v, sb)
+            sa_new, val = golden_min(lambda a: lever(a, sb, vb=vb), lo, hi,
+                                     iters=48)
             if val < best_val:
                 sa, best_val = sa_new, val
         lo, hi = comp_of(sb)
         lo = max(lo, fs)
         if hi > lo:
-            sb_new, val = golden_min(lambda b: lever(sa, b), lo, hi, iters=48)
+            va = _scalar_eval(v, sa)
+            sb_new, val = golden_min(lambda b: lever(sa, b, va=va), lo, hi,
+                                     iters=48)
             if val < best_val:
                 sb, best_val = sb_new, val
 
@@ -281,7 +299,6 @@ def qinv_laminate_upper(v, f, rho_tilde: float, depth: int = 2,
 def _fe_start_1d(v, cost, fs: float, cells: int, rho_tilde: float):
     """Node values with finite energy: affine if possible, else a snapped
     two-slope profile built from the coarse 1D oracle support."""
-    import numpy as np
     xs = np.linspace(0.0, 1.0, cells + 1)
     if cost(Mat.scalar(fs)) < math.inf:
         return fs * xs

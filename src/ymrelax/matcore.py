@@ -5,7 +5,8 @@ Frobenius norms, determinants, inverses, singular values, rho-ball
 membership and rank-one decompositions.  The dimension is capped at 3
 so every quantity has a deterministic closed form; no iterative
 factorization is involved anywhere.  Invertibility, |A^-1| and rho-ball
-membership are decided here only, through the one inverse().
+membership are decided here only, through the one inverse() and, for
+numpy arrays of 1x1 slopes, its vectorized form slope_inv_norms().
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from ._values import as_real
 from .errors import SingularError
@@ -349,6 +352,31 @@ def in_rho_ball(a: Mat, ball: RhoBall) -> bool:
     if ball.rho == math.inf:
         return is_invertible(a)
     return frob_norm(a) <= ball.rho and inv_norm(a) <= ball.rho
+
+
+def slope_inv_norms(s: np.ndarray) -> np.ndarray:
+    """inv_norm(Mat.scalar(x)) for each slope x of s, bit for bit: the
+    1x1 case of the det threshold, where |x| = sqrt(x^2) is infinite
+    once x^2 overflows, so such a slope counts as singular too."""
+    with np.errstate(over="ignore", divide="ignore"):
+        singular = np.abs(s) < SINGULAR_RTOL * np.maximum(1.0, np.sqrt(s * s))
+        r = 1.0 / s
+        out = np.sqrt(r * r)
+    out[singular] = math.inf
+    return out
+
+
+def slopes_in_rho_ball(s: np.ndarray, ball: RhoBall) -> np.ndarray:
+    """in_rho_ball(Mat.scalar(x), ball) for each slope x of s.  Singular
+    slopes are excluded explicitly: with rho = inf, inf <= rho holds."""
+    inv = slope_inv_norms(s)
+    inside = inv < math.inf
+    if ball.positive_det_only:
+        inside &= s > 0.0
+    if ball.rho < math.inf:
+        with np.errstate(over="ignore"):
+            inside &= (np.sqrt(s * s) <= ball.rho) & (inv <= ball.rho)
+    return inside
 
 
 def max_norm_pair(a: Mat) -> float:

@@ -11,6 +11,13 @@ A TestFn pairs an evaluator on matrices with a declared growth class:
 Infinite values are returned as math.inf (a distinguished value, never a
 large float stand-in).  Cut-off transitions use the quintic smoothstep,
 which is C^2 and monotone on [0, 1].
+
+A 1D TestFn may also carry a slope batch: a float64 array of slopes in,
+the values of evaluate at their 1x1 matrices out, bit for bit.  Scalar
+evaluate stays the reference; evaluate_slopes dispatches.  Powers in a
+batch are taken by Python's ** element by element, as evaluate takes
+them: numpy's power and square differ from libm pow by an ulp on some
+inputs, and ** raises the OverflowError evaluate raises.
 """
 
 from __future__ import annotations
@@ -23,7 +30,8 @@ import numpy as np
 
 from ._values import integer, real
 from .errors import DomainError, UnknownEnergy
-from .matcore import Mat, RhoBall, det, frob_norm, in_rho_ball, inv_norm, is_invertible
+from .matcore import (Mat, RhoBall, det, frob_norm, in_rho_ball, inv_norm,
+                      is_invertible, slope_inv_norms, slopes_in_rho_ball)
 
 
 @dataclass(frozen=True)
@@ -60,11 +68,13 @@ class Growth:
 
 @dataclass(frozen=True)
 class TestFn:
-    """Matrix test function with declared growth."""
+    """Matrix test function with declared growth, and optionally a 1D
+    slope batch equal to evaluate at Mat.scalar of each slope."""
 
     evaluate: Callable
     growth: Growth
     description: str = ""
+    slopes: Callable | None = None
 
     def __call__(self, a: Mat) -> float:
         return self.evaluate(a)
@@ -86,6 +96,23 @@ class CutoffFn:
     def to_testfn(self) -> TestFn:
         growth = Growth.c_0inv() if self.kind == "phi_rho" else Growth.c_p(1.0)
         return TestFn(self.evaluate, growth, self.description)
+
+
+def evaluate_slopes(v, s) -> np.ndarray:
+    """v at the 1x1 matrices of the slopes s, as a float64 array: the
+    batch v.slopes when v has one, else v.evaluate one slope at a time."""
+    s = np.asarray(s, dtype=float)
+    batch = getattr(v, "slopes", None)
+    if batch is None:
+        return np.array([v.evaluate(Mat.scalar(x)) for x in s.tolist()],
+                        dtype=float)
+    if not np.isfinite(s).all():
+        raise ValueError("matrix entries must be finite")
+    return batch(s)
+
+
+def _powers(x: np.ndarray, p) -> np.ndarray:
+    return np.array([t ** p for t in x.tolist()], dtype=float)
 
 
 def smoothstep(u: float) -> float:
@@ -159,7 +186,17 @@ def orho_extend(core, rho: float, description: str = "") -> TestFn:
             return math.inf
         return inner(a)
 
-    return TestFn(evaluate, Growth.o_rho(rho), description)
+    core_slopes = core.slopes if isinstance(core, TestFn) else None
+    if core_slopes is None:
+        return TestFn(evaluate, Growth.o_rho(rho), description)
+
+    def slopes(s: np.ndarray) -> np.ndarray:
+        out = np.full(s.shape, math.inf)
+        inside = slopes_in_rho_ball(s, ball)
+        out[inside] = core_slopes(s[inside])
+        return out
+
+    return TestFn(evaluate, Growth.o_rho(rho), description, slopes)
 
 
 # -- builtin energies ---------------------------------------------------
@@ -186,6 +223,24 @@ def _double_well(well_a: Mat, well_b: Mat, p: float, gamma: float):
         inv = inv_norm(a)
         return math.inf if inv == math.inf else wells(a) + gamma * inv ** p
     return evaluate
+
+
+def _double_well_slopes(well_a: float, well_b: float, p: float, gamma: float):
+    """Batch of _double_well for 1x1 wells."""
+    def slopes(s: np.ndarray) -> np.ndarray:
+        inv = slope_inv_norms(s)
+        ok = inv < math.inf
+        s = s[ok]
+        with np.errstate(over="ignore"):
+            da, db = s - well_a, s - well_b
+            da, db = np.sqrt(da * da), np.sqrt(db * db)
+            val = np.minimum(da * da, db * db)
+            if gamma != 0.0:
+                val += gamma * _powers(inv[ok], p)
+        out = np.full(inv.shape, math.inf)
+        out[ok] = val
+        return out
+    return slopes
 
 
 def _wells(value) -> tuple:
@@ -232,7 +287,9 @@ def builtin_energy(name: str, params: dict | None = None) -> TestFn:
         desc = (f"two-well distance energy, wells at {list(wa.flat)} and {list(wb.flat)}, "
                 f"inverse coupling {gamma:g}*|s^-1|^{p:g}; "
                 f"sandwich exponents (2, -{p:g}) with c=min(1/2, gamma), c'=2+gamma+2*max well norm^2")
-        return TestFn(_double_well(wa, wb, p, gamma), Growth.c_pmp(max(2.0, p)), desc)
+        batch = _double_well_slopes(wa.flat[0], wb.flat[0], p, gamma) if wa.n == 1 else None
+        return TestFn(_double_well(wa, wb, p, gamma), Growth.c_pmp(max(2.0, p)), desc,
+                      batch)
 
     if name == "shear_well_2d":
         a = _params(name, params, {"kappa": (1.0, real()),
@@ -249,6 +306,11 @@ def builtin_energy(name: str, params: dict | None = None) -> TestFn:
 
 
 # -- named plain test functions (used by batteries and the CLI) ---------
+
+
+def _quartic_slopes(s: np.ndarray) -> np.ndarray:
+    with np.errstate(over="ignore"):
+        return _powers(s * s - 1.0, 2)
 
 
 def named_testfn(kind: str, params: dict | None = None) -> TestFn:
@@ -277,7 +339,8 @@ def named_testfn(kind: str, params: dict | None = None) -> TestFn:
             if a.n != 1:
                 raise DomainError("entry_power is a 1D test function")
             return a.flat[0] ** _k
-        return TestFn(evaluate, Growth.c_p(float(k + 1)), f"s^{k} (1D)")
+        return TestFn(evaluate, Growth.c_p(float(k + 1)), f"s^{k} (1D)",
+                      lambda s, _k=k: _powers(s, _k))
     if kind == "quartic_well_1d":
         _params(kind, params, {})
 
@@ -286,7 +349,8 @@ def named_testfn(kind: str, params: dict | None = None) -> TestFn:
                 raise DomainError("quartic_well_1d is a 1D test function")
             s = a.flat[0]
             return (s * s - 1.0) ** 2
-        return TestFn(evaluate, Growth.c_p(5.0), "(s^2 - 1)^2 (1D)")
+        return TestFn(evaluate, Growth.c_p(5.0), "(s^2 - 1)^2 (1D)",
+                      _quartic_slopes)
     if kind == "inv_power":
         q = _params(kind, params, {"q": (2.0, real())})["q"]
 

@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 
 import pytest
@@ -77,6 +79,47 @@ class TestOracle1D:
             f = float(rng.uniform(0.5, 2.0)) * float(rng.choice([-1.0, 1.0]))
             est = qinv_oracle_1d(v, Mat.scalar(f), RHO_T)
             assert est.value_upper <= v.evaluate(Mat.scalar(f)) + 1e-9
+
+
+BATCHED_ENERGIES = {
+    "quartic": well(),
+    "square": square(),
+    "double_well": orho_extend(builtin_energy("double_well_inv",
+                                              {"gamma": 1e-3, "p": 2.0}), RHO_T),
+    "bare_double_well": builtin_energy("double_well_inv"),
+}
+
+
+class TestOracleBatch:
+    """The batched scan gives the scalar scan's result and keeps the
+    scalar evaluations per call to the polish."""
+
+    @pytest.mark.parametrize("name", sorted(BATCHED_ENERGIES))
+    @pytest.mark.parametrize("f", [0.0, 0.3, 1.0, -1.7])
+    @pytest.mark.parametrize("grid", [100, 10000])
+    def test_matches_the_scalar_scan(self, name, f, grid):
+        v = BATCHED_ENERGIES[name]
+        assert v.slopes is not None
+        scalar = dataclasses.replace(v, slopes=None)
+        batched, looped = (json.dumps(qinv_oracle_1d(fn, Mat.scalar(f), RHO_T, grid)
+                                      .to_json_dict(), sort_keys=True)
+                           for fn in (v, scalar))
+        assert batched == looped
+
+    @pytest.mark.parametrize("name", sorted(BATCHED_ENERGIES))
+    def test_scalar_evaluations_per_call(self, name):
+        v = BATCHED_ENERGIES[name]
+        calls = [0]
+
+        def counted(a):
+            calls[0] += 1
+            return v.evaluate(a)
+
+        for f in (0.0, 0.3, -1.7):
+            calls[0] = 0
+            qinv_oracle_1d(dataclasses.replace(v, evaluate=counted),
+                           Mat.scalar(f), RHO_T, grid=10000)
+            assert 0 < calls[0] <= 300
 
 
 class TestLaminateUpper:

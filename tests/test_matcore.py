@@ -23,6 +23,8 @@ from ymrelax.matcore import (
     rank_one_difference,
     singular_threshold,
     singular_values,
+    slope_inv_norms,
+    slopes_in_rho_ball,
 )
 
 finite = st.floats(min_value=-10.0, max_value=10.0,
@@ -219,6 +221,20 @@ class TestInverseKernel:
             inside = oriented and frob_norm(a) <= rho and \
                 frob_norm(invert(a)) <= rho
             assert in_rho_ball(a, RhoBall(rho, positive)) == inside
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.lists(st.one_of(finite, st.sampled_from(
+        [0.0, -0.0, 1e-13, -1e-13, 1e-12, -1e-12, 1e154, -1e200])),
+        max_size=20), st.booleans())
+    def test_slope_arrays_match_scalars(self, xs, positive):
+        s = np.array(xs, dtype=float)
+        scalars = [Mat.scalar(x) for x in xs]
+        assert (slope_inv_norms(s).tobytes()
+                == np.array([inv_norm(a) for a in scalars], dtype=float).tobytes())
+        for rho in (1.0, 3.0, math.inf):
+            ball = RhoBall(rho, positive)
+            assert (slopes_in_rho_ball(s, ball).tolist()
+                    == [in_rho_ball(a, ball) for a in scalars])
 
     @pytest.mark.parametrize("rho", [math.nan, 0.0, -1.0, -math.inf])
     def test_radius_must_be_positive(self, rho):

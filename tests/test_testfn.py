@@ -1,6 +1,9 @@
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ymrelax.errors import UnknownEnergy
 from ymrelax.matcore import Mat, frob_norm, invert
@@ -8,6 +11,7 @@ from ymrelax.testfn import (
     Growth,
     TestFn as MatrixFn,
     builtin_energy,
+    evaluate_slopes,
     growth_check,
     make_det_cutoff,
     make_phi_rho,
@@ -228,3 +232,99 @@ class TestGrowthCheck:
         liar = MatrixFn(lambda a: frob_norm(a) ** 4, Growth.c_p(1.0),
                       "mismatched growth declaration")
         assert not growth_check(liar, samples=128).consistent
+
+
+# -- the 1D slope batch against scalar evaluate -------------------------
+
+BATCHED_CORES = {
+    "quartic_well_1d": named_testfn("quartic_well_1d"),
+    "entry_power_0": named_testfn("entry_power", {"exponent": 0}),
+    "entry_power_2": named_testfn("entry_power", {"exponent": 2}),
+    "entry_power_3": named_testfn("entry_power", {"exponent": 3}),
+    "double_well_gamma_0": builtin_energy("double_well_inv"),
+    "double_well_gamma_1e-3": builtin_energy("double_well_inv",
+                                             {"gamma": 1e-3, "p": 2.0}),
+    "double_well_p_negative": builtin_energy(
+        "double_well_inv", {"wells": [-0.7, 1.3], "gamma": 0.5, "p": -1.5}),
+    "energy_entry": named_testfn("energy", {"name": "double_well_inv",
+                                            "gamma": 0.25, "p": 3.0}),
+}
+BALL_RADII = (2.0, 3.3, math.inf)
+BATCHED = dict(BATCHED_CORES)
+BATCHED.update({f"{name} in the {rho}-ball": orho_extend(core, rho)
+                for name, core in BATCHED_CORES.items() for rho in BALL_RADII})
+
+# the singular gap, the det threshold and the ball edges of every radius
+SPECIAL_SLOPES = [0.0, -0.0] + [x for m in (1e-13, 1e-12, 1.0, 0.5, 2.0,
+                                            1.0 / 3.3, 3.3)
+                                for x in (m, -m)]
+# slopes whose squares or powers overflow; one at a time, as each may raise
+HUGE_SLOPES = [x for m in (1e77, 1.3e154, 1.35e154, 1e200, 1.7e308)
+               for x in (m, -m)]
+
+
+def scalar_outcome(v, slopes):
+    """Bytes of the scalar values, or the (type, message) raised."""
+    try:
+        vals = [v.evaluate(Mat.scalar(x)) for x in slopes]
+        return np.array(vals, dtype=float).tobytes()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def batch_outcome(v, slopes):
+    try:
+        return evaluate_slopes(v, np.array(slopes, dtype=float)).tobytes()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+slope_lists = st.lists(st.one_of(st.sampled_from(SPECIAL_SLOPES),
+                                 st.floats(-10.0, 10.0)), max_size=40)
+
+
+class TestSlopeBatch:
+    """evaluate_slopes equals scalar evaluate bit for bit, infinities and
+    raised errors included."""
+
+    def test_batched_functions_have_a_batch(self):
+        assert all(v.slopes is not None for v in BATCHED.values())
+        for v in (builtin_energy("shear_well_2d"),
+                  builtin_energy("inv_penalty"),
+                  builtin_energy("double_well_inv",
+                                 {"wells": [[1, 0, 0, 1], [-1, 0, 0, 1]]}),
+                  named_testfn("frob_power"), make_phi_rho(2.0).to_testfn(),
+                  orho_extend(lambda a: 7.0, 3.0),
+                  orho_extend(named_testfn("inv_power"), 2.0)):
+            assert v.slopes is None
+
+    @pytest.mark.parametrize("name", sorted(BATCHED))
+    def test_special_and_uniform_slopes(self, name):
+        # uniform draws catch an ulp of numpy's power against Python's **
+        v = BATCHED[name]
+        draws = np.random.default_rng(5).uniform(-3.5, 3.5, 4000).tolist()
+        for slopes in [SPECIAL_SLOPES, draws] + [[x] for x in HUGE_SLOPES]:
+            assert batch_outcome(v, slopes) == scalar_outcome(v, slopes)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.sampled_from(sorted(BATCHED)), slope_lists)
+    def test_random_slopes(self, name, slopes):
+        v = BATCHED[name]
+        assert batch_outcome(v, slopes) == scalar_outcome(v, slopes)
+
+    def test_plain_functions_fall_back_to_evaluate(self):
+        v = orho_extend(lambda a: 7.0, 3.0)
+        assert evaluate_slopes(v, [0.0, 1.0, 4.0]).tolist() == [math.inf, 7.0, math.inf]
+        phi = make_phi_rho(2.0)
+        assert evaluate_slopes(phi, np.array([0.0, 1.0])).tolist() == [0.0, 1.0]
+
+    def test_non_finite_slopes_raise_as_scalar(self):
+        v = BATCHED["quartic_well_1d in the 2.0-ball"]
+        for bad in (math.nan, math.inf):
+            assert batch_outcome(v, [1.0, bad]) == scalar_outcome(v, [1.0, bad])
+
+    def test_overflow_is_raised(self):
+        v = orho_extend(named_testfn("entry_power", {"exponent": 2000}), 3.3)
+        with pytest.raises(OverflowError):
+            evaluate_slopes(v, np.array([3.0]))
+        assert evaluate_slopes(v, np.array([4.0])).tolist() == [math.inf]
