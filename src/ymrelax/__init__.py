@@ -60,7 +60,6 @@ from .testfn import (
     smoothstep,
 )
 from .measure import (
-    INFINITE,
     AtomicMeasure,
     ClassReport,
     Mesh,
@@ -69,10 +68,7 @@ from .measure import (
     first_moment,
     hat_pushforward,
     homogenize,
-    inverse_penalty_moment,
-    mass_moments,
     measures_equal,
-    moment_pq,
     pair,
     support_in_ball,
     truncate,
@@ -135,9 +131,8 @@ __all__ = [
     "evaluate_slopes",
     "GrowthReport", "growth_check",
     # measures
-    "INFINITE", "AtomicMeasure", "pair", "first_moment", "hat_pushforward",
-    "truncate", "mass_moments", "inverse_penalty_moment", "Mesh",
-    "YoungMeasureField", "moment_pq", "homogenize", "ClassReport", "classify",
+    "AtomicMeasure", "pair", "first_moment", "hat_pushforward", "truncate",
+    "Mesh", "YoungMeasureField", "homogenize", "ClassReport", "classify",
     "measures_equal", "support_in_ball",
     # laminates
     "GradientField", "BoundaryDatum", "SequenceSpec", "WEIGHT_FUNCTIONS",

@@ -8,9 +8,10 @@ import math
 import numbers
 
 
-def real(above: float | None = None, least: float | None = None):
+def real(above: float | None = None, least: float | None = None,
+         below: float | None = None):
     """Converter to a finite float, bounded below strictly by `above` or
-    inclusively by `least` when given."""
+    inclusively by `least`, and above strictly by `below`, when given."""
     def convert(value) -> float:
         if isinstance(value, bool) or not isinstance(value, numbers.Real):
             raise TypeError(f"expected a number, got {type(value).__name__}")
@@ -21,6 +22,8 @@ def real(above: float | None = None, least: float | None = None):
             raise ValueError(f"must be above {above:g}, got {x:g}")
         if least is not None and x < least:
             raise ValueError(f"must be at least {least:g}, got {x:g}")
+        if below is not None and not x < below:
+            raise ValueError(f"must be below {below:g}, got {x:g}")
         return x
     return convert
 

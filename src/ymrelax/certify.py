@@ -113,14 +113,20 @@ def check_thm12(field: YoungMeasureField, p: float, q: float,
 # -- support control along a generating sequence -----------------------------
 
 
-def _det_q_integral(field, q: float) -> float:
+def _det_q_integral(widths, abs_dets, q: float) -> float:
     total = 0.0
-    for w, g in zip(field.widths, field.grads):
-        d = abs(det(g))
+    for w, d in zip(widths, abs_dets):
         if d == 0.0:
             return math.inf
         total += w * d ** (-q)
     return total
+
+
+def _grows(values) -> bool:
+    """A bound grows along the sequence when it never falls and its last
+    value is more than twice its first."""
+    return (len(values) > 1 and values[-1] > 2.0 * values[0]
+            and all(b >= a for a, b in zip(values, values[1:])))
 
 
 def check_support_from_sequence(fields, epsilon_ladder, q: float) -> Certificate:
@@ -138,7 +144,9 @@ def check_support_from_sequence(fields, epsilon_ladder, q: float) -> Certificate
     epsilon_ladder = list(epsilon_ladder)
     if not epsilon_ladder:
         raise ValueError("need at least one epsilon")
-    integrals = [_det_q_integral(f, q) for f in fields]
+    abs_dets = [[abs(det(g)) for g in f.grads] for f in fields]
+    integrals = [_det_q_integral(f.widths, dets, q)
+                 for f, dets in zip(fields, abs_dets)]
 
     checks = []
     masses = {}
@@ -147,9 +155,8 @@ def check_support_from_sequence(fields, epsilon_ladder, q: float) -> Certificate
             raise ValueError("epsilons must sit in (0, 1)")
         worst = 0.0
         row = []
-        for f, ik in zip(fields, integrals):
-            mass = math.fsum(w for w, g in zip(f.widths, f.grads)
-                             if abs(det(g)) < eps)
+        for f, dets, ik in zip(fields, abs_dets, integrals):
+            mass = math.fsum(w for w, d in zip(f.widths, dets) if d < eps)
             row.append(mass)
             bound = ik if ik == math.inf else (eps ** q) * ik
             worst = max(worst, mass - bound)
@@ -161,10 +168,7 @@ def check_support_from_sequence(fields, epsilon_ladder, q: float) -> Certificate
             f"volume with |det grad| < {eps:g} against the eps^{q:g} "
             "moment bound"))
 
-    bounded = math.isfinite(integrals[-1]) and not (
-        len(integrals) > 1
-        and integrals[-1] > 2.0 * integrals[0]
-        and all(b >= a for a, b in zip(integrals, integrals[1:])))
+    bounded = math.isfinite(integrals[-1]) and not _grows(integrals)
     checks.append(Check(
         "uniform_inverse_determinant_moment",
         PASS if bounded else INCONCLUSIVE,
@@ -221,10 +225,7 @@ def check_det_limit(fields, p: float) -> Certificate:
     details = {"weak_limit": list(avg.flat), "det": d,
                "threshold": threshold, "inv_sups": inv_sups}
 
-    bounded = not (len(inv_sups) > 1
-                   and inv_sups[-1] > 2.0 * inv_sups[0]
-                   and all(b >= a for a, b in zip(inv_sups, inv_sups[1:])))
-    if not bounded:
+    if _grows(inv_sups):
         checks.append(Check(
             "uniform_inverse_bound", INCONCLUSIVE, None,
             "sup |grad^-1| grows along the sequence ("

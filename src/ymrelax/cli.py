@@ -171,9 +171,10 @@ _SEQUENCE = {
     "k_ladder": _list(integer(least=1)),
 }
 _CERTIFY = {  # theorem -> (required, optional) keys besides "theorem"
-    "thm1": ({"field": _field, "p": as_real, "q": as_real}, {}),
-    "thm2": ({"field": _field, "p": as_real, "q": as_real}, {}),
-    "support": ({"epsilon_ladder": _list(as_real), "q": as_real}, _SEQUENCE),
+    "thm1": ({"field": _field, "p": real(above=0.0), "q": real(above=0.0)}, {}),
+    "thm2": ({"field": _field, "p": real(above=0.0), "q": real(above=0.0)}, {}),
+    "support": ({"epsilon_ladder": _list(real(above=0.0, below=1.0)),
+                 "q": real(above=0.0)}, _SEQUENCE),
     "det_limit": ({"p": as_real}, _SEQUENCE),
     "thm3": ({"field": _field,
               "u_h": lambda d: (GradientField if "normal" in d

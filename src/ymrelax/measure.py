@@ -8,9 +8,6 @@ distance are merged at construction, atoms are stored in a canonical
 A YoungMeasureField attaches one atomic measure to every cell of a
 uniform mesh on the unit interval or unit square, with triangle cells
 in 2D so a piecewise-affine deformation has one gradient per cell.
-
-Infinite moments are reported through the INFINITE sentinel rather than
-a float, so classification logic never compares against float infinity.
 """
 
 from __future__ import annotations
@@ -26,23 +23,6 @@ from .matcore import (Mat, RhoBall, det, frob_norm, in_rho_ball, inv_norm,
 
 MERGE_TOL = 1e-10
 WEIGHT_TOL = 1e-12
-
-
-class Infinite:
-    """Distinguished result for measures with an infinite moment."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "Infinite"
-
-
-INFINITE = Infinite()
 
 
 @dataclass(frozen=True)
@@ -138,9 +118,6 @@ class AtomicMeasure:
     def total_mass(self) -> float:
         return math.fsum(w for _, w in self.atoms)
 
-    def support(self) -> tuple:
-        return tuple(a for a, _ in self.atoms)
-
     def mass_where(self, predicate: Callable) -> float:
         return math.fsum(w for a, w in self.atoms if predicate(a))
 
@@ -197,34 +174,6 @@ def truncate(nu: AtomicMeasure, rho: float, phi) -> AtomicMeasure:
     if defect > 1e-15:
         kept.append((Mat.identity(nu.n), defect))
     return AtomicMeasure.from_pairs(kept)
-
-
-def mass_moments(nu: AtomicMeasure, p: float, q: float):
-    """(p-moment of |s|, q-moment of |s^-1|) or INFINITE."""
-    m1 = 0.0
-    m2 = 0.0
-    for a, w in nu.atoms:
-        inv = inv_norm(a)
-        if inv == math.inf:
-            return INFINITE
-        m1 += w * frob_norm(a) ** p
-        m2 += w * inv ** q
-    return (m1, m2)
-
-
-def inverse_penalty_moment(nu: AtomicMeasure, f: Callable) -> float:
-    """<nu, f(s^-1)> for a pluggable penalty f; INFINITE on singular mass.
-
-    This exposes penalties beyond norm powers (for instance determinant
-    powers) without claiming any characterization for them.
-    """
-    total = 0.0
-    for a, w in nu.atoms:
-        inv = inverse(a)
-        if inv is None:
-            return INFINITE
-        total += w * f(inv)
-    return total
 
 
 # -- meshes and fields ----------------------------------------------------
@@ -377,20 +326,6 @@ class YoungMeasureField:
     @classmethod
     def constant(cls, mesh: Mesh, nu: AtomicMeasure) -> "YoungMeasureField":
         return cls(mesh, (nu,) * mesh.n_cells)
-
-
-def moment_pq(field: YoungMeasureField, p: float, q: float):
-    """Volume-weighted (p, -q) moments of the field, or INFINITE."""
-    vol = field.mesh.cell_volume
-    m1 = 0.0
-    m2 = 0.0
-    for nu in field.measures:
-        mm = mass_moments(nu, p, q)
-        if mm is INFINITE:
-            return INFINITE
-        m1 += vol * mm[0]
-        m2 += vol * mm[1]
-    return (m1, m2)
 
 
 def homogenize(field: YoungMeasureField) -> AtomicMeasure:

@@ -1,7 +1,7 @@
-"""Seeded random generators for matrices and measures.
+"""Seeded random generators for matrices and measures in the test suite.
 
-Used by growth diagnostics and by the test suite; every function takes
-an explicit numpy Generator so runs are reproducible.
+Every function takes an explicit numpy Generator so runs are
+reproducible.
 """
 
 from __future__ import annotations
@@ -10,25 +10,18 @@ import math
 
 import numpy as np
 
-from .matcore import Mat, RhoBall, in_rho_ball, is_invertible
-from .measure import AtomicMeasure
+from ymrelax.matcore import (Mat, RhoBall, det, frob_norm, in_rho_ball,
+                             is_invertible)
+from ymrelax.measure import AtomicMeasure
 
 
 def random_invertible(rng: np.random.Generator, n: int, scale: float = 1.0) -> Mat:
-    """Gaussian matrix rejected until comfortably away from singularity."""
+    """Gaussian matrix rejected until comfortably away from singularity:
+    |det A| / |A|^n, a conditioning proxy in [0, ~1], must exceed 0.05."""
     while True:
         a = Mat.from_rows((scale * rng.normal(size=(n, n))).tolist())
-        if is_invertible(a) and abs_det_margin(a) > 0.05:
+        if is_invertible(a) and abs(det(a)) / frob_norm(a) ** n > 0.05:
             return a
-
-
-def abs_det_margin(a: Mat) -> float:
-    """|det A| relative to |A|^n; an conditioning proxy in [0, ~1]."""
-    from .matcore import det, frob_norm
-    fn = frob_norm(a)
-    if fn == 0.0:
-        return 0.0
-    return abs(det(a)) / fn ** a.n
 
 
 def random_in_ball(rng: np.random.Generator, n: int, rho: float) -> Mat:

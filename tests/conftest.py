@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ymrelax.sampling import random_invertible, random_measure
+from _sampling import random_invertible, random_measure
 
 
 @pytest.fixture

@@ -33,13 +33,14 @@ from ymrelax.measure import (
     truncate,
 )
 from ymrelax.relax import RelaxProblem, relax_solve
-from ymrelax.sampling import random_in_ball, random_measure
 from ymrelax.testfn import (
     builtin_energy,
     make_phi_rho,
     named_testfn,
     orho_extend,
 )
+
+from _sampling import random_in_ball, random_measure
 
 
 def report(num, detail):

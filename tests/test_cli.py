@@ -149,6 +149,10 @@ I2 = [[1, 0], [0, 1]]
 I3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
 SUPPORT_CFG = {"theorem": "support", "q": 2, "epsilon_ladder": [0.5, 0.1],
                "slopes_of_k": ["1/k", 1], "k_ladder": [4, 8, 16]}
+THM1_CFG = {"theorem": "thm1", "p": 2, "q": 2,
+            "field": {"mesh": {"dim": 1, "cells": 4},
+                      "constant_measure": {"atoms": [{"mat": [0.0], "w": 0.5},
+                                                     {"mat": [1.0], "w": 0.5}]}}}
 THM3_CFG = {"theorem": "thm3", "rho": 2, "rho_tilde": 3,
             "field": {"mesh": {"dim": 1, "cells": 4},
                       "constant_measure": {"atoms": [{"mat": [1.0], "w": 1.0}]}},
@@ -231,6 +235,16 @@ class TestMalformedValues:
         pytest.param("relax", {**RELAX_CFG, "energy_params": {
             "wells": [I2, [[1, 1], [0, 1]]]}}, "relax.energy",
                      id="relax_wells_2x2_F_1x1"),
+        pytest.param("certify", {**THM1_CFG, "p": -2}, "certify.p",
+                     id="thm1_p_negative"),
+        pytest.param("certify", {**THM1_CFG, "theorem": "thm2", "q": 0},
+                     "certify.q", id="thm2_q_zero"),
+        pytest.param("certify", {**SUPPORT_CFG, "q": -2}, "certify.q",
+                     id="support_q_negative"),
+        pytest.param("certify", {**SUPPORT_CFG, "epsilon_ladder": [0.5, 2.0]},
+                     "certify.epsilon_ladder", id="epsilon_above_1"),
+        pytest.param("certify", {**SUPPORT_CFG, "epsilon_ladder": [0.0]},
+                     "certify.epsilon_ladder", id="epsilon_zero"),
     ])
     def test_exit_2_one_line(self, tmp_path, capsys, command, cfg, key):
         code, out = run(tmp_path, command, cfg)

@@ -3,9 +3,9 @@ import math
 import pytest
 
 from ymrelax.errors import SingularAtom
-from ymrelax.matcore import Mat, RhoBall, det, frob_norm, invert, max_norm_pair
+from ymrelax.matcore import (Mat, RhoBall, frob_norm, inv_norm, invert,
+                             max_norm_pair)
 from ymrelax.measure import (
-    INFINITE,
     AtomicMeasure,
     Mesh,
     YoungMeasureField,
@@ -13,10 +13,7 @@ from ymrelax.measure import (
     first_moment,
     hat_pushforward,
     homogenize,
-    inverse_penalty_moment,
-    mass_moments,
     measures_equal,
-    moment_pq,
     pair,
     support_in_ball,
     truncate,
@@ -130,24 +127,23 @@ class TestTruncate:
         assert out.mass_where(lambda a: a.flat[0] == 1.0) == pytest.approx(1.0)
 
 
+def one_cell(nu):
+    return YoungMeasureField.constant(Mesh.interval(1), nu)
+
+
 class TestMoments:
     def test_finite_case(self):
         nu = AtomicMeasure.from_pairs([(Mat.scalar(2.0), 1.0)])
-        m1, m2 = mass_moments(nu, 2.0, 2.0)
-        assert m1 == pytest.approx(4.0)
-        assert m2 == pytest.approx(0.25)
+        rep = classify(one_cell(nu), 2.0, 2.0)
+        assert rep.moment_p == pytest.approx(4.0)
+        assert rep.moment_negq == pytest.approx(0.25)
 
     def test_singular_mass_infinite(self):
         nu = AtomicMeasure.from_pairs([(Mat.scalar(0.0), 0.5),
                                        (Mat.scalar(1.0), 0.5)])
-        assert mass_moments(nu, 2.0, 2.0) is INFINITE
-
-    def test_pluggable_penalty(self):
-        nu = AtomicMeasure.dirac(Mat.scalar(2.0))
-        out = inverse_penalty_moment(nu, lambda inv: abs(det(inv)) ** 3)
-        assert out == pytest.approx(0.125)
-        sing = AtomicMeasure.dirac(Mat.scalar(0.0))
-        assert inverse_penalty_moment(sing, lambda inv: 1.0) is INFINITE
+        rep = classify(one_cell(nu), 2.0, 2.0)
+        assert rep.moment_negq == math.inf
+        assert rep.inv_mass_deficit == 0.5
 
 
 class TestMesh:
@@ -195,14 +191,17 @@ class TestField:
         rhs = math.fsum(mesh.cell_volume * pair(nu, v) for nu in field.measures)
         assert lhs == pytest.approx(rhs, abs=1e-12)
 
-    def test_moment_pq_matches_cellwise(self, make_measure):
+    def test_classify_moments_are_volume_weighted(self, make_measure):
         mesh = Mesh.interval(4)
         field = YoungMeasureField(mesh, tuple(make_measure(1) for _ in range(4)))
-        m1, m2 = moment_pq(field, 2.0, 2.0)
-        e1 = math.fsum(mesh.cell_volume * mass_moments(nu, 2.0, 2.0)[0]
-                       for nu in field.measures)
-        assert m1 == pytest.approx(e1, rel=1e-12)
-        assert m2 > 0.0
+        rep = classify(field, 2.0, 2.0)
+        atoms = [(a, w) for nu in field.measures for a, w in nu.atoms]
+        e1 = math.fsum(mesh.cell_volume * w * frob_norm(a) ** 2.0
+                       for a, w in atoms)
+        e2 = math.fsum(mesh.cell_volume * w * inv_norm(a) ** 2.0
+                       for a, w in atoms)
+        assert rep.moment_p == pytest.approx(e1, rel=1e-12)
+        assert rep.moment_negq == pytest.approx(e2, rel=1e-12)
 
     def test_json_roundtrip(self, make_measure):
         mesh = Mesh.square(2, 2)
