@@ -46,7 +46,6 @@ from .matcore import (
     singular_values,
 )
 from .testfn import (
-    CutoffFn,
     Growth,
     GrowthReport,
     TestFn,
@@ -126,7 +125,7 @@ __all__ = [
     "max_norm_pair",
     "iter_coordinate_dyads",
     # test functions
-    "Growth", "TestFn", "CutoffFn", "smoothstep", "make_phi_rho",
+    "Growth", "TestFn", "smoothstep", "make_phi_rho",
     "make_det_cutoff", "orho_extend", "builtin_energy", "named_testfn",
     "evaluate_slopes",
     "GrowthReport", "growth_check",

@@ -331,9 +331,7 @@ def check_thm3(field: YoungMeasureField, u_h, rho: float, v_battery,
     if not v_battery:
         raise ValueError("need a nonempty test battery")
     for v in v_battery:
-        growth = getattr(v, "growth", None)
-        if growth is None or growth.kind != "O_rho" or \
-                abs((growth.param or 0.0) - rho_tilde) > 1e-12:
+        if v.growth.kind != "O_rho" or abs(v.growth.param - rho_tilde) > 1e-12:
             raise ValueError("battery members must be +inf outside the "
                              "rho_tilde ball and declare that growth")
     if not rho_tilde > rho:

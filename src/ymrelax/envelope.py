@@ -338,7 +338,7 @@ def qinv_fe_upper(v, f, mesh_cells: int, rho_tilde: float,
     """
     fmat = Mat.coerce(f)
     n = fmat.n
-    costfn = orho_extend(v.evaluate, rho_tilde)
+    costfn = orho_extend(v, rho_tilde)
     cost = costfn.evaluate
 
     if n == 1:

@@ -20,6 +20,7 @@ from typing import Callable, Iterable, Sequence
 from .errors import SingularAtom
 from .matcore import (Mat, RhoBall, det, frob_norm, in_rho_ball, inv_norm,
                       inverse, mat_close)
+from .testfn import make_phi_rho
 
 MERGE_TOL = 1e-10
 WEIGHT_TOL = 1e-12
@@ -155,16 +156,14 @@ def hat_pushforward(nu: AtomicMeasure) -> AtomicMeasure:
     return AtomicMeasure.from_pairs(pairs)
 
 
-def truncate(nu: AtomicMeasure, rho: float, phi) -> AtomicMeasure:
+def truncate(nu: AtomicMeasure, rho: float) -> AtomicMeasure:
     """Reweight by the rho-ball cut-off and park the removed mass on the
     identity: Phi_rho * nu + (1 - <nu, Phi_rho>) delta_I.
 
     The result is a probability measure supported in R_{rho+1}; when all
     atoms lie in R_rho it equals nu exactly.
     """
-    kind = getattr(phi, "kind", None)
-    if kind != "phi_rho" or abs(phi.rho - rho) > 1e-12:
-        raise ValueError("phi must be the matching rho-ball cutoff")
+    phi = make_phi_rho(rho)
     kept = []
     for a, w in nu.atoms:
         f = phi.evaluate(a)
@@ -372,6 +371,8 @@ def classify(field: YoungMeasureField, p: float, q: float) -> ClassReport:
     """Decide membership in the invertible-support class (full mass on
     invertible matrices, finite (p, -q) moments) and its orientation-
     preserving refinement (additionally det > 0 almost everywhere)."""
+    if not (p > 0.0 and q > 0.0):
+        raise ValueError("growth exponents must be positive")
     vol = field.mesh.cell_volume
     inv_deficit = 0.0
     pos_deficit = 0.0
@@ -402,10 +403,7 @@ def measures_equal(nu: AtomicMeasure, mu: AtomicMeasure, family: Sequence,
     if not family:
         raise ValueError("need a nonempty test family")
     for v in family:
-        growth = getattr(v, "growth", None)
-        kind_ok = (growth is not None and growth.kind == "C_0inv") or \
-                  getattr(v, "kind", None) == "phi_rho"
-        if not kind_ok:
+        if v.growth.kind != "C_0inv":
             raise ValueError("family members must vanish on singular matrices "
                              "and at infinity")
     for v in family:

@@ -30,6 +30,8 @@ from .meshdef import MeshDeformation, descend_nodes
 REDUCED_COST_TOL = 1e-8
 MOMENT_TOL = 1e-8
 PIVOT_TOL = 1e-10
+MAX_PIVOTS = 20000  # simplex pivots per phase before Stalled
+PRICING_STARTS = 16  # multistart seeds per refine_atoms call
 
 
 # -- dense two-phase simplex -------------------------------------------------
@@ -51,12 +53,11 @@ def _pivot(tab: np.ndarray, row: int, col: int):
             tab[i] -= tab[i, col] * tab[row]
 
 
-def _bland(tab: np.ndarray, basis: list, costs: np.ndarray, ncols: int,
-           max_pivots: int = 20000):
+def _bland(tab: np.ndarray, basis: list, costs: np.ndarray, ncols: int):
     """Minimize costs over the tableau with Bland's anticycling rule."""
     m = tab.shape[0]
     in_basis = set(basis)
-    for _ in range(max_pivots):
+    for _ in range(MAX_PIVOTS):
         cb = costs[basis]
         red = costs[:ncols] - cb @ tab[:, :ncols]
         enter = -1
@@ -158,7 +159,7 @@ def lp_weights(atoms, target: Mat, costs) -> LpSolution:
 
 
 def refine_atoms(atoms, dual_moment, dual_mass: float, w, ball: RhoBall,
-                 rng, n: int, starts: int = 16):
+                 rng, n: int):
     """Search for a matrix in the ball with negative reduced cost against
     the duals.
 
@@ -180,11 +181,11 @@ def refine_atoms(atoms, dual_moment, dual_mass: float, w, ball: RhoBall,
 
     seeds = [Mat.identity(n).flat] + [a.flat for a in atoms]
     k = 0
-    while len(seeds) < starts and atoms:
+    while len(seeds) < PRICING_STARTS and atoms:
         base = atoms[k % len(atoms)].flat
         seeds.append(tuple(b + d for b, d in zip(base, rng.normal(0.0, 0.3, n * n))))
         k += 1
-    seeds = seeds[:starts]
+    seeds = seeds[:PRICING_STARTS]
 
     best_flat, best_val = None, math.inf
     for seed in seeds:
@@ -291,7 +292,8 @@ def _spanning_atoms(center: Mat, delta: float, ball: RhoBall, rng) -> list:
     return out
 
 
-def _initial_atoms(g: Mat, w, ball: RhoBall, rng) -> list:
+def _initial_atoms(g: Mat, w, ball: RhoBall, rng) -> tuple:
+    """Finite-cost atoms around g whose hull holds g, and their costs."""
     n = g.n
     base = g if in_rho_ball(g, ball) and w.evaluate(g) < math.inf else Mat.identity(n)
     delta = max(0.5, 2.0 * max((abs(a - b) for a, b in
@@ -299,11 +301,13 @@ def _initial_atoms(g: Mat, w, ball: RhoBall, rng) -> list:
     for _ in range(8):
         atoms = _spanning_atoms(base, delta, ball, rng)
         costs = [w.evaluate(a) for a in atoms]
-        finite = [a for a, c in zip(atoms, costs) if c < math.inf]
+        finite = [i for i, c in enumerate(costs) if c < math.inf]
         if len(finite) >= n * n + 1:
+            atoms = [atoms[i] for i in finite]
+            costs = [costs[i] for i in finite]
             try:
-                lp_weights(finite, g, [w.evaluate(a) for a in finite])
-                return finite
+                lp_weights(atoms, g, costs)
+                return atoms, costs
             except Infeasible:
                 pass
         delta *= 2.0
@@ -348,9 +352,9 @@ def relax_solve(problem: RelaxProblem) -> RelaxSolution:
 
     seed_rng = np.random.default_rng([problem.seed, 0])
     grads = u.cell_gradients()
-    atoms = [list(_initial_atoms(grads[c], w, ball, seed_rng))
-             for c in range(ncells)]
-    costs = [[w.evaluate(a) for a in atoms[c]] for c in range(ncells)]
+    starts = [_initial_atoms(grads[c], w, ball, seed_rng) for c in range(ncells)]
+    atoms = [a for a, _ in starts]
+    costs = [c for _, c in starts]
 
     def solve_cell(c: int, g: Mat) -> LpSolution:
         return lp_weights(atoms[c], g, costs[c])

@@ -9,8 +9,9 @@ A TestFn pairs an evaluator on matrices with a declared growth class:
 * O_rho      -- finite and continuous on the rho ball, +inf outside it
 
 Infinite values are returned as math.inf (a distinguished value, never a
-large float stand-in).  Cut-off transitions use the quintic smoothstep,
-which is C^2 and monotone on [0, 1].
+large float stand-in).  Cut-offs are TestFns too: Phi_rho is of class
+C_0inv, the determinant cut-offs of class C_p(1).  Their transitions use
+the quintic smoothstep, which is C^2 and monotone on [0, 1].
 
 A 1D TestFn may also carry a slope batch: a float64 array of slopes in,
 the values of evaluate at their 1x1 matrices out, bit for bit.  Scalar
@@ -76,39 +77,17 @@ class TestFn:
     description: str = ""
     slopes: Callable | None = None
 
-    def __call__(self, a: Mat) -> float:
-        return self.evaluate(a)
 
-
-@dataclass(frozen=True)
-class CutoffFn:
-    """Cut-off with its construction parameters kept inspectable."""
-
-    kind: str  # "phi_rho" | "det_zero" | "det_plus"
-    evaluate: Callable
-    rho: float | None = None
-    epsilon: float | None = None
-    description: str = ""
-
-    def __call__(self, a: Mat) -> float:
-        return self.evaluate(a)
-
-    def to_testfn(self) -> TestFn:
-        growth = Growth.c_0inv() if self.kind == "phi_rho" else Growth.c_p(1.0)
-        return TestFn(self.evaluate, growth, self.description)
-
-
-def evaluate_slopes(v, s) -> np.ndarray:
+def evaluate_slopes(v: TestFn, s) -> np.ndarray:
     """v at the 1x1 matrices of the slopes s, as a float64 array: the
     batch v.slopes when v has one, else v.evaluate one slope at a time."""
     s = np.asarray(s, dtype=float)
-    batch = getattr(v, "slopes", None)
-    if batch is None:
+    if v.slopes is None:
         return np.array([v.evaluate(Mat.scalar(x)) for x in s.tolist()],
                         dtype=float)
     if not np.isfinite(s).all():
         raise ValueError("matrix entries must be finite")
-    return batch(s)
+    return v.slopes(s)
 
 
 def _powers(x: np.ndarray, p) -> np.ndarray:
@@ -129,7 +108,7 @@ def _theta(t: float, rho: float) -> float:
     return 1.0 - smoothstep(t - rho)
 
 
-def make_phi_rho(rho: float) -> CutoffFn:
+def make_phi_rho(rho: float) -> TestFn:
     """Cut-off equal to 1 on R_rho, 0 outside R_{rho+1}, 0 on singular
     matrices.  Built as the product of radial profiles of |s| and |s^-1|,
     hence symmetric under inversion."""
@@ -142,11 +121,11 @@ def make_phi_rho(rho: float) -> CutoffFn:
             return 0.0
         return t1 * _theta(inv_norm(a), rho)
 
-    return CutoffFn("phi_rho", evaluate, rho=float(rho),
-                    description=f"rho-ball cutoff, quintic transition on [{rho}, {rho + 1}]")
+    return TestFn(evaluate, Growth.c_0inv(),
+                  f"rho-ball cutoff, quintic transition on [{rho}, {rho + 1}]")
 
 
-def make_det_cutoff(epsilon: float, signed: bool) -> CutoffFn:
+def make_det_cutoff(epsilon: float, signed: bool) -> TestFn:
     """Determinant cut-off.
 
     Unsigned: 1 where det = 0, 0 where |det| >= epsilon.
@@ -158,35 +137,31 @@ def make_det_cutoff(epsilon: float, signed: bool) -> CutoffFn:
     if signed:
         def evaluate(a: Mat) -> float:
             return 1.0 - smoothstep(det(a) / epsilon)
-        kind = "det_plus"
         desc = f"signed determinant cutoff, transition on (0, {epsilon})"
     else:
         def evaluate(a: Mat) -> float:
             return 1.0 - smoothstep(abs(det(a)) / epsilon)
-        kind = "det_zero"
         desc = f"unsigned determinant cutoff, transition on (0, {epsilon})"
 
-    return CutoffFn(kind, evaluate, epsilon=float(epsilon), description=desc)
+    return TestFn(evaluate, Growth.c_p(1.0), desc)
 
 
-def orho_extend(core, rho: float, description: str = "") -> TestFn:
+def orho_extend(core: TestFn, rho: float, description: str = "") -> TestFn:
     """Extend a finite integrand by +inf outside the rho ball.
 
-    The evaluator of a TestFn (or any callable on Mat) is kept on R_rho
-    and replaced by math.inf elsewhere, producing an O_rho-class TestFn.
+    The evaluator of core is kept on R_rho and replaced by math.inf
+    elsewhere, producing an O_rho-class TestFn.
     """
     ball = RhoBall(rho)
-    inner = core.evaluate if isinstance(core, TestFn) else core
-    if not description:
-        base = core.description if isinstance(core, TestFn) else "integrand"
-        description = f"{base}, +inf outside the {rho}-ball"
+    inner = core.evaluate
+    description = description or f"{core.description}, +inf outside the {rho}-ball"
 
     def evaluate(a: Mat) -> float:
         if not in_rho_ball(a, ball):
             return math.inf
         return inner(a)
 
-    core_slopes = core.slopes if isinstance(core, TestFn) else None
+    core_slopes = core.slopes
     if core_slopes is None:
         return TestFn(evaluate, Growth.o_rho(rho), description)
 
@@ -331,7 +306,7 @@ def named_testfn(kind: str, params: dict | None = None) -> TestFn:
         return TestFn(det, Growth.c_p(3.0), "det s")
     if kind == "phi_rho":
         rho = _params(kind, params, {"rho": (2.0, real(above=0.0))})["rho"]
-        return make_phi_rho(rho).to_testfn()
+        return make_phi_rho(rho)
     if kind == "entry_power":
         k = _params(kind, params, {"exponent": (2, integer(least=0))})["exponent"]
 

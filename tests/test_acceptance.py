@@ -70,7 +70,7 @@ def test_criterion_01_hat_relation():
         nu = random_measure(rng, n)
         battery = [named_testfn("frob_power", {"p": 1.0}),
                    named_testfn("det"),
-                   make_phi_rho(2.0).to_testfn()]
+                   make_phi_rho(2.0)]
         hat = hat_pushforward(nu)
         for f in battery:
             lhs = pair(hat, f)
@@ -85,16 +85,16 @@ def test_criterion_01_hat_relation():
 def test_criterion_02_truncation():
     rng = np.random.default_rng(22)
     t0 = time.monotonic()
-    probes = [make_phi_rho(1.0).to_testfn(), make_phi_rho(3.0).to_testfn()]
+    probes = [make_phi_rho(1.0), make_phi_rho(3.0)]
     for i in range(100):
         n = (1, 2)[i % 2]
         nu = random_measure(rng, n)
-        small = truncate(nu, 1.0, make_phi_rho(1.0))
+        small = truncate(nu, 1.0)
         assert support_in_ball(small, RhoBall(2.0))
         assert math.fsum(w for _, w in small.atoms) == pytest.approx(1.0)
         # once rho dominates every atom the truncation is the identity
         rho_dom = max(max_norm_pair(a) for a, _ in nu.atoms) + 0.1
-        same = truncate(nu, rho_dom, make_phi_rho(rho_dom))
+        same = truncate(nu, rho_dom)
         for probe in probes:
             assert pair(same, probe) - pair(nu, probe) == 0.0
     elapsed = time.monotonic() - t0
@@ -113,7 +113,7 @@ def test_criterion_03_homogenization():
         battery = [named_testfn("frob_power", {"p": 1.0}),
                    named_testfn("frob_power", {"p": 2.0}),
                    named_testfn("det"),
-                   make_phi_rho(2.0).to_testfn(),
+                   make_phi_rho(2.0),
                    (named_testfn("quartic_well_1d") if n == 1
                     else named_testfn("frob_power", {"p": 3.0}))]
         hom = homogenize(field)

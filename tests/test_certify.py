@@ -27,6 +27,10 @@ def const_field(nu, mesh=None):
     return YoungMeasureField.constant(mesh or Mesh.interval(4), nu)
 
 
+def jensen_check(cert):
+    return next(c for c in cert.checks if c.name == "jensen_inequality")
+
+
 class TestAggregate:
     def test_ordering(self):
         ok = Check("a", PASS)
@@ -71,6 +75,15 @@ class TestThm12:
         assert check_thm12(field, 2.0, 2.0).verdict == FAIL
         assert check_thm12(field, 2.0, 2.0,
                            require_positive_det=True).verdict == FAIL
+
+    def test_non_positive_exponents_rejected(self):
+        nu = AtomicMeasure.from_pairs([(Mat.scalar(0.0), 0.5),
+                                       (Mat.scalar(1.0), 0.5)])
+        field = const_field(nu, Mesh.interval(1))
+        for p, q in ((-2.0, 2.0), (2.0, 0.0)):
+            for fn in (classify, check_thm12):
+                with pytest.raises(ValueError, match="must be positive"):
+                    fn(field, p, q)
 
     def test_agrees_with_classify(self, make_measure):
         for n in (1, 2):
@@ -225,6 +238,45 @@ class TestThm3:
             cert = check_thm3(field, u, 32.0, battery, rho_t)
             jensen = [c for c in cert.checks if c.name == "jensen_inequality"]
             assert jensen[0].status == PASS
+
+    def test_unreachable_barycenter_fails(self):
+        field = const_field(AtomicMeasure.dirac(Mat.scalar(1.0)))
+        u = MeshDeformation.affine(Mesh.interval(4), Mat.scalar(5.0))
+        battery = [orho_extend(named_testfn("quartic_well_1d"), 3.0)]
+        cert = check_thm3(field, u, 2.0, battery, 3.0)  # 5 outside [-3, 3]
+        assert jensen_check(cert).status == FAIL
+        assert cert.details["jensen_rows"][0] == [
+            0, battery[0].description, 0.0, None, "barycenter not reachable"]
+
+    def test_1d_jensen_gap_fails(self):
+        field = const_field(AtomicMeasure.dirac(Mat.scalar(0.5)))
+        u = MeshDeformation.affine(Mesh.interval(4), Mat.scalar(1.0))
+        battery = [orho_extend(named_testfn("entry_power", {"exponent": 2}), 3.0)]
+        cert = check_thm3(field, u, 2.0, battery, 3.0)
+        jensen = jensen_check(cert)
+        assert jensen.status == FAIL
+        assert jensen.residual == pytest.approx(0.75)  # 1^2 - 0.5^2
+
+    def test_2d_no_split_inconclusive(self):
+        mesh = Mesh.square(1, 1)
+        field = YoungMeasureField.constant(
+            mesh, AtomicMeasure.dirac(Mat.identity(2)))
+        u = MeshDeformation.affine(mesh, 5.0 * Mat.identity(2))
+        battery = [orho_extend(named_testfn("frob_power", {"p": 2.0}), 3.0)]
+        cert = check_thm3(field, u, 2.0, battery, 3.0)
+        assert jensen_check(cert).status == INCONCLUSIVE
+        assert cert.details["jensen_rows"][0][3:] == [None, "no envelope bound"]
+
+    def test_slab_field_deformation(self):
+        mesh = Mesh.interval(4)
+        lo, hi = (AtomicMeasure.dirac(Mat.scalar(s)) for s in (1.0, 1.2))
+        field = YoungMeasureField(mesh, (lo, lo, hi, hi))
+        battery = [orho_extend(named_testfn("quartic_well_1d"), 3.0)]
+        u = GradientField.from_slopes_1d([1.0, 1.2], [0.5, 0.5])
+        assert check_thm3(field, u, 2.0, battery, 3.0).verdict == PASS
+        u = GradientField.from_slopes_1d([1.0, 1.2], [0.3, 0.7])
+        with pytest.raises(ValueError, match="straddles"):
+            check_thm3(field, u, 2.0, battery, 3.0)
 
     def test_battery_validated(self):
         field = const_field(AtomicMeasure.dirac(Mat.scalar(1.0)))

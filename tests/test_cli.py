@@ -65,6 +65,19 @@ class TestEnvelopeCommand:
         assert load_result(out)["estimate"]["value_upper"] == pytest.approx(
             0.0, abs=1e-9)
 
+    def test_fe_method_2d(self, tmp_path):
+        cfg = {"energy": "shear_well_2d", "F": [[1.0, 0.5], [0.0, 1.0]],
+               "rho_tilde": 3, "method": "fe", "mesh_cells": 2}
+        code, out = run(tmp_path, "envelope", cfg)
+        assert code == 0
+        est = load_result(out)["estimate"]
+        assert est["witness"]["kind"] == "deformation"
+        assert est["value_upper"] <= 0.25  # the Dirac value at F
+        with open(out / "witness.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["node", "x1", "x2", "y1", "y2"]
+        assert len(rows) == 10  # header + 3x3 nodes
+
     def test_infeasible_barycenter_exits_1_no_artifacts(self, tmp_path):
         cfg = dict(ENVELOPE_CFG, F=5)
         code, out = run(tmp_path, "envelope", cfg)
@@ -355,6 +368,14 @@ class TestGenerateCommand:
         with open(out / "field.csv", newline="") as fh:
             rows = list(csv.reader(fh))
         assert len(rows) == 17  # header + 2*8 pieces at the finest level
+
+    def test_2d_laminate_ladder(self, tmp_path):
+        cfg = {"atoms": [[[1, 0], [0, 1]], [[1, 1], [0, 1]]],
+               "weights": [0.5, 0.5], "k_ladder": [2, 4, 8]}
+        code, out = run(tmp_path, "generate", cfg)
+        assert code == 0
+        entries = load_result(out)["report"]["entries"]
+        assert entries and all(e["decaying"] for e in entries)
 
     def test_boundary_glue(self, tmp_path):
         cfg = {"atoms": [-1.0, 1.0], "weights": [0.5, 0.5],

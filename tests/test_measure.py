@@ -49,7 +49,7 @@ class TestAtomicMeasure:
     def test_json_roundtrip(self, make_measure):
         nu = make_measure(2)
         back = AtomicMeasure.from_json_dict(nu.to_json_dict())
-        assert measures_equal(nu, back, [make_phi_rho(4.0).to_testfn()])
+        assert measures_equal(nu, back, [make_phi_rho(4.0)])
 
 
 class TestPairing:
@@ -79,7 +79,7 @@ class TestHatPushforward:
     def test_involution(self, make_measure):
         nu = make_measure(3)
         back = hat_pushforward(hat_pushforward(nu))
-        assert measures_equal(nu, back, [make_phi_rho(8.0).to_testfn()])
+        assert measures_equal(nu, back, [make_phi_rho(8.0)])
 
     def test_singular_atom_rejected(self):
         nu = AtomicMeasure.from_pairs([(Mat.scalar(0.0), 1.0)])
@@ -88,7 +88,7 @@ class TestHatPushforward:
 
     def test_hat_relation(self, make_measure):
         # <hat nu, f> = <nu, f o inv> for f vanishing near singularity
-        f = make_det_cutoff(0.5, signed=False).to_testfn()
+        f = make_det_cutoff(0.5, signed=False)
         for n in (1, 2):
             nu = make_measure(n)
             lhs = pair(hat_pushforward(nu), f)
@@ -97,33 +97,26 @@ class TestHatPushforward:
 
 
 class TestTruncate:
-    def test_phi_argument_validated(self):
-        nu = AtomicMeasure.dirac(Mat.scalar(1.0))
-        with pytest.raises(ValueError):
-            truncate(nu, 2.0, make_phi_rho(3.0))  # mismatched rho
-        with pytest.raises(ValueError):
-            truncate(nu, 2.0, named_testfn("frob_power", {"p": 2.0}))
-
     def test_probability_supported_in_extended_ball(self, make_measure):
         rho = 1.5
         ball = RhoBall(rho + 1.0)
         for _ in range(10):
             nu = make_measure(2, scale=2.0)
-            out = truncate(nu, rho, make_phi_rho(rho))
+            out = truncate(nu, rho)
             assert out.total_mass() == pytest.approx(1.0, abs=1e-12)
             assert support_in_ball(out, ball)
 
     def test_exact_identity_once_rho_dominates(self, make_measure):
         nu = make_measure(1)
         rho = 2.0 * max(max_norm_pair(a) for a, _ in nu.atoms)
-        out = truncate(nu, rho, make_phi_rho(rho))
-        v = make_det_cutoff(0.5, signed=False).to_testfn()
+        out = truncate(nu, rho)
+        v = make_det_cutoff(0.5, signed=False)
         assert pair(out, v) == pytest.approx(pair(nu, v), abs=1e-15)
 
     def test_removed_mass_parked_on_identity(self):
         nu = AtomicMeasure.from_pairs([(Mat.scalar(10.0), 0.5),
                                        (Mat.scalar(1.0), 0.5)])
-        out = truncate(nu, 2.0, make_phi_rho(2.0))
+        out = truncate(nu, 2.0)
         assert out.mass_where(lambda a: a.flat[0] == 1.0) == pytest.approx(1.0)
 
 
@@ -181,7 +174,7 @@ class TestField:
         nu = make_measure(2)
         field = YoungMeasureField.constant(Mesh.interval(4), nu)
         hom = homogenize(field)
-        assert measures_equal(hom, nu, [make_phi_rho(6.0).to_testfn()])
+        assert measures_equal(hom, nu, [make_phi_rho(6.0)])
 
     def test_homogenize_is_volume_weighted(self, make_measure):
         mesh = Mesh.interval(8)
@@ -209,7 +202,7 @@ class TestField:
                                               for _ in range(mesh.n_cells)))
         back = YoungMeasureField.from_json_dict(field.to_json_dict())
         for a, b in zip(field.measures, back.measures):
-            assert measures_equal(a, b, [make_phi_rho(6.0).to_testfn()])
+            assert measures_equal(a, b, [make_phi_rho(6.0)])
 
 
 class TestClassify:
@@ -243,13 +236,13 @@ class TestMeasuresEqual:
                                       (Mat.scalar(2.0), 0.5)])
         b = AtomicMeasure.from_pairs([(Mat.scalar(2.0), 0.5),
                                       (Mat.scalar(1.0), 0.5)])
-        fam = [make_phi_rho(r).to_testfn() for r in (2.0, 3.0, 5.0)]
+        fam = [make_phi_rho(r) for r in (2.0, 3.0, 5.0)]
         assert measures_equal(a, b, fam)
 
     def test_distinguishes(self):
         a = AtomicMeasure.dirac(Mat.scalar(1.0))
         b = AtomicMeasure.dirac(Mat.scalar(2.0))
-        fam = [make_phi_rho(1.2).to_testfn()]
+        fam = [make_phi_rho(1.2)]
         assert not measures_equal(a, b, fam)
 
     def test_family_kind_enforced(self):

@@ -58,7 +58,7 @@ class TestSmoothstep:
 class TestPhiRho:
     def test_one_inside_zero_outside(self):
         phi = make_phi_rho(2.0)
-        assert phi.kind == "phi_rho"
+        assert phi.growth == Growth.c_0inv()
         assert phi.evaluate(Mat.scalar(1.0)) == 1.0
         assert phi.evaluate(Mat.scalar(2.0)) == 1.0  # on the ball boundary
         assert phi.evaluate(Mat.scalar(3.5)) == 0.0  # beyond rho + 1
@@ -75,8 +75,8 @@ class TestPhiRho:
             a = Mat.scalar(s)
             assert phi.evaluate(a) == pytest.approx(phi.evaluate(invert(a)), abs=1e-12)
 
-    def test_to_testfn_growth(self):
-        v = make_phi_rho(1.5).to_testfn()
+    def test_declares_c_0inv_growth(self):
+        v = make_phi_rho(1.5)
         assert v.growth.kind == "C_0inv"
 
 
@@ -109,8 +109,8 @@ class TestOrhoExtend:
         assert v.evaluate(Mat.scalar(0.1)) == math.inf  # inverse norm too big
         assert v.evaluate(Mat.scalar(0.0)) == math.inf  # singular
 
-    def test_accepts_plain_callable(self):
-        v = orho_extend(lambda a: 7.0, 3.0)
+    def test_constant_core(self):
+        v = orho_extend(MatrixFn(lambda a: 7.0, Growth.c_p(1.0)), 3.0)
         assert v.evaluate(Mat.scalar(1.0)) == 7.0
 
 
@@ -225,7 +225,7 @@ class TestGrowthCheck:
             assert rep.consistent, f"{name}: {rep}"
 
     def test_cutoffs_pass(self):
-        assert growth_check(make_phi_rho(2.0).to_testfn()).consistent
+        assert growth_check(make_phi_rho(2.0)).consistent
 
     def test_violation_detected(self):
         # declared p-growth but actually grows like |s|^4
@@ -293,8 +293,8 @@ class TestSlopeBatch:
                   builtin_energy("inv_penalty"),
                   builtin_energy("double_well_inv",
                                  {"wells": [[1, 0, 0, 1], [-1, 0, 0, 1]]}),
-                  named_testfn("frob_power"), make_phi_rho(2.0).to_testfn(),
-                  orho_extend(lambda a: 7.0, 3.0),
+                  named_testfn("frob_power"), make_phi_rho(2.0),
+                  orho_extend(MatrixFn(lambda a: 7.0, Growth.c_p(1.0)), 3.0),
                   orho_extend(named_testfn("inv_power"), 2.0)):
             assert v.slopes is None
 
@@ -313,7 +313,7 @@ class TestSlopeBatch:
         assert batch_outcome(v, slopes) == scalar_outcome(v, slopes)
 
     def test_plain_functions_fall_back_to_evaluate(self):
-        v = orho_extend(lambda a: 7.0, 3.0)
+        v = orho_extend(MatrixFn(lambda a: 7.0, Growth.c_p(1.0)), 3.0)
         assert evaluate_slopes(v, [0.0, 1.0, 4.0]).tolist() == [math.inf, 7.0, math.inf]
         phi = make_phi_rho(2.0)
         assert evaluate_slopes(phi, np.array([0.0, 1.0])).tolist() == [0.0, 1.0]
