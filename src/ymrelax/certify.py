@@ -45,14 +45,11 @@ class Check:
 class Certificate:
     theorem: str
     checks: tuple
-    verdict: str
     details: dict = dc_field(default_factory=dict)
 
-    def __post_init__(self):
-        # verdict is derived data; refuse certificates that contradict
-        # their own check list
-        if self.verdict != aggregate(self.checks):
-            raise ValueError("certificate verdict inconsistent with checks")
+    @property
+    def verdict(self) -> str:
+        return aggregate(self.checks)
 
     def to_json_dict(self) -> dict:
         return {"theorem": self.theorem, "verdict": self.verdict,
@@ -67,11 +64,6 @@ def aggregate(checks) -> str:
     if INCONCLUSIVE in statuses:
         return INCONCLUSIVE
     return PASS
-
-
-def _certificate(theorem: str, checks, details=None) -> Certificate:
-    checks = tuple(checks)
-    return Certificate(theorem, checks, aggregate(checks), dict(details or {}))
 
 
 # -- class membership of a measure field -------------------------------------
@@ -107,7 +99,7 @@ def check_thm12(field: YoungMeasureField, p: float, q: float,
             PASS if report.positive_det_mass_deficit == 0.0 else FAIL,
             report.positive_det_mass_deficit,
             "volume fraction of mass with det <= 0"))
-    return _certificate(theorem, checks, report.to_json_dict())
+    return Certificate(theorem, tuple(checks), report.to_json_dict())
 
 
 # -- support control along a generating sequence -----------------------------
@@ -177,8 +169,8 @@ def check_support_from_sequence(fields, epsilon_ladder, q: float) -> Certificate
         + ", ".join(f"{v:.4g}" for v in integrals)
         + ("" if bounded else "; the growth rules out a uniform bound, so"
            " limiting support control is not certified")))
-    return _certificate("support", checks,
-                        {"q_integrals": integrals, "masses": masses})
+    return Certificate("support", tuple(checks),
+                       {"q_integrals": integrals, "masses": masses})
 
 
 # -- orientation of the weak limit -------------------------------------------
@@ -231,7 +223,7 @@ def check_det_limit(fields, p: float) -> Certificate:
             "sup |grad^-1| grows along the sequence ("
             + ", ".join(f"{v:.4g}" for v in inv_sups)
             + "); without a uniform bound no limit determinant bound follows"))
-        return _certificate("det_limit", checks, details)
+        return Certificate("det_limit", tuple(checks), details)
 
     checks.append(Check("uniform_inverse_bound", PASS, None,
                         f"sup |grad^-1| <= {m_inv:.6g} along the sequence"))
@@ -241,7 +233,7 @@ def check_det_limit(fields, p: float) -> Certificate:
         max(0.0, threshold - d),
         f"det of the averaged gradient = {d:.6g} against the bound "
         f"n^(n/2)/M^n = {threshold:.6g}"))
-    return _certificate("det_limit", checks, details)
+    return Certificate("det_limit", tuple(checks), details)
 
 
 # -- localization: support ball, barycenters, Jensen inequalities ------------
@@ -409,7 +401,7 @@ def check_thm3(field: YoungMeasureField, u_h, rho: float, v_battery,
     checks.append(Check("jensen_inequality", jensen_status,
                         max(0.0, worst_gap), explanation))
 
-    return _certificate("thm3", checks,
-                        {"battery_size": len(v_battery),
-                         "jensen_rows": rows,
-                         "rho": rho, "rho_tilde": rho_tilde})
+    return Certificate("thm3", tuple(checks),
+                       {"battery_size": len(v_battery),
+                        "jensen_rows": rows,
+                        "rho": rho, "rho_tilde": rho_tilde})

@@ -12,6 +12,9 @@ Three routes, in decreasing exactness:
   bound in any supported dimension, witnessed by an atomic measure.
 * qinv_fe_upper: coordinate descent over mesh deformations with the
   affine boundary condition; witnessed by the final deformation.
+
+Each route confines its integrand to K_rho_tilde on entry, through
+orho_extend, which returns an integrand already so declared unchanged.
 """
 
 from __future__ import annotations
@@ -104,6 +107,7 @@ def qinv_oracle_1d(v, f, rho_tilde: float, grid: int = 10000) -> EnvelopeEstimat
     if abs(fs) > rho_tilde * (1.0 + 1e-12):
         raise InfeasibleBarycenter(f"barycenter {fs:.6g} outside "
                                    f"[-{rho_tilde:.6g}, {rho_tilde:.6g}]")
+    v = orho_extend(v, rho_tilde)
     half = grid // 2
     comps = ((-rho_tilde, -1.0 / rho_tilde), (1.0 / rho_tilde, rho_tilde))
     pts = []
@@ -166,9 +170,7 @@ def qinv_oracle_1d(v, f, rho_tilde: float, grid: int = 10000) -> EnvelopeEstimat
             if val < best_val:
                 sb, best_val = sb_new, val
 
-    in_k = (comps[0][0] - 1e-12 <= fs <= comps[0][1] + 1e-12) or \
-           (comps[1][0] - 1e-12 <= fs <= comps[1][1] + 1e-12)
-    dirac_val = _scalar_eval(v, fs) if in_k else math.inf
+    dirac_val = _scalar_eval(v, fs)  # infinite off K
 
     if dirac_val <= best_val or sb - sa < 1e-12:
         value = min(dirac_val, best_val)
@@ -214,6 +216,7 @@ def qinv_laminate_upper(v, f, rho_tilde: float, depth: int = 2,
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
+    v = orho_extend(v, rho_tilde)
     fmat = Mat.coerce(f)
     n = fmat.n
     dyads = _angular_dyads(n, angles)
@@ -249,13 +252,10 @@ def qinv_laminate_upper(v, f, rho_tilde: float, depth: int = 2,
                     val = split_value(g, dyad, t, lam)
                     if val < best[0]:
                         best = (val, (dyad, t, lam))
-        if best[1] is None or best[0] >= base - 1e-13:
-            if base == math.inf:
-                return math.inf, [(g, 1.0)]
-            # coarse scan found nothing better; still refine the best
-            # finite split below in case the grid just missed it
-            if best[1] is None:
-                return base, [(g, 1.0)]
+        if best[1] is None:
+            return base, [(g, 1.0)]
+        # a coarse best no better than base is still refined below, in
+        # case the grid just missed a better split
         dyad, t0, lam0 = best[1]
 
         def over_t(t: float) -> float:
@@ -296,17 +296,17 @@ def qinv_laminate_upper(v, f, rho_tilde: float, depth: int = 2,
 # -- finite element upper bound ----------------------------------------------
 
 
-def _fe_start_1d(v, cost, fs: float, cells: int, rho_tilde: float):
+def _fe_start_1d(v, fs: float, cells: int, rho_tilde: float):
     """Node values with finite energy: affine if possible, else a snapped
     two-slope profile built from the coarse 1D oracle support."""
     xs = np.linspace(0.0, 1.0, cells + 1)
-    if cost(Mat.scalar(fs)) < math.inf:
+    if _scalar_eval(v, fs) < math.inf:
         return fs * xs
     oracle = qinv_oracle_1d(v, fs, rho_tilde, grid=2000)
     atoms = [(m.flat[0], w) for m, w in oracle.witness.atoms]
     if len(atoms) == 1:
         s = atoms[0][0]
-        if abs(s - fs) < 1e-12 and cost(Mat.scalar(s)) < math.inf:
+        if abs(s - fs) < 1e-12 and _scalar_eval(v, s) < math.inf:
             return fs * xs
         raise NoFeasibleStart("no finite-energy deformation with this "
                               "boundary slope was found")
@@ -315,11 +315,11 @@ def _fe_start_1d(v, cost, fs: float, cells: int, rho_tilde: float):
     # shift both slopes so the snapped profile still ends at fs
     delta = fs - (k1 * s1 + (cells - k1) * s2) / cells
     a, b = s1 + delta, s2 + delta
-    if cost(Mat.scalar(a)) == math.inf or cost(Mat.scalar(b)) == math.inf:
+    if _scalar_eval(v, a) == math.inf or _scalar_eval(v, b) == math.inf:
         # put the correction on the wider group instead
         a = (fs * cells - (cells - k1) * s2) / k1
         b = s2
-        if cost(Mat.scalar(a)) == math.inf or cost(Mat.scalar(b)) == math.inf:
+        if _scalar_eval(v, a) == math.inf or _scalar_eval(v, b) == math.inf:
             raise NoFeasibleStart("could not snap a two-slope profile to the "
                                   "mesh inside the admissible set")
     vals = np.empty(cells + 1)
@@ -336,32 +336,31 @@ def qinv_fe_upper(v, f, mesh_cells: int, rho_tilde: float,
     affine boundary condition; cell gradients are confined to the
     rho_tilde ball.
     """
+    v = orho_extend(v, rho_tilde)
     fmat = Mat.coerce(f)
     n = fmat.n
-    costfn = orho_extend(v, rho_tilde)
-    cost = costfn.evaluate
 
     if n == 1:
         mesh = Mesh.interval(mesh_cells)
-        vals = _fe_start_1d(v, cost, fmat.flat[0], mesh_cells, rho_tilde)
+        vals = _fe_start_1d(v, fmat.flat[0], mesh_cells, rho_tilde)
         u = MeshDeformation(mesh, vals)
     else:
         mesh = Mesh.square(mesh_cells)
-        if cost(fmat) == math.inf:
+        if v.evaluate(fmat) == math.inf:
             raise NoFeasibleStart("the affine start is inadmissible and no "
                                   "two-dimensional fallback profile is built")
         u = MeshDeformation.affine(mesh, fmat)
 
-    if u.energy(costfn) == math.inf:
+    if u.energy(v) == math.inf:
         raise NoFeasibleStart("the starting deformation has infinite energy")
 
     iters_golden, coarse = (40, 9) if n == 1 else (28, 7)
-    u, sweeps = descend_nodes(u, lambda c, g: cost(g),
+    u, sweeps = descend_nodes(u, lambda c, g: v.evaluate(g),
                               2.0 * rho_tilde / max(mesh.shape), iters, 1e-12,
                               iters_golden, coarse)
-    energy = u.energy(costfn)
+    energy = u.energy(v)
 
     est = EnvelopeEstimate(energy, None, u, rho_tilde, "fe",
                            {"mesh_cells": mesh_cells, "sweeps": sweeps})
-    return _checked(est, costfn)
+    return _checked(est, v)
 

@@ -42,6 +42,10 @@ MIN_PIECE_WIDTH = 1e-9
 # convergence signal
 EXACT_ERROR_TOL = 1e-13
 
+# integrate_weight's midpoints on [0, 1], and per side of the unit square
+WEIGHT_GRID_1D = 8192
+WEIGHT_GRID_2D = 128
+
 
 def _perp(m: tuple) -> tuple:
     return (-m[1], m[0])
@@ -346,13 +350,12 @@ def empirical_pairing(field: GradientField, v, g: Callable) -> float:
     return math.fsum(total)
 
 
-def integrate_weight(g: Callable, n: int, normal: Sequence[float],
-                     resolution: int = 8192) -> float:
+def integrate_weight(g: Callable, n: int, normal: Sequence[float]) -> float:
     """Midpoint quadrature of the spatial weight over the domain."""
     if n == 1:
-        h = 1.0 / resolution
-        return math.fsum(g(((i + 0.5) * h,)) for i in range(resolution)) * h
-    side = 128
+        h = 1.0 / WEIGHT_GRID_1D
+        return math.fsum(g(((i + 0.5) * h,)) for i in range(WEIGHT_GRID_1D)) * h
+    side = WEIGHT_GRID_2D
     perp = _perp(tuple(normal))
     h = 1.0 / side
     acc = []
@@ -410,10 +413,11 @@ class GenerationReport:
 
 
 def verify_generation(spec: SequenceSpec, v_battery: Sequence,
-                      g_battery: Sequence,
+                      g_battery: Sequence[str],
                       k_ladder: Sequence[int]) -> GenerationReport:
     """Compare empirical pairings of the k-laminates against the limit
-    measure pairing, for every (v, g) combination.
+    measure pairing, for every (v, g) combination; g_battery names
+    spatial weights of WEIGHT_FUNCTIONS.
 
     Errors at float precision (below EXACT_ERROR_TOL) are flagged exact;
     they arise when the quadrature happens to integrate g exactly and do
@@ -424,13 +428,10 @@ def verify_generation(spec: SequenceSpec, v_battery: Sequence,
         SequenceSpec(spec.atoms, spec.weights, k)) for k in ks]
     gs = []
     for name in g_battery:
-        if isinstance(name, str):
-            if name not in WEIGHT_FUNCTIONS:
-                raise ValueError(f"unknown spatial weight {name!r}; "
-                                 f"known: {sorted(WEIGHT_FUNCTIONS)}")
-            gs.append((name, WEIGHT_FUNCTIONS[name]))
-        else:
-            gs.append(name)
+        if name not in WEIGHT_FUNCTIONS:
+            raise ValueError(f"unknown spatial weight {name!r}; "
+                             f"known: {sorted(WEIGHT_FUNCTIONS)}")
+        gs.append((name, WEIGHT_FUNCTIONS[name]))
     normal = fields[0].normal
     n = spec.atoms[0].n
 

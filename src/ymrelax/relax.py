@@ -133,23 +133,17 @@ def lp_weights(atoms, target: Mat, costs) -> LpSolution:
         tab = tab[keep_rows]
         basis = [basis[i] for i in keep_rows]
 
-    phase2costs = np.concatenate([np.array([cost_arr[i] for i in keep]),
-                                  np.zeros(m)])
-    _bland(tab, basis, phase2costs, nk)
+    atom_costs = np.array([cost_arr[i] for i in keep])
+    _bland(tab, basis, atom_costs, nk)
 
+    # the drive-out left atoms only in the basis
     weights = [0.0] * len(atoms)
     for i, bi in enumerate(basis):
-        if bi < nk:
-            weights[keep[bi]] = max(0.0, float(tab[i, -1]))
+        weights[keep[bi]] = max(0.0, float(tab[i, -1]))
     value = math.fsum(w * c for w, c in zip(weights, cost_arr) if w > 0.0)
 
     # duals from the final basis against the original constraint rows
-    bmat = np.empty((len(basis), m))
-    cb = np.empty(len(basis))
-    for i, bi in enumerate(basis):
-        bmat[i, :] = a_mat[:, bi] if bi < nk else 0.0
-        cb[i] = phase2costs[bi]
-    y, *_ = np.linalg.lstsq(bmat, cb, rcond=None)
+    y, *_ = np.linalg.lstsq(a_mat[:, basis].T, atom_costs[basis], rcond=None)
     resid = a_mat @ np.array([weights[i] for i in keep]) - b
     return LpSolution(tuple(weights), value, tuple(y[:-1]), float(y[-1]),
                       float(np.max(np.abs(resid))))
@@ -158,8 +152,7 @@ def lp_weights(atoms, target: Mat, costs) -> LpSolution:
 # -- column generation -------------------------------------------------------
 
 
-def refine_atoms(atoms, dual_moment, dual_mass: float, w, ball: RhoBall,
-                 rng, n: int):
+def refine_atoms(atoms, dual_moment, dual_mass: float, w, ball: RhoBall, rng):
     """Search for a matrix in the ball with negative reduced cost against
     the duals.
 
@@ -169,6 +162,7 @@ def refine_atoms(atoms, dual_moment, dual_mass: float, w, ball: RhoBall,
     best reduced cost found).
     """
     pi = tuple(dual_moment)
+    n = math.isqrt(len(pi))
 
     def reduced_flat(flat) -> float:
         mat = Mat.from_flat(flat)
@@ -293,7 +287,8 @@ def _spanning_atoms(center: Mat, delta: float, ball: RhoBall, rng) -> list:
 
 
 def _initial_atoms(g: Mat, w, ball: RhoBall, rng) -> tuple:
-    """Finite-cost atoms around g whose hull holds g, and their costs."""
+    """Finite-cost atoms around g whose hull holds g, their costs, and
+    the cell LP over them."""
     n = g.n
     base = g if in_rho_ball(g, ball) and w.evaluate(g) < math.inf else Mat.identity(n)
     delta = max(0.5, 2.0 * max((abs(a - b) for a, b in
@@ -306,8 +301,7 @@ def _initial_atoms(g: Mat, w, ball: RhoBall, rng) -> tuple:
             atoms = [atoms[i] for i in finite]
             costs = [costs[i] for i in finite]
             try:
-                lp_weights(atoms, g, costs)
-                return atoms, costs
+                return atoms, costs, lp_weights(atoms, g, costs)
             except Infeasible:
                 pass
         delta *= 2.0
@@ -316,10 +310,8 @@ def _initial_atoms(g: Mat, w, ball: RhoBall, rng) -> tuple:
 
 
 def _hull_eval(hull, x: float) -> float:
-    if not hull or x < hull[0][0] - 1e-12 or x > hull[-1][0] + 1e-12:
+    if x < hull[0][0] - 1e-12 or x > hull[-1][0] + 1e-12:
         return math.inf
-    if len(hull) == 1:
-        return hull[0][1]
     lo, hi = 0, len(hull) - 1
     while hi - lo > 1:
         mid = (lo + hi) // 2
@@ -328,8 +320,6 @@ def _hull_eval(hull, x: float) -> float:
         else:
             hi = mid
     (x1, y1), (x2, y2) = hull[lo], hull[hi]
-    if x2 - x1 < 1e-300:
-        return min(y1, y2)
     t = min(1.0, max(0.0, (x - x1) / (x2 - x1)))
     return y1 + t * (y2 - y1)
 
@@ -342,7 +332,6 @@ def relax_solve(problem: RelaxProblem) -> RelaxSolution:
     """
     w = problem.w
     mesh = problem.mesh
-    n = problem.f.n
     # the matrices an atom may use: invertible, in the rho_cap ball when
     # one is given, with det > 0 when asked
     ball = RhoBall(problem.rho_cap or math.inf, problem.positive_det)
@@ -353,13 +342,13 @@ def relax_solve(problem: RelaxProblem) -> RelaxSolution:
     seed_rng = np.random.default_rng([problem.seed, 0])
     grads = u.cell_gradients()
     starts = [_initial_atoms(grads[c], w, ball, seed_rng) for c in range(ncells)]
-    atoms = [a for a, _ in starts]
-    costs = [c for _, c in starts]
+    atoms = [a for a, _, _ in starts]
+    costs = [c for _, c, _ in starts]
+    sols = [s for _, _, s in starts]
 
     def solve_cell(c: int, g: Mat) -> LpSolution:
         return lp_weights(atoms[c], g, costs[c])
 
-    sols = [solve_cell(c, grads[c]) for c in range(ncells)]
     energy = vol * math.fsum(s.value for s in sols)
     trace = [energy]
     last_reduced = [0.0] * ncells
@@ -388,7 +377,7 @@ def relax_solve(problem: RelaxProblem) -> RelaxSolution:
                 sol = sols[c]
                 rng = np.random.default_rng([problem.seed, it, rnd, c])
                 cand, red = refine_atoms(atoms[c], sol.dual_moment,
-                                         sol.dual_mass, w, ball, rng, n)
+                                         sol.dual_mass, w, ball, rng)
                 last_reduced[c] = red
                 if cand is None or not add_atom(c, cand, sol):
                     break
@@ -412,7 +401,7 @@ def relax_solve(problem: RelaxProblem) -> RelaxSolution:
     for c in range(ncells):
         rng = np.random.default_rng([problem.seed, problem.max_outer + 1, 0, c])
         _, red = refine_atoms(atoms[c], sols[c].dual_moment, sols[c].dual_mass,
-                              w, ball, rng, n)
+                              w, ball, rng)
         last_reduced[c] = red
 
     measures = []
@@ -446,9 +435,10 @@ def _move_nodes(u: MeshDeformation, atoms, costs,
     triangle."""
     mesh = u.mesh
     if mesh.dim == 1:
-        hulls = [lower_hull((a.flat[0], cost) for a, cost in zip(atoms[i], costs[i])
-                            if cost < math.inf) for i in range(mesh.n_cells)]
-        span = max((hull[-1][0] - hull[0][0]) for hull in hulls if hull)
+        # each cell holds two or more finite-cost atoms over 1e-9 apart
+        hulls = [lower_hull((a.flat[0], cost) for a, cost in zip(atoms[i], costs[i]))
+                 for i in range(mesh.n_cells)]
+        span = max((hull[-1][0] - hull[0][0]) for hull in hulls)
 
         def cell_cost(c: int, g: Mat) -> float:
             return _hull_eval(hulls[c], g.flat[0])

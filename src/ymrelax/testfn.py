@@ -150,8 +150,11 @@ def orho_extend(core: TestFn, rho: float, description: str = "") -> TestFn:
     """Extend a finite integrand by +inf outside the rho ball.
 
     The evaluator of core is kept on R_rho and replaced by math.inf
-    elsewhere, producing an O_rho-class TestFn.
+    elsewhere, producing an O_rho-class TestFn.  A core already declared
+    O_rho for this rho is returned as it is.
     """
+    if core.growth == Growth.o_rho(rho):
+        return core
     ball = RhoBall(rho)
     inner = core.evaluate
     description = description or f"{core.description}, +inf outside the {rho}-ball"
@@ -432,7 +435,8 @@ def growth_check(v: TestFn, samples: int = 64) -> GrowthReport:
             notes.append("nonzero on a singular matrix")
 
     if kind == "O_rho":
-        return GrowthReport(v.growth, 0.0, (), True, consistent, "; ".join(notes))
+        return GrowthReport(v.growth, 0.0, (), True, consistent,
+                            "; ".join(dict.fromkeys(notes)))
 
     entries.sort(key=lambda e: e[0])
     ratios = [r for _, r in entries]
@@ -447,4 +451,4 @@ def growth_check(v: TestFn, samples: int = 64) -> GrowthReport:
         notes.append(f"ratio grows along the scale ladder ({low:.3e} -> {high:.3e})")
     scale_ratios = tuple((s, r) for s, r in entries)
     return GrowthReport(v.growth, max_ratio, scale_ratios, decays, consistent,
-                        "; ".join(notes))
+                        "; ".join(dict.fromkeys(notes)))

@@ -1,7 +1,8 @@
+import math
+
 import pytest
 
 from ymrelax.certify import (
-    Certificate,
     Check,
     FAIL,
     INCONCLUSIVE,
@@ -44,10 +45,6 @@ class TestAggregate:
     def test_inconclusive_needs_explanation(self):
         with pytest.raises(ValueError):
             Check("a", INCONCLUSIVE)
-
-    def test_certificate_verdict_consistency(self):
-        with pytest.raises(ValueError):
-            Certificate("thm1", (Check("a", FAIL),), PASS, {})
 
 
 class TestThm12:
@@ -117,6 +114,12 @@ class TestSupportSequence:
         qs = cert.details["q_integrals"]
         for k, got in zip((4, 8, 16, 32), qs):
             assert got == pytest.approx(k ** 2 / 2 + 0.5, rel=1e-12)
+
+    def test_singular_piece_inconclusive(self):
+        fields = [GradientField.from_slopes_1d([0.0, 2.0], [0.5, 0.5])]
+        cert = check_support_from_sequence(fields, [0.5], 2.0)
+        assert cert.verdict == INCONCLUSIVE
+        assert cert.details["q_integrals"] == [math.inf]
 
     def test_affine_unit_det(self):
         fields = [GradientField.affine(Mat.scalar(1.0))]

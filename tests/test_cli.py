@@ -447,6 +447,18 @@ class TestCertifyCommand:
         assert cert["details"]["q_integrals"] == pytest.approx(
             [8.5, 32.5, 128.5])
 
+    def test_discontinuous_fields_exit_2(self, tmp_path, capsys):
+        field = {"n": 1, "normal": [1.0], "breaks": [0.0, 0.5, 1.0],
+                 "grads": [[1.0], [2.0]], "offsets": [[0.0], [-0.5 + 1e-3]]}
+        cfg = {"theorem": "support", "q": 2, "epsilon_ladder": [0.5],
+               "fields": [field]}
+        code, out = run(tmp_path, "certify", cfg)
+        assert code == 2
+        assert not out.exists()
+        assert capsys.readouterr().err == (
+            "ConfigError: certify.fields: deformation jumps by 1.000e-03 "
+            "at interface 0\n")
+
     def test_det_limit_laminate_passes(self, tmp_path):
         cfg = {"theorem": "det_limit", "p": 2,
                "laminate": {"atoms": [1.0, 2.0], "weights": [0.5, 0.5]},

@@ -150,6 +150,13 @@ class TestLaminateUpper:
         with pytest.raises(NoAdmissibleSplit):
             qinv_laminate_upper(v, Mat.scalar(1.0), RHO_T, depth=1)
 
+    def test_raw_integrand_confined_to_k(self):
+        # wells at +-2 lie outside K_1.5: the bound may not use them
+        w = builtin_energy("double_well_inv", {"wells": [-2.0, 2.0]})
+        est = qinv_laminate_upper(w, Mat.scalar(0.0), 1.5)
+        assert est.value_upper >= 0.25 - 1e-9
+        assert all(abs(a.flat[0]) <= 1.5 for a, _ in est.witness.atoms)
+
     def test_negative_depth_rejected(self):
         with pytest.raises(ValueError):
             qinv_laminate_upper(well(), Mat.scalar(0.5), RHO_T, depth=-1)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from ymrelax.envelope import qinv_oracle_1d
-from ymrelax.errors import Infeasible
+from ymrelax.errors import Infeasible, Stalled
 from ymrelax.matcore import Mat, RhoBall, det, frob_norm, in_rho_ball
 from ymrelax.measure import Mesh, classify, first_moment
 from ymrelax.relax import (
@@ -97,7 +97,7 @@ class TestRefineAtoms:
         v = orho_extend(named_testfn("quartic_well_1d"), 3.0)
         # duals make the wells strictly attractive
         atom, reduced = refine_atoms(
-            [Mat.scalar(0.2)], np.zeros(1), 0.5, v, RhoBall(3.0), rng, 1)
+            [Mat.scalar(0.2)], np.zeros(1), 0.5, v, RhoBall(3.0), rng)
         assert reduced == pytest.approx(-0.5, abs=1e-6)
         assert atom is not None
         assert abs(atom.flat[0]) == pytest.approx(1.0, abs=1e-3)
@@ -105,7 +105,7 @@ class TestRefineAtoms:
     def test_none_when_everything_nonnegative(self, rng):
         v = orho_extend(named_testfn("quartic_well_1d"), 3.0)
         atom, reduced = refine_atoms(
-            [Mat.scalar(1.0)], np.zeros(1), -0.1, v, RhoBall(3.0), rng, 1)
+            [Mat.scalar(1.0)], np.zeros(1), -0.1, v, RhoBall(3.0), rng)
         assert atom is None
         assert reduced >= -1e-8
 
@@ -193,6 +193,31 @@ class TestRelaxSolve:
                                        atom_budget=8, max_outer=12, seed=0))
         assert sol.energy <= 1e-4
         assert sol.moment_residual <= 1e-8
+
+    @pytest.mark.parametrize("cells, f, cap", [(2, 1.0, 1.2), (1, -0.1, 1.05)])
+    def test_tight_cap_widens_the_start(self, cells, f, cap):
+        # most spanning atoms leave the cap ball: the start jitters them
+        # (a jittered atom lands inside at -0.1, which is itself outside
+        # K_1.05, so the start spans from the identity) and doubles its
+        # spread before the cell LP holds
+        w = builtin_energy("double_well_inv")
+        sol = relax_solve(RelaxProblem(w, Mesh.interval(cells), Mat.scalar(f),
+                                       rho_cap=cap))
+        assert sol.energy <= 1e-9
+        assert sol.moment_residual <= 1e-8
+        for nu in sol.field.measures:
+            assert all(in_rho_ball(a, RhoBall(cap)) for a, _ in nu.atoms)
+
+    @pytest.mark.parametrize("f, cap, positive_det",
+                             [(1.0, 1.2, True), (1.1, 1.05, False)])
+    def test_unreachable_start_stalls(self, f, cap, positive_det):
+        # with det > 0, the centre 1 is the only spanning atom in the
+        # 1.2-ball at every spread; 1.1 lies outside the hull of K_1.05,
+        # so every start LP is infeasible
+        w = builtin_energy("double_well_inv")
+        with pytest.raises(Stalled, match="no feasible starting atom set"):
+            relax_solve(RelaxProblem(w, Mesh.interval(2), Mat.scalar(f),
+                                     rho_cap=cap, positive_det=positive_det))
 
     def test_json_dict(self):
         w = builtin_energy("double_well_inv", {"gamma": 0.0})

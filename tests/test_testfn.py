@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ymrelax.errors import UnknownEnergy
+from ymrelax.errors import DomainError, UnknownEnergy
 from ymrelax.matcore import Mat, frob_norm, invert
 from ymrelax.testfn import (
     Growth,
@@ -112,6 +112,14 @@ class TestOrhoExtend:
     def test_constant_core(self):
         v = orho_extend(MatrixFn(lambda a: 7.0, Growth.c_p(1.0)), 3.0)
         assert v.evaluate(Mat.scalar(1.0)) == 7.0
+
+    def test_same_radius_returns_core(self):
+        v = orho_extend(named_testfn("frob_power", {"p": 2.0}), 3.0)
+        assert orho_extend(v, 3.0) is v
+        w = orho_extend(v, 2.0)
+        assert w is not v and w.growth == Growth.o_rho(2.0)
+        assert v.evaluate(Mat.scalar(2.5)) == 6.25
+        assert w.evaluate(Mat.scalar(2.5)) == math.inf
 
 
 class TestBuiltinEnergies:
@@ -232,6 +240,35 @@ class TestGrowthCheck:
         liar = MatrixFn(lambda a: frob_norm(a) ** 4, Growth.c_p(1.0),
                       "mismatched growth declaration")
         assert not growth_check(liar, samples=128).consistent
+
+    def test_o_rho_violations_noted_once(self):
+        rep = growth_check(MatrixFn(lambda a: 1.0, Growth.o_rho(2.0), "x"))
+        assert not rep.consistent
+        assert rep.notes == "finite outside the rho ball"
+        rep = growth_check(MatrixFn(lambda a: math.inf, Growth.o_rho(2.0), "x"))
+        assert not rep.consistent
+        assert rep.notes == "infinite inside the rho ball"
+
+    def test_unexpected_domain_error(self):
+        def evaluate(a):
+            if frob_norm(a) > 10.0:
+                raise DomainError("only small matrices")
+            return frob_norm(a)
+        rep = growth_check(MatrixFn(evaluate, Growth.c_p(1.0)))
+        assert not rep.consistent
+        assert rep.notes == "unexpected DomainError"
+
+    def test_infinite_value_in_finite_class(self):
+        rep = growth_check(MatrixFn(
+            lambda a: math.inf if frob_norm(a) > 10.0 else frob_norm(a),
+            Growth.c_p(1.0)))
+        assert not rep.consistent
+        assert rep.notes == "infinite value in a finite-growth class"
+
+    def test_c_0inv_nonzero_at_singular(self):
+        rep = growth_check(MatrixFn(lambda a: 1.0, Growth.c_0inv()))
+        assert not rep.consistent
+        assert rep.notes == "nonzero on a singular matrix"
 
 
 # -- the 1D slope batch against scalar evaluate -------------------------
