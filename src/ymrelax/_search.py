@@ -9,7 +9,7 @@ import math
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def golden_min(fn, lo: float, hi: float, iters: int = 60, coarse: int = 13):
+def golden_min(fn, lo: float, hi: float, iters: int, coarse: int = 13):
     """Minimize fn on [lo, hi]: coarse presample to bracket (robust to
     +inf plateaus), then golden-section refinement.  Returns (x, fn(x))."""
     if hi < lo:

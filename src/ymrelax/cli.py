@@ -403,11 +403,9 @@ def _run_certify(cfg: dict, seed: int):
         def run():
             return ct.check_det_limit(fields, args["p"])
     else:  # thm3
-        battery = [orho_extend(fn, args["rho_tilde"]) for fn in args["battery"]]
-
         def run():
-            return ct.check_thm3(args["field"], args["u_h"], args["rho"], battery,
-                                 args["rho_tilde"],
+            return ct.check_thm3(args["field"], args["u_h"], args["rho"],
+                                 args["battery"], args["rho_tilde"],
                                  **_pick(args, "jensen_depth", "jensen_angles"))
 
     def write(out_dir, cert):

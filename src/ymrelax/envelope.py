@@ -20,6 +20,7 @@ orho_extend, which returns an integrand already so declared unchanged.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,13 +124,8 @@ def qinv_oracle_1d(v, f, rho_tilde: float, grid: int = 10000) -> EnvelopeEstimat
     hull = lower_hull(pts)
 
     # supporting segment at fs
-    if fs <= hull[0][0]:
-        ia = ib = 0
-    elif fs >= hull[-1][0]:
-        ia = ib = len(hull) - 1
-    else:
-        ib = next(i for i in range(1, len(hull)) if hull[i][0] >= fs)
-        ia = ib - 1
+    ib = min(bisect_left(hull, fs, key=lambda p: p[0]), len(hull) - 1)
+    ia = ib - 1 if hull[0][0] < fs < hull[-1][0] else ib
     sa, sb = hull[ia][0], hull[ib][0]
 
     def comp_of(s: float):
@@ -302,6 +298,10 @@ def _fe_start_1d(v, fs: float, cells: int, rho_tilde: float):
     xs = np.linspace(0.0, 1.0, cells + 1)
     if _scalar_eval(v, fs) < math.inf:
         return fs * xs
+    if cells == 1:
+        raise NoFeasibleStart("one cell has no interior node, so the affine "
+                              "map is the only deformation, and its energy "
+                              "is infinite")
     oracle = qinv_oracle_1d(v, fs, rho_tilde, grid=2000)
     atoms = [(m.flat[0], w) for m, w in oracle.witness.atoms]
     if len(atoms) == 1:

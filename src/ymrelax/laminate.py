@@ -19,6 +19,7 @@ convex combinations of their gradient statistics.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -51,6 +52,14 @@ def _perp(m: tuple) -> tuple:
     return (-m[1], m[0])
 
 
+def _slab_point(normal: tuple, t: float, s: float) -> tuple:
+    """The point t*m + s*m_perp of the domain; (t,) in 1D."""
+    if len(normal) == 1:
+        return (t,)
+    perp = _perp(normal)
+    return tuple(t * normal[k] + s * perp[k] for k in range(2))
+
+
 def _dot(u: Sequence[float], v: Sequence[float]) -> float:
     return math.fsum(a * b for a, b in zip(u, v))
 
@@ -81,6 +90,9 @@ class GradientField:
         for i in range(m):
             if self.breaks[i + 1] - self.breaks[i] <= 0.0:
                 raise ValueError("slab widths must be positive")
+        if len(self.normal) != self.n:
+            raise ValueError(f"normal has {len(self.normal)} entries, "
+                             f"not {self.n}")
         if abs(_dot(self.normal, self.normal) - 1.0) > 1e-12:
             raise ValueError("normal must be a unit vector")
         for g in self.grads:
@@ -95,7 +107,6 @@ class GradientField:
         scale = max([1.0] + [frob_norm(g) for g in self.grads]
                     + [abs(x) for b in self.offsets for x in b])
         stations = (0.0, 0.5, 1.0) if self.n == 2 else (0.0,)
-        perp = _perp(self.normal) if self.n == 2 else None
         for i in range(len(self.grads) - 1):
             t = self.breaks[i + 1]
             dg = self.grads[i + 1] - self.grads[i]
@@ -113,11 +124,7 @@ class GradientField:
                                      "along the wrong direction")
             # continuity of the deformation across the interface
             for s in stations:
-                if self.n == 1:
-                    x = (t,)
-                else:
-                    x = tuple(t * self.normal[k] + s * perp[k] for k in range(2))
-                jump = dg.mul_vec(x)
+                jump = dg.mul_vec(_slab_point(self.normal, t, s))
                 err = math.sqrt(math.fsum((j + d) ** 2 for j, d in zip(jump, db)))
                 if err > JUMP_TOL * scale:
                     raise ValueError(f"deformation jumps by {err:.3e} at interface {i}")
@@ -166,10 +173,10 @@ class GradientField:
                                [Mat.scalar(s) for s in slopes], (y0,))
 
     @classmethod
-    def affine(cls, f: Mat, normal: Sequence[float] | None = None) -> "GradientField":
+    def affine(cls, f: Mat) -> "GradientField":
         n = f.n
-        nm = tuple(normal) if normal is not None else ((1.0,) if n == 1 else (1.0, 0.0))
-        return cls(n, nm, (0.0, 1.0), (f,), ((0.0,) * n,))
+        return cls(n, (1.0,) if n == 1 else (1.0, 0.0), (0.0, 1.0), (f,),
+                   ((0.0,) * n,))
 
     # -- geometry -------------------------------------------------------
 
@@ -182,24 +189,13 @@ class GradientField:
         return tuple(self.breaks[i + 1] - self.breaks[i] for i in range(self.pieces))
 
     def piece_midpoint(self, i: int) -> tuple:
-        tm = 0.5 * (self.breaks[i] + self.breaks[i + 1])
-        if self.n == 1:
-            return (tm,)
-        perp = _perp(self.normal)
-        return tuple(tm * self.normal[k] + 0.5 * perp[k] for k in range(2))
+        return _slab_point(self.normal,
+                           0.5 * (self.breaks[i] + self.breaks[i + 1]), 0.5)
 
     def piece_index(self, t: float) -> int:
         if t < -1e-12 or t > 1.0 + 1e-12:
             raise ValueError("slab coordinate outside the domain")
-        t = min(max(t, 0.0), 1.0)
-        lo, hi = 0, self.pieces - 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if t < self.breaks[mid + 1]:
-                hi = mid
-            else:
-                lo = mid + 1
-        return lo
+        return bisect_right(self.breaks, t, 1, self.pieces) - 1
 
     def value(self, x: Sequence[float]) -> tuple:
         i = self.piece_index(_dot(self.normal, x))
@@ -632,12 +628,10 @@ def _assemble(n: int, normal: tuple, pieces: list) -> GradientField:
 def _lateral_mismatch(field: GradientField, f: Mat) -> float:
     """sup |y - Fx| over the whole domain boundary, sampled at piece
     corners and at the midpoints of the two slab-end edges."""
-    m = field.normal
-    perp = _perp(m)
     stations = [(t, s) for t in field.breaks for s in (0.0, 1.0)]
     worst = 0.0
     for t, s in stations + [(0.0, 0.5), (1.0, 0.5)]:
-        x = tuple(t * m[k] + s * perp[k] for k in range(2))
+        x = _slab_point(field.normal, t, s)
         worst = max(worst, math.sqrt(math.fsum(
             (a - b) ** 2 for a, b in zip(field.value(x), f.mul_vec(x)))))
     return worst

@@ -24,6 +24,7 @@ from .testfn import make_phi_rho
 
 MERGE_TOL = 1e-10
 WEIGHT_TOL = 1e-12
+PAIRING_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -396,10 +397,9 @@ def classify(field: YoungMeasureField, p: float, q: float) -> ClassReport:
                        in_ypq, in_ypq and pos_deficit == 0.0)
 
 
-def measures_equal(nu: AtomicMeasure, mu: AtomicMeasure, family: Sequence,
-                   tol: float = 1e-12) -> bool:
+def measures_equal(nu: AtomicMeasure, mu: AtomicMeasure, family: Sequence) -> bool:
     """Equality through a separating family of vanishing-at-singular test
-    functions: true when every pairing difference is within tol."""
+    functions: true when every pairing difference is within PAIRING_TOL."""
     if not family:
         raise ValueError("need a nonempty test family")
     for v in family:
@@ -407,7 +407,7 @@ def measures_equal(nu: AtomicMeasure, mu: AtomicMeasure, family: Sequence,
             raise ValueError("family members must vanish on singular matrices "
                              "and at infinity")
     for v in family:
-        if abs(pair(nu, v) - pair(mu, v)) > tol:
+        if abs(pair(nu, v) - pair(mu, v)) > PAIRING_TOL:
             return False
     return True
 

@@ -16,6 +16,7 @@ stops when an outer round gains less than the tolerance.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -312,14 +313,8 @@ def _initial_atoms(g: Mat, w, ball: RhoBall, rng) -> tuple:
 def _hull_eval(hull, x: float) -> float:
     if x < hull[0][0] - 1e-12 or x > hull[-1][0] + 1e-12:
         return math.inf
-    lo, hi = 0, len(hull) - 1
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if hull[mid][0] <= x:
-            lo = mid
-        else:
-            hi = mid
-    (x1, y1), (x2, y2) = hull[lo], hull[hi]
+    lo = min(max(bisect_right(hull, x, key=lambda p: p[0]) - 1, 0), len(hull) - 2)
+    (x1, y1), (x2, y2) = hull[lo], hull[lo + 1]
     t = min(1.0, max(0.0, (x - x1) / (x2 - x1)))
     return y1 + t * (y2 - y1)
 
@@ -345,10 +340,6 @@ def relax_solve(problem: RelaxProblem) -> RelaxSolution:
     atoms = [a for a, _, _ in starts]
     costs = [c for _, c, _ in starts]
     sols = [s for _, _, s in starts]
-
-    def solve_cell(c: int, g: Mat) -> LpSolution:
-        return lp_weights(atoms[c], g, costs[c])
-
     energy = vol * math.fsum(s.value for s in sols)
     trace = [energy]
     last_reduced = [0.0] * ncells
@@ -381,14 +372,14 @@ def relax_solve(problem: RelaxProblem) -> RelaxSolution:
                 last_reduced[c] = red
                 if cand is None or not add_atom(c, cand, sol):
                     break
-                sols[c] = solve_cell(c, grads[c])
+                sols[c] = lp_weights(atoms[c], grads[c], costs[c])
         energy_a = vol * math.fsum(s.value for s in sols)
         trace.append(energy_a)
 
         # (b) move the deformation against the cellwise relaxed cost
         u = _move_nodes(u, atoms, costs, problem)
         grads = u.cell_gradients()
-        sols = [solve_cell(c, grads[c]) for c in range(ncells)]
+        sols = [lp_weights(atoms[c], grads[c], costs[c]) for c in range(ncells)]
         energy_b = vol * math.fsum(s.value for s in sols)
         trace.append(energy_b)
 

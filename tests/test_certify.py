@@ -1,3 +1,4 @@
+import json
 import math
 
 import pytest
@@ -286,10 +287,11 @@ class TestThm3:
         u = MeshDeformation.affine(Mesh.interval(4), Mat.scalar(1.0))
         with pytest.raises(ValueError):
             check_thm3(field, u, 2.0, [], 3.0)  # empty battery
-        wrong = [named_testfn("frob_power", {"p": 2.0})]  # not O(rho_tilde)
-        with pytest.raises(ValueError):
-            check_thm3(field, u, 2.0, wrong, 3.0)
-        ok = [orho_extend(named_testfn("frob_power", {"p": 2.0}), 3.0)]
+        # a raw member is confined to the rho_tilde ball on entry
+        raw = [named_testfn("frob_power", {"p": 2.0})]
+        ok = [orho_extend(raw[0], 3.0)]
+        assert (json.dumps(check_thm3(field, u, 2.0, raw, 3.0).to_json_dict())
+                == json.dumps(check_thm3(field, u, 2.0, ok, 3.0).to_json_dict()))
         with pytest.raises(ValueError):
             check_thm3(field, u, 3.0, ok, 3.0)  # rho_tilde must exceed rho
 

@@ -84,6 +84,14 @@ class TestEnvelopeCommand:
         assert code == 1
         assert not out.exists()
 
+    def test_fe_one_cell_no_start_exits_1_one_line(self, tmp_path, capsys):
+        cfg = dict(ENVELOPE_CFG, method="fe", mesh_cells=1)
+        code, out = run(tmp_path, "envelope", cfg)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert not out.exists()
+        assert err.startswith("NoFeasibleStart: ") and err.count("\n") == 1
+
     def test_oracle_needs_scalar_barycenter(self, tmp_path):
         cfg = dict(ENVELOPE_CFG, F=[[1.0, 0.0], [0.0, 1.0]])
         code, out = run(tmp_path, "envelope", cfg)
@@ -258,6 +266,15 @@ class TestMalformedValues:
                      "certify.epsilon_ladder", id="epsilon_above_1"),
         pytest.param("certify", {**SUPPORT_CFG, "epsilon_ladder": [0.0]},
                      "certify.epsilon_ladder", id="epsilon_zero"),
+        pytest.param("certify", {**THM3_CFG, "u_h": {
+            "n": 1, "normal": [0.0, 1.0], "breaks": [0.0, 0.5, 1.0],
+            "grads": [[1.0], [1.2]], "offsets": [[0.0], [-0.1]]}},
+                     "certify.u_h: normal has 2 entries", id="u_h_1d_normal_2"),
+        pytest.param("certify", {"theorem": "det_limit", "p": 2, "fields": [{
+            "n": 2, "normal": [1.0], "breaks": [0.0, 1.0],
+            "grads": [[1.0, 0.0, 0.0, 1.0]], "offsets": [[0.0, 0.0]]}]},
+                     "certify.fields: normal has 1 entries",
+                     id="fields_2d_normal_1"),
     ])
     def test_exit_2_one_line(self, tmp_path, capsys, command, cfg, key):
         code, out = run(tmp_path, command, cfg)

@@ -55,6 +55,23 @@ class TestOracle1D:
         for a, w in est.witness.atoms:
             assert abs(a.flat[0]) == pytest.approx(0.5, abs=1e-3)
 
+    @pytest.mark.parametrize("fs", [-RHO_T, RHO_T])
+    def test_span_ends_are_diracs(self, fs):
+        est = qinv_oracle_1d(well(), Mat.scalar(fs), RHO_T)
+        assert est.value_exact == 9.0
+        assert est.detail["support"] == [fs, fs]
+        assert [(a.flat[0], w) for a, w in est.witness.atoms] == [(fs, 1.0)]
+
+    def test_barycenter_on_a_hull_vertex(self):
+        # grid slope 2000 of the positive component, as the scan computes
+        # it, so the scan's hull has a vertex exactly at the barycenter
+        half = 10000 // 2
+        fs = 1.0 / RHO_T + (RHO_T - 1.0 / RHO_T) * (2000 / (half - 1))
+        est = qinv_oracle_1d(well(), Mat.scalar(fs), RHO_T)
+        assert est.value_exact == 0.04421097796235084
+        assert est.detail["support"] == [1.0998199639927986, fs]
+        assert [(a.flat[0], w) for a, w in est.witness.atoms] == [(fs, 1.0)]
+
     def test_convex_region_dirac(self):
         # barycenter inside the admissible set: Dirac is optimal for s^2
         est = qinv_oracle_1d(square(), Mat.scalar(1.0), RHO_T)
@@ -181,6 +198,12 @@ class TestFeUpper:
         # value_upper is at most v(I) (the affine start) and at least
         # the convex floor 4 = min of |s|^2 + |s^-1|^2
         assert 4.0 - 1e-9 <= est.value_upper <= w.evaluate(Mat.identity(2)) + 1e-9
+
+    def test_1d_one_cell_no_start(self):
+        # one cell has no interior node: the affine map is the only candidate
+        v = orho_extend(builtin_energy("double_well_inv"), 2.0)
+        with pytest.raises(NoFeasibleStart, match="one cell"):
+            qinv_fe_upper(v, Mat.scalar(0.0), 1, 2.0)
 
     def test_2d_singular_barycenter_no_start(self):
         v = orho_extend(builtin_energy("inv_penalty", {"p": 2.0}), 4.0)

@@ -43,6 +43,21 @@ class TestGradientField:
         with pytest.raises(ValueError):
             GradientField.from_pieces(1, (1.0,), [0.5, 0.5], [Mat.scalar(1.0)])
 
+    def test_piece_index_at_breaks_and_domain_ends(self):
+        f = GradientField.from_slopes_1d([1.0, 2.0, 0.5], [0.25, 0.25, 0.5])
+        ts = (-1e-12, 0.0, 0.25, 0.5, 1.0, 1.0 + 1e-12)
+        assert [f.piece_index(t) for t in ts] == [0, 0, 1, 2, 2, 2]
+        for t in (-1e-11, 1.0 + 1e-11):
+            with pytest.raises(ValueError, match="outside the domain"):
+                f.piece_index(t)
+
+    def test_normal_length_checked(self):
+        with pytest.raises(ValueError, match="normal has 2 entries, not 1"):
+            GradientField(1, (0.6, 0.8), (0.0, 0.5, 1.0),
+                          (Mat.scalar(1.0), Mat.scalar(1.2)), ((0.0,), (-0.1,)))
+        with pytest.raises(ValueError, match="normal has 1 entries, not 2"):
+            GradientField(2, (1.0,), (0.0, 1.0), (Mat.identity(2),), ((0.0, 0.0),))
+
     def test_affine(self):
         f = GradientField.affine(Mat.scalar(2.0))
         assert f.pieces == 1
@@ -282,6 +297,6 @@ class TestMixDeformations:
             mix_deformations(y1, y2, 0.5)
 
     def test_2d_unsupported(self):
-        f = GradientField.affine(Mat.identity(2), normal=(1.0, 0.0))
+        f = GradientField.affine(Mat.identity(2))
         with pytest.raises(ValueError):
             mix_deformations(f, f, 0.5)

@@ -4,12 +4,14 @@ import math
 import numpy as np
 import pytest
 
+from ymrelax._search import lower_hull
 from ymrelax.envelope import qinv_oracle_1d
 from ymrelax.errors import Infeasible, Stalled
 from ymrelax.matcore import Mat, RhoBall, det, frob_norm, in_rho_ball
 from ymrelax.measure import Mesh, classify, first_moment
 from ymrelax.relax import (
     RelaxProblem,
+    _hull_eval,
     lp_weights,
     refine_atoms,
     relax_solve,
@@ -19,6 +21,19 @@ from ymrelax.testfn import builtin_energy, named_testfn, orho_extend
 
 def scalar_atoms(*vals):
     return [Mat.scalar(v) for v in vals]
+
+
+class TestHullEval:
+    def test_vertices_and_span_ends(self):
+        hull = lower_hull([(-1.0, 1.0), (0.0, 0.0), (0.5, 0.1), (2.0, 3.0),
+                           (1.0, 2.0)])
+        assert hull == [(-1.0, 1.0), (0.0, 0.0), (0.5, 0.1), (2.0, 3.0)]
+        assert [_hull_eval(hull, x) for x, _ in hull] == [y for _, y in hull]
+        # within 1e-12 of the span the end value holds; beyond it, +inf
+        assert _hull_eval(hull, -1.0 - 1e-12) == 1.0
+        assert _hull_eval(hull, 2.0 + 1e-12) == 3.0
+        assert _hull_eval(hull, -1.0 - 1e-11) == math.inf
+        assert _hull_eval(hull, 2.0 + 1e-11) == math.inf
 
 
 class TestLpWeights:
