@@ -10,12 +10,9 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def golden_min(fn, lo: float, hi: float, iters: int, coarse: int = 13):
-    """Minimize fn on [lo, hi]: coarse presample to bracket (robust to
-    +inf plateaus), then golden-section refinement.  Returns (x, fn(x))."""
-    if hi < lo:
-        lo, hi = hi, lo
-    if hi == lo:
-        return lo, fn(lo)
+    """Minimize fn on [lo, hi], which needs lo < hi: coarse presample to
+    bracket (robust to +inf plateaus), then golden-section refinement.
+    Returns (x, fn(x))."""
     xs = [lo + (hi - lo) * i / (coarse - 1) for i in range(coarse)]
     vals = [fn(x) for x in xs]
     i_best = min(range(coarse), key=lambda i: vals[i])

@@ -350,7 +350,7 @@ def check_thm3(field: YoungMeasureField, u_h, rho: float, v_battery,
     if field.mesh.dim == 2:
         checks.append(_circulation_check(field))
 
-    exact = field.matrix_dim == 1
+    exact = field.mesh.dim == 1
     miss = FAIL if exact else INCONCLUSIVE
     unbounded = InfeasibleBarycenter if exact else NoAdmissibleSplit
     missed = False

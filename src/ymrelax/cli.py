@@ -193,6 +193,8 @@ def _sequence(args: dict) -> list:
         raise ConfigError("certify needs 'fields', or 'k_ladder' with one of "
                           "'laminate' and 'slopes_of_k'")
     if "fields" in args:
+        if len({u.n for u in args["fields"]}) > 1:
+            raise ConfigError("certify.fields: entries must share one dimension")
         return args["fields"]
     ks = args["k_ladder"]
     if "laminate" in args:
@@ -208,13 +210,18 @@ def _sequence(args: dict) -> list:
             for k in ks]
 
 
+def _probe(where: str, v, n: int):
+    """v evaluated once at the n x n identity, so that a function of
+    another dimension is a config error naming where."""
+    _build(where, v.evaluate, Mat.identity(n))
+    return v
+
+
 def _energy(args: dict, where: str):
-    """The builtin energy of the config, evaluated once at the identity of
-    F's size so that wells of another dimension are a config error."""
+    """The builtin energy of the config, probed at F's size."""
     energy = _build(f"{where}.energy", builtin_energy, args["energy"],
                     args.get("energy_params"))
-    _build(f"{where}.energy", energy.evaluate, Mat.identity(args["F"].n))
-    return energy
+    return _probe(f"{where}.energy", energy, args["F"].n)
 
 
 # -- sanitizing and writing ---------------------------------------------------
@@ -344,7 +351,8 @@ def _run_generate(cfg: dict, seed: int):
     spec = _build("generate", SequenceSpec, tuple(args["atoms"]),
                   tuple(args["weights"]), max(ks))
     n = spec.atoms[0].n
-    v_battery = args.get("v_battery") or (
+    v_battery = [_probe("generate.v_battery", v, n)
+                 for v in args.get("v_battery", ())] or (
         [named_testfn("entry_power", {"exponent": 1}),
          named_testfn("entry_power", {"exponent": 2}),
          named_testfn("quartic_well_1d")] if n == 1 else
@@ -403,6 +411,9 @@ def _run_certify(cfg: dict, seed: int):
         def run():
             return ct.check_det_limit(fields, args["p"])
     else:  # thm3
+        for v in args["battery"]:
+            _probe("certify.battery", v, args["field"].mesh.dim)
+
         def run():
             return ct.check_thm3(args["field"], args["u_h"], args["rho"],
                                  args["battery"], args["rho_tilde"],

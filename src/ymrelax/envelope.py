@@ -175,8 +175,7 @@ def qinv_oracle_1d(v, f, rho_tilde: float, grid: int = 10000) -> EnvelopeEstimat
         value = best_val
         la = (sb - fs) / (sb - sa)
         pairs = [(Mat.scalar(sa), la), (Mat.scalar(sb), 1.0 - la)]
-        witness = AtomicMeasure.from_pairs(
-            (m, wgt) for m, wgt in pairs if wgt > 1e-15)
+        witness = AtomicMeasure((m, wgt) for m, wgt in pairs if wgt > 1e-15)
     est = EnvelopeEstimate(value, value, witness, rho_tilde, "oracle_1d",
                            {"grid": grid, "hull_size": len(hull),
                             "support": [sa, sb]})
@@ -224,8 +223,6 @@ def qinv_laminate_upper(v, f, rho_tilde: float, depth: int = 2,
         return v.evaluate(mat)
 
     def split_value(g: Mat, d: Mat, t: float, lam: float) -> float:
-        if t <= 0.0 or not 1e-9 < lam < 1.0 - 1e-9:
-            return math.inf
         a = g - ((1.0 - lam) * t) * d
         b = g + (lam * t) * d
         va = ev(a)
@@ -280,8 +277,7 @@ def qinv_laminate_upper(v, f, rho_tilde: float, depth: int = 2,
     if value == math.inf:
         raise NoAdmissibleSplit("no finite rank-one split of the barycenter "
                                 "was found; raise depth, angles or rho_tilde")
-    witness = AtomicMeasure.from_pairs(
-        (m, wgt) for m, wgt in leaves if wgt > 1e-15)
+    witness = AtomicMeasure((m, wgt) for m, wgt in leaves if wgt > 1e-15)
     est = EnvelopeEstimate(value, None, witness, rho_tilde, "laminate",
                            {"depth": depth, "angles": angles,
                             "evaluations": evals[0],

@@ -283,7 +283,7 @@ class SequenceSpec:
 
     def limit_measure(self):
         from .measure import AtomicMeasure
-        return AtomicMeasure.from_pairs(zip(self.atoms, self.weights))
+        return AtomicMeasure(zip(self.atoms, self.weights))
 
 
 def _laminate_normal(atoms: Sequence[Mat], periodic: bool) -> tuple:

@@ -1,8 +1,8 @@
 """Atomic measure algebra on matrix space and cellwise measure fields.
 
 An AtomicMeasure is a finitely supported probability measure on the
-space of n x n matrices.  Atoms closer than MERGE_TOL in Frobenius
-distance are merged at construction, atoms are stored in a canonical
+space of n x n matrices.  Atoms linked by Frobenius distances within
+MERGE_TOL are merged at construction, atoms are stored in a canonical
 (lexicographic) order, and weights must sum to one within WEIGHT_TOL.
 
 A YoungMeasureField attaches one atomic measure to every cell of a
@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from .errors import SingularAtom
 from .matcore import (Mat, RhoBall, det, frob_norm, in_rho_ball, inv_norm,
@@ -29,69 +29,47 @@ PAIRING_TOL = 1e-12
 
 @dataclass(frozen=True)
 class AtomicMeasure:
-    """Finitely supported probability measure on n x n matrices."""
+    """Finitely supported probability measure on n x n matrices, built
+    from (matrix, weight) pairs: atoms linked through a chain of
+    distances within MERGE_TOL merge at the smallest flat location of
+    their group with the fsum of its weights, sorted by flat entries."""
 
     atoms: tuple  # ((Mat, weight), ...) canonical: merged, sorted, positive
 
     def __post_init__(self):
-        if not self.atoms:
+        items = [(Mat.coerce(a), float(w)) for a, w in self.atoms]
+        if not items:
             raise ValueError("a measure needs at least one atom")
-        n = self.atoms[0][0].n
-        total = math.fsum(w for _, w in self.atoms)
-        if abs(total - 1.0) > WEIGHT_TOL:
-            raise ValueError(f"weights sum to {total!r}, not 1")
-        for a, w in self.atoms:
+        n = items[0][0].n
+        for a, w in items:
             if a.n != n:
                 raise ValueError("atoms must share one dimension")
             if not w > 0.0:
                 raise ValueError("weights must be positive")
-        for i in range(len(self.atoms)):
-            for j in range(i + 1, len(self.atoms)):
-                if mat_close(self.atoms[i][0], self.atoms[j][0], MERGE_TOL):
-                    raise ValueError("atoms closer than the merge tolerance; "
-                                     "use from_pairs to canonicalize")
+        # one pass: each atom joins every group it is close to; a group
+        # lists its members' indices in input order
+        groups = []
+        for i, (a, _) in enumerate(items):
+            joined, rest = [i], []
+            for g in groups:
+                if any(mat_close(items[j][0], a, MERGE_TOL) for j in g):
+                    joined.extend(g)
+                else:
+                    rest.append(g)
+            groups = rest + [sorted(joined)]
+        merged = sorted([(min((items[j][0] for j in g), key=lambda m: m.flat),
+                          math.fsum(items[j][1] for j in g)) for g in groups],
+                        key=lambda aw: aw[0].flat)
+        total = math.fsum(w for _, w in merged)
+        if abs(total - 1.0) > WEIGHT_TOL:
+            raise ValueError(f"weights sum to {total!r}, not 1")
+        object.__setattr__(self, "atoms", tuple(merged))
 
     # -- constructors ------------------------------------------------
 
     @classmethod
-    def from_pairs(cls, pairs: Iterable) -> "AtomicMeasure":
-        """Canonical constructor: merges atoms within MERGE_TOL (weights
-        add, the lexicographically smallest location represents the
-        cluster) and sorts atoms by their flat entries."""
-        items = [(Mat.coerce(a), float(w)) for a, w in pairs]
-        if not items:
-            raise ValueError("a measure needs at least one atom")
-        for _, w in items:
-            if not w > 0.0:
-                raise ValueError("weights must be positive")
-        # union-find style clustering on the merge tolerance
-        parent = list(range(len(items)))
-
-        def find(i):
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
-        for i in range(len(items)):
-            for j in range(i + 1, len(items)):
-                if mat_close(items[i][0], items[j][0], MERGE_TOL):
-                    ri, rj = find(i), find(j)
-                    if ri != rj:
-                        parent[rj] = ri
-        clusters: dict = {}
-        for i, (a, w) in enumerate(items):
-            clusters.setdefault(find(i), []).append((a, w))
-        merged = []
-        for members in clusters.values():
-            loc = min((a for a, _ in members), key=lambda m: m.flat)
-            merged.append((loc, math.fsum(w for _, w in members)))
-        merged.sort(key=lambda aw: aw[0].flat)
-        return cls(tuple(merged))
-
-    @classmethod
     def dirac(cls, a: Mat) -> "AtomicMeasure":
-        return cls(((Mat.coerce(a), 1.0),))
+        return cls(((a, 1.0),))
 
     @classmethod
     def mix(cls, measures: Sequence["AtomicMeasure"],
@@ -109,7 +87,7 @@ class AtomicMeasure:
             if lam < 0.0:
                 raise ValueError("mixture weights must be nonnegative")
             pairs.extend((a, lam * w) for a, w in nu.atoms)
-        return cls.from_pairs(pairs)
+        return cls(pairs)
 
     # -- basic queries -------------------------------------------------
 
@@ -128,7 +106,7 @@ class AtomicMeasure:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "AtomicMeasure":
-        return cls.from_pairs((Mat.from_flat(e["mat"]), e["w"]) for e in d["atoms"])
+        return cls((Mat.from_flat(e["mat"]), e["w"]) for e in d["atoms"])
 
 
 # -- pairing and moments -------------------------------------------------
@@ -154,7 +132,7 @@ def hat_pushforward(nu: AtomicMeasure) -> AtomicMeasure:
     pairs = [(inverse(a), w) for a, w in nu.atoms]
     if any(inv is None for inv, _ in pairs):
         raise SingularAtom("cannot push a singular atom through inversion")
-    return AtomicMeasure.from_pairs(pairs)
+    return AtomicMeasure(pairs)
 
 
 def truncate(nu: AtomicMeasure, rho: float) -> AtomicMeasure:
@@ -173,7 +151,7 @@ def truncate(nu: AtomicMeasure, rho: float) -> AtomicMeasure:
     defect = 1.0 - math.fsum(w for _, w in kept)
     if defect > 1e-15:
         kept.append((Mat.identity(nu.n), defect))
-    return AtomicMeasure.from_pairs(kept)
+    return AtomicMeasure(kept)
 
 
 # -- meshes and fields ----------------------------------------------------
@@ -304,14 +282,9 @@ class YoungMeasureField:
     def __post_init__(self):
         if len(self.measures) != self.mesh.n_cells:
             raise ValueError("need exactly one measure per cell")
-        n = self.measures[0].n
-        for nu in self.measures:
-            if nu.n != n:
-                raise ValueError("all cell measures must share one matrix dimension")
-
-    @property
-    def matrix_dim(self) -> int:
-        return self.measures[0].n
+        d = self.mesh.dim  # a domain in R^d maps to d x d matrices
+        if any(nu.n != d for nu in self.measures):
+            raise ValueError(f"cell measures on a {d}D mesh must be {d}x{d}")
 
     def to_json_dict(self) -> dict:
         return {"mesh": self.mesh.to_json_dict(),
@@ -335,7 +308,7 @@ def homogenize(field: YoungMeasureField) -> AtomicMeasure:
     pairs = []
     for nu in field.measures:
         pairs.extend((a, vol * w) for a, w in nu.atoms)
-    return AtomicMeasure.from_pairs(pairs)
+    return AtomicMeasure(pairs)
 
 
 @dataclass(frozen=True)
@@ -348,13 +321,14 @@ class ClassReport:
     moment_negq: float  # math.inf when singular mass is present
     inv_mass_deficit: float
     positive_det_mass_deficit: float
-    in_ypq: bool
-    in_ypq_plus: bool
 
-    def __post_init__(self):
-        if self.in_ypq and (self.inv_mass_deficit > 0.0
-                            or not math.isfinite(self.moment_negq)):
-            raise ValueError("inconsistent report: membership with deficit")
+    @property
+    def in_ypq(self) -> bool:
+        return self.inv_mass_deficit == 0.0
+
+    @property
+    def in_ypq_plus(self) -> bool:
+        return self.in_ypq and self.positive_det_mass_deficit == 0.0
 
     def to_json_dict(self) -> dict:
         return {
@@ -392,9 +366,7 @@ def classify(field: YoungMeasureField, p: float, q: float) -> ClassReport:
                 m2 += vol * w * inv ** q
             if det(a) <= 0.0:
                 pos_deficit += vol * w
-    in_ypq = inv_deficit == 0.0
-    return ClassReport(p, q, m1, m2, inv_deficit, pos_deficit,
-                       in_ypq, in_ypq and pos_deficit == 0.0)
+    return ClassReport(p, q, m1, m2, inv_deficit, pos_deficit)
 
 
 def measures_equal(nu: AtomicMeasure, mu: AtomicMeasure, family: Sequence) -> bool:

@@ -169,9 +169,7 @@ def refine_atoms(atoms, dual_moment, dual_mass: float, w, ball: RhoBall, rng):
         mat = Mat.from_flat(flat)
         if not in_rho_ball(mat, ball):
             return math.inf
-        val = w.evaluate(mat)
-        if val == math.inf:
-            return math.inf
+        val = w.evaluate(mat)  # +inf stays +inf below: the duals are finite
         return val - math.fsum(p * s for p, s in zip(pi, flat)) - dual_mass
 
     seeds = [Mat.identity(n).flat] + [a.flat for a in atoms]
@@ -342,7 +340,6 @@ def relax_solve(problem: RelaxProblem) -> RelaxSolution:
     sols = [s for _, _, s in starts]
     energy = vol * math.fsum(s.value for s in sols)
     trace = [energy]
-    last_reduced = [0.0] * ncells
 
     def add_atom(c: int, mat: Mat, sol: LpSolution) -> bool:
         for a in atoms[c]:
@@ -367,9 +364,8 @@ def relax_solve(problem: RelaxProblem) -> RelaxSolution:
             for rnd in range(8):
                 sol = sols[c]
                 rng = np.random.default_rng([problem.seed, it, rnd, c])
-                cand, red = refine_atoms(atoms[c], sol.dual_moment,
-                                         sol.dual_mass, w, ball, rng)
-                last_reduced[c] = red
+                cand, _ = refine_atoms(atoms[c], sol.dual_moment,
+                                       sol.dual_mass, w, ball, rng)
                 if cand is None or not add_atom(c, cand, sol):
                     break
                 sols[c] = lp_weights(atoms[c], grads[c], costs[c])
@@ -388,20 +384,20 @@ def relax_solve(problem: RelaxProblem) -> RelaxSolution:
             break
         energy = energy_b
 
-    # refresh the pricing residual against the final deformation
+    # the pricing residual against the final deformation
+    last_reduced = []
     for c in range(ncells):
         rng = np.random.default_rng([problem.seed, problem.max_outer + 1, 0, c])
         _, red = refine_atoms(atoms[c], sols[c].dual_moment, sols[c].dual_mass,
                               w, ball, rng)
-        last_reduced[c] = red
+        last_reduced.append(red)
 
     measures = []
     for c in range(ncells):
         pairs = [(a, wgt) for a, wgt in zip(atoms[c], sols[c].weights)
                  if wgt > 1e-14]
         total = math.fsum(wgt for _, wgt in pairs)
-        measures.append(AtomicMeasure.from_pairs(
-            (a, wgt / total) for a, wgt in pairs))
+        measures.append(AtomicMeasure((a, wgt / total) for a, wgt in pairs))
     field = YoungMeasureField(mesh, tuple(measures))
 
     moment_res = max(frob_norm(first_moment(measures[c]) - grads[c])

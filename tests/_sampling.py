@@ -45,5 +45,5 @@ def random_measure(rng: np.random.Generator, n: int, max_atoms: int = 4,
     k = int(rng.integers(1, max_atoms + 1))
     weights = rng.dirichlet(np.ones(k))
     weights = weights / math.fsum(weights)
-    return AtomicMeasure.from_pairs(
+    return AtomicMeasure(
         (random_invertible(rng, n, scale), float(w)) for w in weights)

@@ -67,16 +67,16 @@ class TestThm12:
         assert failing == ["positive_determinant_support"]
 
     def test_singular_atom_fails_both(self):
-        nu = AtomicMeasure.from_pairs([(Mat.scalar(0.0), 0.5),
-                                       (Mat.scalar(1.0), 0.5)])
+        nu = AtomicMeasure([(Mat.scalar(0.0), 0.5),
+                            (Mat.scalar(1.0), 0.5)])
         field = const_field(nu)
         assert check_thm12(field, 2.0, 2.0).verdict == FAIL
         assert check_thm12(field, 2.0, 2.0,
                            require_positive_det=True).verdict == FAIL
 
     def test_non_positive_exponents_rejected(self):
-        nu = AtomicMeasure.from_pairs([(Mat.scalar(0.0), 0.5),
-                                       (Mat.scalar(1.0), 0.5)])
+        nu = AtomicMeasure([(Mat.scalar(0.0), 0.5),
+                            (Mat.scalar(1.0), 0.5)])
         field = const_field(nu, Mesh.interval(1))
         for p, q in ((-2.0, 2.0), (2.0, 0.0)):
             for fn in (classify, check_thm12):
@@ -171,8 +171,8 @@ class TestThm3:
         assert cert.theorem == "thm3"
 
     def test_laminate_measure_zero_map(self):
-        nu = AtomicMeasure.from_pairs([(Mat.scalar(-1.0), 0.5),
-                                       (Mat.scalar(1.0), 0.5)])
+        nu = AtomicMeasure([(Mat.scalar(-1.0), 0.5),
+                            (Mat.scalar(1.0), 0.5)])
         field = const_field(nu)
         u = MeshDeformation.affine(Mesh.interval(4), Mat.scalar(0.0))
         battery = [orho_extend(named_testfn("quartic_well_1d"), 3.0)]
@@ -280,6 +280,27 @@ class TestThm3:
         assert check_thm3(field, u, 2.0, battery, 3.0).verdict == PASS
         u = GradientField.from_slopes_1d([1.0, 1.2], [0.3, 0.7])
         with pytest.raises(ValueError, match="straddles"):
+            check_thm3(field, u, 2.0, battery, 3.0)
+
+    def test_2d_slab_field_deformation(self):
+        mesh = Mesh.square(2, 2)
+        f = Mat.from_rows([[1.0, 0.5], [0.0, 1.0]])
+        field = YoungMeasureField.constant(mesh, AtomicMeasure.dirac(f))
+        battery = [named_testfn("frob_power", {"p": 2.0})]
+        u = GradientField.affine(f)
+        assert check_thm3(field, u, 3.0, battery, 4.0).verdict == PASS
+        u = build_laminate_sequence(SequenceSpec(
+            (Mat.identity(2), Mat.from_rows([[1.0, 1.0], [0.0, 1.0]])),
+            (0.5, 0.5), 1))
+        assert u.pieces == 2
+        with pytest.raises(ValueError, match="must be affine"):
+            check_thm3(field, u, 3.0, battery, 4.0)
+
+    def test_deformation_on_another_mesh_rejected(self):
+        field = const_field(AtomicMeasure.dirac(Mat.scalar(1.0)))
+        u = MeshDeformation.affine(Mesh.interval(2), Mat.scalar(1.0))
+        battery = [named_testfn("quartic_well_1d")]
+        with pytest.raises(ValueError, match="different meshes"):
             check_thm3(field, u, 2.0, battery, 3.0)
 
     def test_battery_validated(self):

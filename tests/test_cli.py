@@ -5,6 +5,8 @@ import logging
 import pytest
 
 from ymrelax.cli import main
+from ymrelax.laminate import SequenceSpec, build_laminate_sequence
+from ymrelax.matcore import Mat
 
 
 def write_cfg(tmp_path, cfg, name="cfg.json"):
@@ -191,6 +193,11 @@ RELAX_CFG = {"energy": "double_well_inv",
              "energy_params": {"gamma": 1e-3, "p": 2.0},
              "F": 0.0, "mesh": {"dim": 1, "cells": 8},
              "atom_budget": 6, "max_outer": 10}
+MIXED_FIELDS = [
+    {"n": 1, "normal": [1.0], "breaks": [0.0, 1.0], "grads": [[1.0]],
+     "offsets": [[0.0]]},
+    {"n": 2, "normal": [1.0, 0.0], "breaks": [0.0, 1.0],
+     "grads": [[1.0, 0.0, 0.0, 1.0]], "offsets": [[0.0, 0.0]]}]
 GLUE_CFG = {"atoms": [-1.0, 1.0], "weights": [0.5, 0.5], "k_ladder": [4],
             "boundary": {"F": 0.0, "layer_width": 0.125, "epsilon": 0.5}}
 
@@ -275,6 +282,35 @@ class TestMalformedValues:
             "grads": [[1.0, 0.0, 0.0, 1.0]], "offsets": [[0.0, 0.0]]}]},
                      "certify.fields: normal has 1 entries",
                      id="fields_2d_normal_1"),
+        # matrix sizes that disagree with the mesh, the atoms or each other
+        pytest.param("certify", {**THM3_2D_CFG, "field": {
+            "mesh": {"dim": 2, "cells": [1, 1]},
+            "constant_measure": {"atoms": [{"mat": [1.0], "w": 1.0}]}}},
+                     "certify.field", id="thm3_1x1_measures_2d_mesh"),
+        pytest.param("certify", {**THM3_CFG, "field": {
+            "mesh": {"dim": 1, "cells": 4}, "constant_measure": {
+                "atoms": [{"mat": [1.0, 0.0, 0.0, 1.0], "w": 1.0}]}}},
+                     "certify.field", id="thm3_2x2_measures_1d_mesh"),
+        pytest.param("certify", {**THM3_2D_CFG,
+                                 "battery": [{"kind": "quartic_well_1d"}]},
+                     "certify.battery", id="thm3_1d_battery_2d_field"),
+        pytest.param("generate", {**GLUE_CFG, "v_battery": [
+            {"kind": "energy", "name": "shear_well_2d"}]},
+                     "generate.v_battery", id="generate_2d_battery_1d_atoms"),
+        pytest.param("generate", {"atoms": [I2, [[1, 1], [0, 1]]],
+                                  "weights": [0.5, 0.5], "k_ladder": [2],
+                                  "v_battery": [{"kind": "entry_power"}]},
+                     "generate.v_battery", id="generate_1d_battery_2d_atoms"),
+        pytest.param("certify", {"theorem": "det_limit", "p": 3,
+                                 "fields": MIXED_FIELDS},
+                     "certify.fields", id="det_limit_mixed_fields"),
+        pytest.param("certify", {"theorem": "support", "q": 2,
+                                 "epsilon_ladder": [0.5], "fields": MIXED_FIELDS},
+                     "certify.fields", id="support_mixed_fields"),
+        pytest.param("certify", {**THM1_CFG, "field": {
+            "mesh": {"dim": 1, "cells": 4}, "constant_measure": {
+                "atoms": [{"mat": [1.0, 0.0, 0.0, 1.0], "w": 1.0}]}}},
+                     "certify.field", id="thm1_2x2_measures_1d_mesh"),
     ])
     def test_exit_2_one_line(self, tmp_path, capsys, command, cfg, key):
         code, out = run(tmp_path, command, cfg)
@@ -485,6 +521,27 @@ class TestCertifyCommand:
         cert = load_result(out)["certificate"]
         assert cert["verdict"] == "pass"
         assert cert["details"]["det"] == pytest.approx(1.5)
+
+    @pytest.mark.parametrize("cfg", [
+        {"theorem": "det_limit", "p": 2},
+        {"theorem": "support", "q": 2, "epsilon_ladder": [0.5, 0.1]}],
+        ids=["det_limit", "support"])
+    def test_fields_match_their_laminate(self, tmp_path, cfg):
+        # the sequence read from 'fields' certifies as the one built from
+        # 'laminate' and 'k_ladder'
+        lam = {"atoms": [1.0, 2.0], "weights": [0.5, 0.5]}
+        fields = [build_laminate_sequence(SequenceSpec(
+            (Mat.scalar(1.0), Mat.scalar(2.0)), (0.5, 0.5), k)).to_json_dict()
+                  for k in (2, 4, 8)]
+        certs = []
+        for name, source in (("lam", {"laminate": lam, "k_ladder": [2, 4, 8]}),
+                             ("fields", {"fields": fields})):
+            (tmp_path / name).mkdir()
+            code, out = run(tmp_path / name, "certify", {**cfg, **source})
+            assert code == 0
+            certs.append(load_result(out)["certificate"])
+        assert certs[1]["verdict"] == "pass"
+        assert certs[1] == certs[0]
 
     def test_thm3_affine(self, tmp_path):
         cfg = {"theorem": "thm3", "rho": 2, "rho_tilde": 3,

@@ -1,12 +1,16 @@
+import itertools
 import math
 
+import numpy as np
 import pytest
 
 from ymrelax.errors import SingularAtom
 from ymrelax.matcore import (Mat, RhoBall, frob_norm, inv_norm, invert,
                              max_norm_pair)
 from ymrelax.measure import (
+    MERGE_TOL,
     AtomicMeasure,
+    ClassReport,
     Mesh,
     YoungMeasureField,
     classify,
@@ -21,6 +25,34 @@ from ymrelax.measure import (
 from ymrelax.testfn import make_det_cutoff, make_phi_rho, named_testfn
 
 
+def assert_canonical(pairs) -> AtomicMeasure:
+    """The constructor against a brute-force reference, bit for bit:
+    connected components of the MERGE_TOL graph, each at its smallest
+    flat location (the first in input order among equal ones) with the
+    fsum of its weights, sorted by location."""
+    label = list(range(len(pairs)))
+    changed = True
+    while changed:  # every atom takes the least label of its neighbours
+        changed = False
+        for i, (a, _) in enumerate(pairs):
+            for j, (b, _) in enumerate(pairs):
+                if label[j] < label[i] and frob_norm(a - b) <= MERGE_TOL:
+                    label[i], changed = label[j], True
+    ref = []
+    for root in sorted(set(label)):
+        group = [pairs[i] for i in range(len(pairs)) if label[i] == root]
+        ref.append((min((a for a, _ in group), key=lambda m: m.flat),
+                    math.fsum(w for _, w in group)))
+    ref.sort(key=lambda aw: aw[0].flat)
+    nu = AtomicMeasure(pairs)
+
+    def bits(atoms):
+        return [([x.hex() for x in a.flat], w.hex()) for a, w in atoms]
+
+    assert bits(nu.atoms) == bits(ref)
+    return nu
+
+
 class TestAtomicMeasure:
     def test_dirac(self):
         nu = AtomicMeasure.dirac(Mat.scalar(2.0))
@@ -29,16 +61,45 @@ class TestAtomicMeasure:
 
     def test_weights_validated(self):
         with pytest.raises(ValueError):
-            AtomicMeasure.from_pairs([(Mat.scalar(1.0), 0.5)])
+            AtomicMeasure([(Mat.scalar(1.0), 0.5)])
         with pytest.raises(ValueError):
-            AtomicMeasure.from_pairs([(Mat.scalar(1.0), -0.5),
-                                      (Mat.scalar(2.0), 1.5)])
+            AtomicMeasure([(Mat.scalar(1.0), -0.5),
+                           (Mat.scalar(2.0), 1.5)])
 
     def test_close_atoms_merged(self):
-        nu = AtomicMeasure.from_pairs([(Mat.scalar(1.0), 0.5),
-                                       (Mat.scalar(1.0 + 1e-13), 0.5)])
+        nu = AtomicMeasure([(Mat.scalar(1.0), 0.5),
+                            (Mat.scalar(1.0 + 1e-13), 0.5)])
         assert len(nu.atoms) == 1
         assert nu.atoms[0][1] == pytest.approx(1.0)
+
+    def test_mixed_sizes_rejected(self):
+        with pytest.raises(ValueError, match="atoms must share one dimension"):
+            AtomicMeasure([(Mat.scalar(1.0), 0.5), (Mat.identity(2), 0.5)])
+
+    def test_canonical_form_matches_brute_force(self):
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            n = int(rng.integers(1, 3))
+            centers = rng.normal(0.0, 1.0, (3, n * n))
+            k = int(rng.integers(1, 9))
+            # points within a few MERGE_TOL of a few centers: merges,
+            # chains and isolated atoms all occur
+            flats = [centers[rng.integers(3)]
+                     + rng.normal(0.0, 0.7 * MERGE_TOL, n * n) for _ in range(k)]
+            weights = rng.dirichlet(np.ones(k))
+            pairs = [(Mat.from_flat(list(f)), float(w) / math.fsum(weights))
+                     for f, w in zip(flats, weights)]
+            assert_canonical(pairs)
+
+    def test_chain_and_repeats_in_every_order(self):
+        # a ~ b and b ~ c with a, c apart; d twice; 0.0 and -0.0
+        a, b, c = 1.0, 1.0 + 0.7 * MERGE_TOL, 1.0 + 1.4 * MERGE_TOL
+        pts = [(a, 0.125), (c, 0.125), (b, 0.125), (3.0, 0.125), (3.0, 0.25),
+               (0.0, 0.125), (-0.0, 0.125)]
+        assert abs(c - a) > MERGE_TOL
+        for perm in itertools.permutations(pts):
+            nu = assert_canonical([(Mat.scalar(x), w) for x, w in perm])
+            assert [w for _, w in nu.atoms] == [0.25, 0.375, 0.375]
 
     def test_mix(self):
         a = AtomicMeasure.dirac(Mat.scalar(1.0))
@@ -54,8 +115,8 @@ class TestAtomicMeasure:
 
 class TestPairing:
     def test_pair_is_weighted_sum(self):
-        nu = AtomicMeasure.from_pairs([(Mat.scalar(1.0), 0.25),
-                                       (Mat.scalar(3.0), 0.75)])
+        nu = AtomicMeasure([(Mat.scalar(1.0), 0.25),
+                            (Mat.scalar(3.0), 0.75)])
         v = named_testfn("frob_power", {"p": 2.0})
         assert pair(nu, v) == pytest.approx(0.25 * 1.0 + 0.75 * 9.0)
 
@@ -70,8 +131,8 @@ class TestPairing:
 
 class TestHatPushforward:
     def test_atoms_inverted(self):
-        nu = AtomicMeasure.from_pairs([(Mat.scalar(2.0), 0.5),
-                                       (Mat.scalar(4.0), 0.5)])
+        nu = AtomicMeasure([(Mat.scalar(2.0), 0.5),
+                            (Mat.scalar(4.0), 0.5)])
         hat = hat_pushforward(nu)
         vals = sorted(a.flat[0] for a, _ in hat.atoms)
         assert vals == pytest.approx([0.25, 0.5])
@@ -82,7 +143,7 @@ class TestHatPushforward:
         assert measures_equal(nu, back, [make_phi_rho(8.0)])
 
     def test_singular_atom_rejected(self):
-        nu = AtomicMeasure.from_pairs([(Mat.scalar(0.0), 1.0)])
+        nu = AtomicMeasure([(Mat.scalar(0.0), 1.0)])
         with pytest.raises(SingularAtom):
             hat_pushforward(nu)
 
@@ -114,8 +175,8 @@ class TestTruncate:
         assert pair(out, v) == pytest.approx(pair(nu, v), abs=1e-15)
 
     def test_removed_mass_parked_on_identity(self):
-        nu = AtomicMeasure.from_pairs([(Mat.scalar(10.0), 0.5),
-                                       (Mat.scalar(1.0), 0.5)])
+        nu = AtomicMeasure([(Mat.scalar(10.0), 0.5),
+                            (Mat.scalar(1.0), 0.5)])
         out = truncate(nu, 2.0)
         assert out.mass_where(lambda a: a.flat[0] == 1.0) == pytest.approx(1.0)
 
@@ -126,14 +187,14 @@ def one_cell(nu):
 
 class TestMoments:
     def test_finite_case(self):
-        nu = AtomicMeasure.from_pairs([(Mat.scalar(2.0), 1.0)])
+        nu = AtomicMeasure([(Mat.scalar(2.0), 1.0)])
         rep = classify(one_cell(nu), 2.0, 2.0)
         assert rep.moment_p == pytest.approx(4.0)
         assert rep.moment_negq == pytest.approx(0.25)
 
     def test_singular_mass_infinite(self):
-        nu = AtomicMeasure.from_pairs([(Mat.scalar(0.0), 0.5),
-                                       (Mat.scalar(1.0), 0.5)])
+        nu = AtomicMeasure([(Mat.scalar(0.0), 0.5),
+                            (Mat.scalar(1.0), 0.5)])
         rep = classify(one_cell(nu), 2.0, 2.0)
         assert rep.moment_negq == math.inf
         assert rep.inv_mass_deficit == 0.5
@@ -172,7 +233,7 @@ class TestMesh:
 class TestField:
     def test_constant_and_homogenize(self, make_measure):
         nu = make_measure(2)
-        field = YoungMeasureField.constant(Mesh.interval(4), nu)
+        field = YoungMeasureField.constant(Mesh.square(2, 1), nu)
         hom = homogenize(field)
         assert measures_equal(hom, nu, [make_phi_rho(6.0)])
 
@@ -196,6 +257,14 @@ class TestField:
         assert rep.moment_p == pytest.approx(e1, rel=1e-12)
         assert rep.moment_negq == pytest.approx(e2, rel=1e-12)
 
+    def test_measure_size_must_match_mesh(self):
+        with pytest.raises(ValueError, match="on a 1D mesh must be 1x1"):
+            YoungMeasureField.constant(Mesh.interval(2),
+                                       AtomicMeasure.dirac(Mat.identity(2)))
+        with pytest.raises(ValueError, match="on a 2D mesh must be 2x2"):
+            YoungMeasureField.constant(Mesh.square(1, 1),
+                                       AtomicMeasure.dirac(Mat.scalar(1.0)))
+
     def test_json_roundtrip(self, make_measure):
         mesh = Mesh.square(2, 2)
         field = YoungMeasureField(mesh, tuple(make_measure(2)
@@ -207,7 +276,7 @@ class TestField:
 
 class TestClassify:
     def test_identity_in_both_classes(self):
-        field = YoungMeasureField.constant(Mesh.interval(2),
+        field = YoungMeasureField.constant(Mesh.square(1, 1),
                                            AtomicMeasure.dirac(Mat.identity(2)))
         rep = classify(field, 2.0, 2.0)
         assert rep.in_ypq and rep.in_ypq_plus
@@ -220,9 +289,16 @@ class TestClassify:
         assert rep.in_ypq and not rep.in_ypq_plus
         assert rep.positive_det_mass_deficit == pytest.approx(1.0)
 
+    def test_flags_follow_the_deficits(self):
+        assert ClassReport(2.0, 2.0, 1.0, 1.0, 0.0, 0.0).in_ypq_plus
+        rep = ClassReport(2.0, 2.0, 1.0, 1.0, 0.0, 0.25)
+        assert rep.in_ypq and not rep.in_ypq_plus
+        rep = ClassReport(2.0, 2.0, 1.0, math.inf, 0.25, 0.25)
+        assert not rep.in_ypq and not rep.in_ypq_plus
+
     def test_singular_mass_in_neither(self):
-        nu = AtomicMeasure.from_pairs([(Mat.scalar(0.0), 0.25),
-                                       (Mat.scalar(1.0), 0.75)])
+        nu = AtomicMeasure([(Mat.scalar(0.0), 0.25),
+                            (Mat.scalar(1.0), 0.75)])
         field = YoungMeasureField.constant(Mesh.interval(2), nu)
         rep = classify(field, 2.0, 2.0)
         assert not rep.in_ypq and not rep.in_ypq_plus
@@ -232,10 +308,10 @@ class TestClassify:
 
 class TestMeasuresEqual:
     def test_permutation_invariant(self):
-        a = AtomicMeasure.from_pairs([(Mat.scalar(1.0), 0.5),
-                                      (Mat.scalar(2.0), 0.5)])
-        b = AtomicMeasure.from_pairs([(Mat.scalar(2.0), 0.5),
-                                      (Mat.scalar(1.0), 0.5)])
+        a = AtomicMeasure([(Mat.scalar(1.0), 0.5),
+                           (Mat.scalar(2.0), 0.5)])
+        b = AtomicMeasure([(Mat.scalar(2.0), 0.5),
+                           (Mat.scalar(1.0), 0.5)])
         fam = [make_phi_rho(r) for r in (2.0, 3.0, 5.0)]
         assert measures_equal(a, b, fam)
 
