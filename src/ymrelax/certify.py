@@ -240,7 +240,7 @@ def check_det_limit(fields, p: float) -> Certificate:
 # -- localization: support ball, barycenters, Jensen inequalities ------------
 
 
-def _cell_gradients_from(u, field_mesh) -> list:
+def cell_gradients_from(u, field_mesh) -> list:
     """Cell gradients of the deformation, one per mesh cell.  Accepts a
     MeshDeformation on the same mesh or a slab field whose gradient is
     constant on every cell."""
@@ -336,7 +336,7 @@ def check_thm3(field: YoungMeasureField, u_h, rho: float, v_battery,
         max(0.0, worst_support),
         f"largest excess of max(|s|, |s^-1|) over rho = {rho:g}")]
 
-    grads = _cell_gradients_from(u_h, field.mesh)
+    grads = cell_gradients_from(u_h, field.mesh)
     worst_m = 0.0
     for nu, g in zip(field.measures, grads):
         worst_m = max(worst_m, frob_norm(first_moment(nu) - g)

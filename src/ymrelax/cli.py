@@ -369,7 +369,7 @@ def _run_generate(cfg: dict, seed: int):
 
     def run():
         report = verify_generation(spec, v_battery, g_names, ks)
-        finest = build_laminate_sequence(spec)
+        finest = report.finest
         glue_report = None
         if boundary is not None:
             finest, glue_report = boundary_glue(finest, boundary.f,
@@ -413,6 +413,9 @@ def _run_certify(cfg: dict, seed: int):
     else:  # thm3
         for v in args["battery"]:
             _probe("certify.battery", v, args["field"].mesh.dim)
+        # a u_h that does not fit the field's mesh is a config error
+        _build("certify.u_h", ct.cell_gradients_from, args["u_h"],
+               args["field"].mesh)
 
         def run():
             return ct.check_thm3(args["field"], args["u_h"], args["rho"],

@@ -385,7 +385,8 @@ class GenerationEntry:
 @dataclass(frozen=True)
 class GenerationReport:
     """verify_generation output: per-pair errors plus uniform bounds on
-    the built sequence (norm, inverse norm, determinant sign)."""
+    the built sequence (norm, inverse norm, determinant sign), and the
+    laminate at the largest k, which the report does not serialize."""
 
     k_ladder: tuple
     entries: tuple
@@ -393,6 +394,7 @@ class GenerationReport:
     sup_inv_norm: float
     min_det: float
     det_positive: bool
+    finest: GradientField
 
     def all_decaying(self) -> bool:
         return all(e.decaying for e in self.entries)
@@ -452,7 +454,7 @@ def verify_generation(spec: SequenceSpec, v_battery: Sequence,
     sup_inv = max(f.sup_inv_norm() for f in fields)
     mdet = min(f.min_det() for f in fields)
     return GenerationReport(tuple(ks), tuple(entries), sup, sup_inv,
-                            mdet, mdet > 0.0)
+                            mdet, mdet > 0.0, fields[-1])
 
 
 # -- boundary gluing --------------------------------------------------------

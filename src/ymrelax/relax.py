@@ -5,7 +5,9 @@ The discrete relaxation alternates two blocks:
 * measures: per mesh cell, the cheapest atomic measure with barycenter
   equal to the cell gradient of the deformation, solved as a small LP
   over the cell's working atom set and enriched by column generation
-  (new atoms enter when their dual reduced cost is negative);
+  (new atoms enter when their dual reduced cost is negative; pricing
+  runs its multistart golden searches in lockstep and, in 1D, prices
+  each step's points in one slope batch of the energy);
 * deformation: coordinate descent of the node values against the
   cellwise relaxed cost induced by the working atoms.
 
@@ -18,15 +20,17 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from operator import mul
 
 import numpy as np
 
-from ._search import golden_min, lower_hull
+from ._search import golden_min_rows, lower_hull
 from .errors import Infeasible, Stalled
-from .matcore import Mat, RhoBall, frob_norm, in_rho_ball
+from .matcore import Mat, RhoBall, frob_norm, in_rho_ball, slopes_in_rho_ball
 from .measure import (AtomicMeasure, Mesh, YoungMeasureField, classify,
                       first_moment, pair)
 from .meshdef import MeshDeformation, descend_nodes
+from .testfn import evaluate_slopes
 
 REDUCED_COST_TOL = 1e-8
 MOMENT_TOL = 1e-8
@@ -159,10 +163,16 @@ def refine_atoms(atoms, dual_moment, dual_mass: float, w, ball: RhoBall, rng):
 
     Multistart local descent: the identity, the current atoms, and
     random perturbations of the atoms, each polished entrywise by
-    golden section at shrinking radii.  Returns (matrix or None,
-    best reduced cost found).
+    golden section at shrinking radii.  The starts move in lockstep:
+    each (radius, entry) step is one golden_min_rows call, so every
+    start takes the steps it would take alone.  In 1D a batch of points
+    is priced at once through the slope batch of w (evaluate_slopes);
+    larger matrices are priced one point at a time.  Returns (matrix
+    or None, best reduced cost found), the best being the first start
+    that reaches the least cost.
     """
-    pi = tuple(dual_moment)
+    # Python floats multiply to the same products as numpy scalars, faster
+    pi = tuple(map(float, dual_moment))
     n = math.isqrt(len(pi))
 
     def reduced_flat(flat) -> float:
@@ -170,7 +180,18 @@ def refine_atoms(atoms, dual_moment, dual_mass: float, w, ball: RhoBall, rng):
         if not in_rho_ball(mat, ball):
             return math.inf
         val = w.evaluate(mat)  # +inf stays +inf below: the duals are finite
-        return val - math.fsum(p * s for p, s in zip(pi, flat)) - dual_mass
+        return val - math.fsum(map(mul, pi, flat)) - dual_mass
+
+    def reduced(flats) -> list:
+        if n > 1:
+            return [reduced_flat(flat) for flat in flats]
+        s = np.array([flat[0] for flat in flats], dtype=float)
+        out = np.full(s.shape, math.inf)
+        inside = slopes_in_rho_ball(s, ball)
+        s = s[inside]
+        # + 0.0 as the fsum of one product: it turns -0.0 into 0.0
+        out[inside] = evaluate_slopes(w, s) - (pi[0] * s + 0.0) - dual_mass
+        return out.tolist()
 
     seeds = [Mat.identity(n).flat] + [a.flat for a in atoms]
     k = 0
@@ -178,26 +199,30 @@ def refine_atoms(atoms, dual_moment, dual_mass: float, w, ball: RhoBall, rng):
         base = atoms[k % len(atoms)].flat
         seeds.append(tuple(b + d for b, d in zip(base, rng.normal(0.0, 0.3, n * n))))
         k += 1
-    seeds = seeds[:PRICING_STARTS]
+    curs = [list(seed) for seed in seeds[:PRICING_STARTS]]
+    vals = reduced(curs)
+
+    for radius in (0.6, 0.2, 0.05):
+        for idx in range(n * n):
+            def entry_obj(rows, xs):
+                trials = []
+                for r, x in zip(rows, xs):
+                    trial = curs[r].copy()
+                    trial[idx] = x
+                    trials.append(trial)
+                return reduced(trials)
+
+            x0s = [cur[idx] for cur in curs]
+            xns, fns = golden_min_rows(entry_obj, [x - radius for x in x0s],
+                                       [x + radius for x in x0s],
+                                       iters=28, coarse=9)
+            for r, (xn, fn) in enumerate(zip(xns, fns)):
+                if fn < vals[r] - 1e-14:
+                    curs[r][idx] = xn
+                    vals[r] = fn
 
     best_flat, best_val = None, math.inf
-    for seed in seeds:
-        cur = list(seed)
-        val = reduced_flat(cur)
-        for radius in (0.6, 0.2, 0.05):
-            for idx in range(n * n):
-                x0 = cur[idx]
-
-                def entry_obj(x):
-                    trial = cur.copy()
-                    trial[idx] = x
-                    return reduced_flat(trial)
-
-                xn, fn = golden_min(entry_obj, x0 - radius, x0 + radius,
-                                    iters=28, coarse=9)
-                if fn < val - 1e-14:
-                    cur[idx] = xn
-                    val = fn
+    for cur, val in zip(curs, vals):
         if val < best_val:
             best_val, best_flat = val, tuple(cur)
 

@@ -311,6 +311,17 @@ class TestMalformedValues:
             "mesh": {"dim": 1, "cells": 4}, "constant_measure": {
                 "atoms": [{"mat": [1.0, 0.0, 0.0, 1.0], "w": 1.0}]}}},
                      "certify.field", id="thm1_2x2_measures_1d_mesh"),
+        # a u_h that does not fit the field's mesh
+        pytest.param("certify", {**THM3_CFG, "u_h": {
+            "mesh": {"dim": 1, "cells": 2}, "values": [0.0, 0.5, 1.0]}},
+                     "certify.u_h: deformation and field live on different meshes",
+                     id="thm3_u_h_other_mesh"),
+        pytest.param("certify", {**THM3_2D_CFG, "u_h": {
+            "n": 2, "normal": [0.0, 1.0], "breaks": [0.0, 0.5, 1.0],
+            "grads": [[1.0, 0.0, 0.0, 1.0], [1.0, 1.0, 0.0, 1.0]],
+            "offsets": [[0.0, 0.0], [-0.5, 0.0]]}},
+                     "certify.u_h: 2D slab fields must be affine",
+                     id="thm3_u_h_2d_two_pieces"),
     ])
     def test_exit_2_one_line(self, tmp_path, capsys, command, cfg, key):
         code, out = run(tmp_path, command, cfg)

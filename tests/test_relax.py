@@ -1,9 +1,11 @@
 import itertools
 import math
+import struct
 
 import numpy as np
 import pytest
 
+import _reference
 from ymrelax._search import lower_hull
 from ymrelax.envelope import qinv_oracle_1d
 from ymrelax.errors import Infeasible, Stalled
@@ -16,7 +18,8 @@ from ymrelax.relax import (
     refine_atoms,
     relax_solve,
 )
-from ymrelax.testfn import builtin_energy, named_testfn, orho_extend
+from ymrelax.testfn import (TestFn as MatrixFn, builtin_energy, named_testfn,
+                            orho_extend)
 
 
 def scalar_atoms(*vals):
@@ -123,6 +126,54 @@ class TestRefineAtoms:
             [Mat.scalar(1.0)], np.zeros(1), -0.1, v, RhoBall(3.0), rng)
         assert atom is None
         assert reduced >= -1e-8
+
+
+def _priced(out):
+    """(matrix entries, reduced cost) of a refine_atoms result, as bits."""
+    atom, reduced = out
+    flat = None if atom is None else [struct.pack("<d", x) for x in atom.flat]
+    return flat, struct.pack("<d", reduced)
+
+
+_DW1 = builtin_energy("double_well_inv", {"gamma": 1e-3, "p": 2.0})
+_PRICING_CASES = {
+    "1d_slope_batch": (_DW1, scalar_atoms(-0.8, 0.1, 1.3), RhoBall(math.inf)),
+    "1d_evaluate_only": (MatrixFn(_DW1.evaluate, _DW1.growth),
+                         scalar_atoms(-0.8, 0.1, 1.3), RhoBall(math.inf)),
+    "1d_rho_cap_positive_det": (_DW1, scalar_atoms(0.6, 1.4),
+                                RhoBall(1.7, True)),
+    "2d": (builtin_energy("shear_well_2d"),
+           [Mat.identity(2), Mat.from_rows([[1.0, 1.0], [0.0, 1.0]]),
+            Mat.from_rows([[1.2, 0.5], [0.1, 0.9]])], RhoBall(math.inf)),
+}
+
+
+class TestLockstepPricing:
+    """refine_atoms moves its starts in lockstep; each start must take
+    the steps the sequential multistart loop takes, so the returned
+    (matrix, reduced cost) is the same bit for bit."""
+
+    @pytest.mark.parametrize("case", sorted(_PRICING_CASES))
+    @pytest.mark.parametrize("duals", [(0.0, 0.0), (0.3, 0.05), (-0.7, 0.4)])
+    def test_matches_sequential_loop(self, case, duals):
+        w, atoms, ball = _PRICING_CASES[case]
+        assert (w.slopes is None) == (case in ("1d_evaluate_only", "2d"))
+        n = atoms[0].n
+        pi = np.full(n * n, duals[0])
+        for seed in (1, 2):
+            got = refine_atoms(atoms, tuple(pi), duals[1], w, ball,
+                               np.random.default_rng(seed))
+            ref = _reference.refine_atoms(atoms, tuple(pi), duals[1], w, ball,
+                                          np.random.default_rng(seed))
+            assert _priced(got) == _priced(ref)
+
+    def test_found_and_not_found_both_covered(self):
+        w, atoms, ball = _PRICING_CASES["1d_slope_batch"]
+        found, _ = refine_atoms(atoms, (0.0,), 0.4, w, ball,
+                                np.random.default_rng(1))
+        none, _ = refine_atoms(atoms, (0.0,), -0.1, w, ball,
+                               np.random.default_rng(1))
+        assert found is not None and none is None
 
 
 class TestAdmissibleSet:

@@ -1,0 +1,106 @@
+import math
+import struct
+
+import numpy as np
+import pytest
+
+import _reference
+from ymrelax._search import golden_min, golden_min_rows
+
+
+def bits(x):
+    return struct.pack("<d", x)
+
+
+def traced_rows(fns, lo, hi, iters, coarse):
+    """golden_min_rows over one function per row, recording every point
+    each row asked for and how many rows each call held."""
+    seen = [[] for _ in fns]
+    sizes = []
+
+    def fn(rows, xs):
+        sizes.append(len(set(rows)))
+        for r, x in zip(rows, xs):
+            seen[r].append(x)
+        return [fns[r](x) for r, x in zip(rows, xs)]
+
+    xs, vs = golden_min_rows(fn, lo, hi, iters, coarse)
+    return xs, vs, seen, sizes
+
+
+def traced_reference(f, lo, hi, iters, coarse):
+    seen = []
+
+    def g(x):
+        seen.append(x)
+        return f(x)
+
+    x, v = _reference.golden_min(g, lo, hi, iters, coarse)
+    return x, v, seen
+
+
+def assert_rows_match(fns, lo, hi, iters, coarse):
+    xs, vs, seen, sizes = traced_rows(fns, lo, hi, iters, coarse)
+    assert len(xs) == len(vs) == len(fns)
+    for i, f in enumerate(fns):
+        rx, rv, rseen = traced_reference(f, lo[i], hi[i], iters, coarse)
+        assert (bits(xs[i]), bits(vs[i])) == (bits(rx), bits(rv))
+        assert [bits(x) for x in seen[i]] == [bits(x) for x in rseen]
+        one_row = golden_min(f, lo[i], hi[i], iters, coarse)
+        assert tuple(map(bits, one_row)) == (bits(rx), bits(rv))
+    return seen, sizes
+
+
+def quadratic(c, k):
+    return lambda x: k * (x - c) ** 2
+
+
+def plateau(c, r):
+    """(x - c)^2 on |x - c| <= r, +inf outside."""
+    return lambda x: (x - c) ** 2 if abs(x - c) <= r else math.inf
+
+
+def wiggle(c):
+    return lambda x: math.cos(7.0 * x) + 0.3 * (x - c) ** 2
+
+
+class TestGoldenMinRows:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_intervals_match_scalar_search(self, seed):
+        rng = np.random.default_rng([seed, 7])
+        m = int(rng.integers(1, 20))
+        lo = rng.uniform(-5.0, 5.0, m).tolist()
+        hi = (np.array(lo) + rng.uniform(1e-3, 4.0, m)).tolist()
+        kinds = (lambda c: quadratic(c, 2.0), wiggle,
+                 lambda c: plateau(c, 0.4))
+        fns = [kinds[i % 3](float(rng.uniform(-5.0, 5.0))) for i in range(m)]
+        assert_rows_match(fns, lo, hi, iters=int(rng.integers(0, 50)),
+                          coarse=int(rng.integers(3, 14)))
+
+    @pytest.mark.parametrize("iters", [0, 1, 40])
+    def test_inf_plateaus(self, iters):
+        # rows whose coarse grid sees +inf almost everywhere, or nowhere,
+        # or everywhere
+        fns = [plateau(0.0, 0.05), plateau(0.3, 10.0), lambda x: math.inf,
+               plateau(-1.9, 0.2), plateau(1.0, 1e-6)]
+        lo = [-2.0, -1.0, -1.0, -2.0, 0.0]
+        hi = [2.0, 1.0, 1.0, -1.5, 2.0]
+        assert_rows_match(fns, lo, hi, iters=iters, coarse=9)
+
+    def test_rows_stop_early_while_others_go_on(self):
+        # narrow brackets shrink below 1e-14 relative width in fewer
+        # steps than wide ones
+        widths = [1e-9, 1e-3, 1.0, 1e3, 1e-12, 10.0]
+        fns = [quadratic(0.25 * w, 1.0) for w in widths]
+        lo = [-w for w in widths]
+        hi = [w for w in widths]
+        seen, sizes = assert_rows_match(fns, lo, hi, iters=200, coarse=9)
+        lengths = [len(s) for s in seen]
+        assert len(set(lengths)) > 1
+        assert max(lengths) < 9 + 2 + 200  # every row stopped early
+        # once a row stops, later calls hold fewer rows
+        assert sizes[0] == len(fns) and sizes[-1] < len(fns)
+        assert sizes == sorted(sizes, reverse=True)
+
+    def test_no_rows(self):
+        assert golden_min_rows(lambda rows, xs: [], [], [], 10) == ([], [])
