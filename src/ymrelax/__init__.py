@@ -47,11 +47,9 @@ from .matcore import (
 )
 from .testfn import (
     Growth,
-    GrowthReport,
     TestFn,
     builtin_energy,
-    evaluate_slopes,
-    growth_check,
+    evaluate_batch,
     make_det_cutoff,
     make_phi_rho,
     named_testfn,
@@ -84,7 +82,6 @@ from .laminate import (
     build_laminate_sequence,
     empirical_pairing,
     integrate_weight,
-    mix_deformations,
     verify_generation,
 )
 from .meshdef import MeshDeformation
@@ -127,8 +124,7 @@ __all__ = [
     # test functions
     "Growth", "TestFn", "smoothstep", "make_phi_rho",
     "make_det_cutoff", "orho_extend", "builtin_energy", "named_testfn",
-    "evaluate_slopes",
-    "GrowthReport", "growth_check",
+    "evaluate_batch",
     # measures
     "AtomicMeasure", "pair", "first_moment", "hat_pushforward", "truncate",
     "Mesh", "YoungMeasureField", "homogenize", "ClassReport", "classify",
@@ -137,7 +133,7 @@ __all__ = [
     "GradientField", "BoundaryDatum", "SequenceSpec", "WEIGHT_FUNCTIONS",
     "build_laminate_sequence", "empirical_pairing", "integrate_weight",
     "GenerationEntry", "GenerationReport", "verify_generation", "GlueReport",
-    "boundary_glue", "mix_deformations",
+    "boundary_glue",
     # deformations
     "MeshDeformation",
     # envelopes

@@ -6,10 +6,12 @@ Three routes, in decreasing exactness:
 * qinv_oracle_1d: exact on the interval, by lower convex hull of the
   function over the admissible slope set (two components separated by
   the singular gap) plus a local polish of the supporting segment.  The
-  grid scan is batched by evaluate_slopes, with scalar evaluate as its
+  grid scan is batched by evaluate_batch, with scalar evaluate as its
   reference.
 * qinv_laminate_upper: greedy recursive rank-one splitting; sound upper
   bound in any supported dimension, witnessed by an atomic measure.
+  Each node's coarse scan is one evaluate_batch call; the golden
+  refinement after it is scalar.
 * qinv_fe_upper: coordinate descent over mesh deformations with the
   affine boundary condition; witnessed by the final deformation.
 
@@ -30,11 +32,11 @@ from .errors import InfeasibleBarycenter, NoAdmissibleSplit, NoFeasibleStart
 from .matcore import Mat, iter_coordinate_dyads
 from .measure import AtomicMeasure, Mesh
 from .meshdef import MeshDeformation, descend_nodes
-from .testfn import evaluate_slopes, orho_extend
+from .testfn import evaluate_batch, orho_extend
 
 REPRODUCE_TOL = 1e-9
 
-# slopes per evaluate_slopes call in the oracle scan; bounds the arrays
+# slopes per evaluate_batch call in the oracle scan; bounds the arrays
 # alive at once whatever the grid
 _SCAN_BLOCK = 1024
 
@@ -116,7 +118,7 @@ def qinv_oracle_1d(v, f, rho_tilde: float, grid: int = 10000) -> EnvelopeEstimat
         for start in range(0, half, _SCAN_BLOCK):
             i = np.arange(start, min(start + _SCAN_BLOCK, half))
             s = lo + (hi - lo) * (i / (half - 1))
-            vals = evaluate_slopes(v, s)
+            vals = evaluate_batch(v, s.reshape(-1, 1, 1))
             keep = vals < math.inf
             pts.extend(zip(s[keep].tolist(), vals[keep].tolist()))
     if len(pts) < 2:
@@ -207,7 +209,11 @@ def qinv_laminate_upper(v, f, rho_tilde: float, depth: int = 2,
 
     Each node either keeps its matrix or splits it along the best dyad
     found by a coarse scan plus golden refinement; children recurse with
-    one less level.  The witness measure collects the leaves.
+    one less level.  The witness measure collects the leaves.  A node's
+    coarse scan (dyads x 13 t x 5 lambda) is one batch of its first
+    ends and one of the second ends whose first end is finite; it keeps
+    the first least split in scan order, as a sequential scan with a
+    strict < would.
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
@@ -217,6 +223,18 @@ def qinv_laminate_upper(v, f, rho_tilde: float, depth: int = 2,
     dyads = _angular_dyads(n, angles)
     tmax = 2.0 * rho_tilde
     evals = [0]
+
+    # the scan's splits in scan order: dyad, then t, then lambda; the
+    # steps g - a and b - g of each, as split_value forms them
+    splits = [(tmax * i / 13.0, lam) for i in range(1, 14)
+              for lam in _LAMBDA_COARSE]
+    lams = np.tile([lam for _, lam in splits], len(dyads))
+    rest = np.tile([1.0 - lam for _, lam in splits], len(dyads))
+    dyad_rows = np.array([d.flat for d in dyads])[:, None, :]
+    step_a = (np.array([(1.0 - lam) * t for t, lam in splits])[None, :, None]
+              * dyad_rows).reshape(-1, n, n)
+    step_b = (np.array([lam * t for t, lam in splits])[None, :, None]
+              * dyad_rows).reshape(-1, n, n)
 
     def ev(mat: Mat) -> float:
         evals[0] += 1
@@ -233,18 +251,30 @@ def qinv_laminate_upper(v, f, rho_tilde: float, depth: int = 2,
             return math.inf
         return lam * va + (1.0 - lam) * vb
 
+    def scan(g: Mat):
+        """split_value at every coarse split of g: the first least value
+        and its (dyad, t, lambda), or None when every split is infinite."""
+        ga = np.array(g.flat).reshape(1, n, n)
+        va = evaluate_batch(v, ga - step_a)
+        first = np.flatnonzero(va != math.inf)
+        vb = evaluate_batch(v, ga + step_b[first])
+        evals[0] += len(va) + len(first)
+        finite = vb != math.inf
+        both = first[finite]
+        vals = np.full(len(va), math.inf)
+        vals[both] = lams[both] * va[both] + rest[both] * vb[finite]
+        # a NaN split never wins, as under the scalar <
+        i = int(np.argmin(np.fmin(vals, math.inf)))
+        if not vals[i] < math.inf:
+            return math.inf, None
+        dyad = dyads[i // len(splits)]
+        return float(vals[i]), (dyad,) + splits[i % len(splits)]
+
     def node(g: Mat, d: int):
         base = ev(g)
         if d == 0:
             return base, [(g, 1.0)]
-        best = (math.inf, None)
-        for dyad in dyads:
-            for i in range(1, 14):
-                t = tmax * i / 13.0
-                for lam in _LAMBDA_COARSE:
-                    val = split_value(g, dyad, t, lam)
-                    if val < best[0]:
-                        best = (val, (dyad, t, lam))
+        best = scan(g)
         if best[1] is None:
             return base, [(g, 1.0)]
         # a coarse best no better than base is still refined below, in

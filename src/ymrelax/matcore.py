@@ -5,12 +5,21 @@ Frobenius norms, determinants, inverses, singular values, rho-ball
 membership and rank-one decompositions.  The dimension is capped at 3
 so every quantity has a deterministic closed form; no iterative
 factorization is involved anywhere.  Invertibility, |A^-1| and rho-ball
-membership are decided here only, through the one inverse() and, for
-numpy arrays of 1x1 slopes, its vectorized form slope_inv_norms().
+membership are decided here only, through the one inverse().
+
+The same kernels run on stacks a[N, n, n] of N matrices (frob_norms,
+dets, inverses, inv_norms, in_rho_balls), each equal to its scalar form
+on every row bit for bit; a row raises the error the scalar form
+raises.  in_rho_balls on the unbounded ball is is_invertible on arrays:
+the det threshold alone, with no inverse built.  frob_norm sums its
+squares by math.fsum, which rounds correctly; fsum_rows does so on
+arrays through an error-free TwoSum cascade and leaves to math.fsum the
+rows whose rounding the cascade cannot decide.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -354,31 +363,6 @@ def in_rho_ball(a: Mat, ball: RhoBall) -> bool:
     return frob_norm(a) <= ball.rho and inv_norm(a) <= ball.rho
 
 
-def slope_inv_norms(s: np.ndarray) -> np.ndarray:
-    """inv_norm(Mat.scalar(x)) for each slope x of s, bit for bit: the
-    1x1 case of the det threshold, where |x| = sqrt(x^2) is infinite
-    once x^2 overflows, so such a slope counts as singular too."""
-    with np.errstate(over="ignore", divide="ignore"):
-        singular = np.abs(s) < SINGULAR_RTOL * np.maximum(1.0, np.sqrt(s * s))
-        r = 1.0 / s
-        out = np.sqrt(r * r)
-    out[singular] = math.inf
-    return out
-
-
-def slopes_in_rho_ball(s: np.ndarray, ball: RhoBall) -> np.ndarray:
-    """in_rho_ball(Mat.scalar(x), ball) for each slope x of s.  Singular
-    slopes are excluded explicitly: with rho = inf, inf <= rho holds."""
-    inv = slope_inv_norms(s)
-    inside = inv < math.inf
-    if ball.positive_det_only:
-        inside &= s > 0.0
-    if ball.rho < math.inf:
-        with np.errstate(over="ignore"):
-            inside &= (np.sqrt(s * s) <= ball.rho) & (inv <= ball.rho)
-    return inside
-
-
 def max_norm_pair(a: Mat) -> float:
     """max(|A|, |A^-1|), infinite for singular matrices."""
     return max(frob_norm(a), inv_norm(a))
@@ -391,3 +375,190 @@ def iter_coordinate_dyads(n: int) -> Iterable[Mat]:
             flat = [0.0] * (n * n)
             flat[i * n + j] = 1.0
             yield Mat(n, tuple(flat))
+
+
+# -- the kernels on stacks of matrices ------------------------------------
+
+# fsum_rows: each TwoSum error is at most 2^-53 of its partial sum, and
+# a partial sum at most the row's sum of magnitudes; the float sum of 8
+# errors is off by at most 7 * 2^-53 of their magnitudes.  So the error
+# of e is below 56 * 2^-106 of the sum of magnitudes; 2^-98 bounds it
+# with room for the rounding of that sum.
+_ERR_SCALE = 2.0 ** -98
+_HALF_ULP = 0.5 * (1.0 - 2.0 ** -50)
+# rows whose sum of magnitudes is below it overflow no partial sum
+_NO_OVERFLOW = 2.0 ** 1022
+
+
+def quiet() -> np.errstate:
+    """numpy's floating-point warnings off: the infinities and NaNs the
+    kernels make are those their scalar forms make, or sit in rows they
+    discard.  The public kernels run under it; the private ones, which
+    TestFn batches call, expect their caller to."""
+    return np.errstate(over="ignore", invalid="ignore", divide="ignore")
+
+
+def _quiet(kernel):
+    @functools.wraps(kernel)
+    def run(*args):
+        with quiet():
+            return kernel(*args)
+    return run
+
+
+def _two_sum(a, b):
+    s = a + b
+    bb = s - a
+    return s, (a - (s - bb)) + (b - bb)
+
+
+def _fsum_rows(x: np.ndarray) -> np.ndarray:
+    """math.fsum of each row of x[N, k], k <= 9, bit for bit.
+
+    A TwoSum cascade leaves the row's exact sum as s plus the rounding
+    errors t; r = fl(s + e), with e the float sum of the t, is the
+    correctly rounded sum unless r + q = s + e (TwoSum) lies within the
+    error of e of a rounding boundary of r.  Those rows, and rows whose
+    magnitudes could overflow a partial sum, take math.fsum."""
+    if x.shape[1] == 1:
+        return x[:, 0] + 0.0  # fsum turns -0.0 into 0.0
+    mass = np.abs(x).sum(axis=1)
+    s, e = x[:, 0], 0.0
+    for j in range(1, x.shape[1]):
+        s, t = _two_sum(s, x[:, j])
+        e = e + t
+    r, q = _two_sum(s, e)
+    # the nearer rounding boundary of r is half the smaller of its two
+    # ulps away, and that ulp lies toward zero
+    decided = (np.abs(q) + _ERR_SCALE * mass
+               < _HALF_ULP * np.abs(r - np.nextafter(r, 0.0)))
+    decided &= mass < _NO_OVERFLOW
+    for i in np.flatnonzero(~decided):
+        r[i] = math.fsum(x[i].tolist())
+    return r
+
+
+def _all_finite(x: np.ndarray) -> bool:
+    """np.isfinite(x).all(), sooner: a finite sum has finite terms."""
+    return math.isfinite(x.sum()) or bool(np.isfinite(x).all())
+
+
+def _rows(a: np.ndarray) -> np.ndarray:
+    """a[N, n, n] as N rows of n*n row-major entries."""
+    return a.reshape(len(a), a.shape[1] * a.shape[2])
+
+
+def _frob_norms(a: np.ndarray) -> np.ndarray:
+    """frob_norm of each matrix of a[N, n, n]."""
+    x = _rows(a)
+    x = x * x
+    # fsum of one square is that square, which is never -0.0
+    return np.sqrt(x[:, 0] if a.shape[1] == 1 else _fsum_rows(x))
+
+
+def _dets(a: np.ndarray) -> np.ndarray:
+    """det of each matrix of a[N, n, n], by det's formula."""
+    f = _rows(a).T
+    if a.shape[1] == 1:
+        return f[0].copy()
+    if a.shape[1] == 2:
+        return f[0] * f[3] - f[1] * f[2]
+    return (f[0] * (f[4] * f[8] - f[5] * f[7])
+            - f[1] * (f[3] * f[8] - f[5] * f[6])
+            + f[2] * (f[3] * f[7] - f[4] * f[6]))
+
+
+def _invertible(a: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """is_invertible of each matrix of a, given its determinants d."""
+    n = a.shape[1]
+    ad = np.abs(d)
+    if n == 1:
+        # d is the entry, and |A| = sqrt(fsum([d^2])) = sqrt(d^2)
+        return ad >= SINGULAR_RTOL * np.maximum(1.0, np.sqrt(d * d))
+    norms = _frob_norms(a)
+    thr = SINGULAR_RTOL * np.maximum(1.0, norms ** n)
+    # numpy's power can miss Python's ** by an ulp, and ** raises where
+    # it overflows: rows near their threshold or with an infinite one
+    # take the scalar rule
+    for i in np.flatnonzero(~(np.abs(ad - thr) > 2.0 ** -40 * thr)):
+        thr[i] = singular_threshold(Mat(n, tuple(a[i].ravel().tolist())))
+    return ad >= thr
+
+
+def _are_invertible(a: np.ndarray) -> np.ndarray:
+    """is_invertible of each matrix of a[N, n, n]: the det threshold
+    alone, with no inverse built."""
+    return _invertible(a, _dets(a))
+
+
+def _inverses(a: np.ndarray) -> tuple:
+    """inverse on each matrix of a[N, n, n], as (ok, inv): the mask of
+    the invertible rows and their inverses, inv[N_ok, n, n]."""
+    n = a.shape[1]
+    d = _dets(a)
+    ok = _invertible(a, d)
+    if n > 1 and np.isnan(d).any():
+        # products that overflow: not below the threshold, so inverse()
+        # builds a matrix of NaN entries, which Mat rejects
+        raise ValueError("matrix entries must be finite")
+    d = d[ok]
+    if n == 1:
+        return ok, (1.0 / d).reshape(-1, 1, 1)
+    f = _rows(a[ok]).T
+    if n == 2:
+        inv = [f[3] / d, -f[1] / d, -f[2] / d, f[0] / d]
+    else:
+        inv = [c / d for c in (
+            f[4] * f[8] - f[5] * f[7],
+            f[2] * f[7] - f[1] * f[8],
+            f[1] * f[5] - f[2] * f[4],
+            f[5] * f[6] - f[3] * f[8],
+            f[0] * f[8] - f[2] * f[6],
+            f[2] * f[3] - f[0] * f[5],
+            f[3] * f[7] - f[4] * f[6],
+            f[1] * f[6] - f[0] * f[7],
+            f[0] * f[4] - f[1] * f[3],
+        )]
+    return ok, np.stack(inv, axis=1).reshape(-1, n, n)
+
+
+def _inv_norms(a: np.ndarray) -> np.ndarray:
+    """inv_norm of each matrix of a[N, n, n]; infinite where singular."""
+    if a.shape[1] == 1:
+        # |1/x| as sqrt(fsum([(1/x)^2])), taken on every row at once
+        x = a[:, 0, 0]
+        r = 1.0 / x
+        return np.where(_invertible(a, x), np.sqrt(r * r), math.inf)
+    ok, inv = _inverses(a)
+    out = np.full(len(a), math.inf)
+    out[ok] = _frob_norms(inv)
+    return out
+
+
+def _in_rho_balls(a: np.ndarray, ball: RhoBall) -> np.ndarray:
+    """in_rho_ball of each matrix of a[N, n, n]; each test runs on the
+    rows the one before it kept, as the scalar test short-circuits."""
+    if ball.positive_det_only:
+        inside = ~(_dets(a) <= 0.0)
+        inside[inside] = _in_rho_balls(a[inside], RhoBall(ball.rho))
+        return inside
+    if ball.rho == math.inf:
+        return _are_invertible(a)
+    inside = _frob_norms(a) <= ball.rho
+    inside[inside] = _inv_norms(a[inside]) <= ball.rho
+    return inside
+
+
+def fsum_rows(x: np.ndarray) -> np.ndarray:
+    """math.fsum of each row of x[N, k], k <= 9, bit for bit."""
+    if x.shape[1] == 1:
+        return _fsum_rows(x)  # no arithmetic that could warn
+    with quiet():
+        return _fsum_rows(x)
+
+
+frob_norms = _quiet(_frob_norms)
+dets = _quiet(_dets)
+inverses = _quiet(_inverses)
+inv_norms = _quiet(_inv_norms)
+in_rho_balls = _quiet(_in_rho_balls)

@@ -6,8 +6,8 @@ The discrete relaxation alternates two blocks:
   equal to the cell gradient of the deformation, solved as a small LP
   over the cell's working atom set and enriched by column generation
   (new atoms enter when their dual reduced cost is negative; pricing
-  runs its multistart golden searches in lockstep and, in 1D, prices
-  each step's points in one slope batch of the energy);
+  runs its multistart golden searches in lockstep and prices each
+  step's points in one batch of the energy);
 * deformation: coordinate descent of the node values against the
   cellwise relaxed cost induced by the working atoms.
 
@@ -20,17 +20,16 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from operator import mul
 
 import numpy as np
 
 from ._search import golden_min_rows, lower_hull
 from .errors import Infeasible, Stalled
-from .matcore import Mat, RhoBall, frob_norm, in_rho_ball, slopes_in_rho_ball
+from .matcore import Mat, RhoBall, frob_norm, fsum_rows, in_rho_ball, in_rho_balls
 from .measure import (AtomicMeasure, Mesh, YoungMeasureField, classify,
                       first_moment, pair)
 from .meshdef import MeshDeformation, descend_nodes
-from .testfn import evaluate_slopes
+from .testfn import evaluate_batch
 
 REDUCED_COST_TOL = 1e-8
 MOMENT_TOL = 1e-8
@@ -165,32 +164,23 @@ def refine_atoms(atoms, dual_moment, dual_mass: float, w, ball: RhoBall, rng):
     random perturbations of the atoms, each polished entrywise by
     golden section at shrinking radii.  The starts move in lockstep:
     each (radius, entry) step is one golden_min_rows call, so every
-    start takes the steps it would take alone.  In 1D a batch of points
-    is priced at once through the slope batch of w (evaluate_slopes);
-    larger matrices are priced one point at a time.  Returns (matrix
-    or None, best reduced cost found), the best being the first start
-    that reaches the least cost.
+    start takes the steps it would take alone, and its points are
+    priced at once through the batch of w (evaluate_batch), in any
+    dimension.  Returns (matrix or None, best reduced cost found), the
+    best being the first start that reaches the least cost.
     """
-    # Python floats multiply to the same products as numpy scalars, faster
-    pi = tuple(map(float, dual_moment))
-    n = math.isqrt(len(pi))
+    pi_row = np.array(dual_moment, dtype=float)
+    n = math.isqrt(len(pi_row))
 
-    def reduced_flat(flat) -> float:
-        mat = Mat.from_flat(flat)
-        if not in_rho_ball(mat, ball):
-            return math.inf
-        val = w.evaluate(mat)  # +inf stays +inf below: the duals are finite
-        return val - math.fsum(map(mul, pi, flat)) - dual_mass
-
-    def reduced(flats) -> list:
-        if n > 1:
-            return [reduced_flat(flat) for flat in flats]
-        s = np.array([flat[0] for flat in flats], dtype=float)
-        out = np.full(s.shape, math.inf)
-        inside = slopes_in_rho_ball(s, ball)
-        s = s[inside]
-        # + 0.0 as the fsum of one product: it turns -0.0 into 0.0
-        out[inside] = evaluate_slopes(w, s) - (pi[0] * s + 0.0) - dual_mass
+    def reduced(x: np.ndarray) -> list:
+        """w(s) - pi . s - dual_mass at each row s of x[N, n*n], the dot
+        product an fsum of products; +inf off the ball (the duals are
+        finite)."""
+        out = np.full(len(x), math.inf)
+        inside = in_rho_balls(x.reshape(-1, n, n), ball)
+        x = x[inside]
+        out[inside] = (evaluate_batch(w, x.reshape(-1, n, n))
+                       - fsum_rows(x * pi_row) - dual_mass)
         return out.tolist()
 
     seeds = [Mat.identity(n).flat] + [a.flat for a in atoms]
@@ -199,30 +189,27 @@ def refine_atoms(atoms, dual_moment, dual_mass: float, w, ball: RhoBall, rng):
         base = atoms[k % len(atoms)].flat
         seeds.append(tuple(b + d for b, d in zip(base, rng.normal(0.0, 0.3, n * n))))
         k += 1
-    curs = [list(seed) for seed in seeds[:PRICING_STARTS]]
+    curs = np.array(seeds[:PRICING_STARTS], dtype=float)  # one start a row
     vals = reduced(curs)
 
     for radius in (0.6, 0.2, 0.05):
         for idx in range(n * n):
             def entry_obj(rows, xs):
-                trials = []
-                for r, x in zip(rows, xs):
-                    trial = curs[r].copy()
-                    trial[idx] = x
-                    trials.append(trial)
+                trials = curs[rows]
+                trials[:, idx] = xs
                 return reduced(trials)
 
-            x0s = [cur[idx] for cur in curs]
+            x0s = curs[:, idx].tolist()
             xns, fns = golden_min_rows(entry_obj, [x - radius for x in x0s],
                                        [x + radius for x in x0s],
                                        iters=28, coarse=9)
             for r, (xn, fn) in enumerate(zip(xns, fns)):
                 if fn < vals[r] - 1e-14:
-                    curs[r][idx] = xn
+                    curs[r, idx] = xn
                     vals[r] = fn
 
     best_flat, best_val = None, math.inf
-    for cur, val in zip(curs, vals):
+    for cur, val in zip(curs.tolist(), vals):
         if val < best_val:
             best_val, best_flat = val, tuple(cur)
 

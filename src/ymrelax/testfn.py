@@ -13,11 +13,14 @@ large float stand-in).  Cut-offs are TestFns too: Phi_rho is of class
 C_0inv, the determinant cut-offs of class C_p(1).  Their transitions use
 the quintic smoothstep, which is C^2 and monotone on [0, 1].
 
-A 1D TestFn may also carry a slope batch: a float64 array of slopes in,
-the values of evaluate at their 1x1 matrices out, bit for bit.  Scalar
-evaluate stays the reference; evaluate_slopes dispatches.  Powers in a
-batch are taken by Python's ** element by element, as evaluate takes
-them: numpy's power and square differ from libm pow by an ulp on some
+A TestFn may also carry a batch: a float64 stack a[N, n, n] of
+matrices in, the N values of evaluate at them out, bit for bit (1D is
+N x 1 x 1).  Scalar evaluate stays the reference; evaluate_batch uses
+the batch when there is one and evaluate otherwise.  It runs a batch
+under matcore.quiet(), so a batch builds on matcore's private stack
+kernels, which expect that of their caller.  Powers in a batch are
+taken by Python's ** element by element, as evaluate takes them:
+numpy's power and square differ from libm pow by an ulp on some
 inputs, and ** raises the OverflowError evaluate raises.
 """
 
@@ -31,8 +34,9 @@ import numpy as np
 
 from ._values import integer, real
 from .errors import DomainError, UnknownEnergy
-from .matcore import (Mat, RhoBall, det, frob_norm, in_rho_ball, inv_norm,
-                      is_invertible, slope_inv_norms, slopes_in_rho_ball)
+from .matcore import (Mat, RhoBall, _all_finite, _are_invertible, _dets,
+                      _frob_norms, _in_rho_balls, _inv_norms, det, frob_norm,
+                      in_rho_ball, inv_norm, is_invertible, quiet)
 
 
 @dataclass(frozen=True)
@@ -69,29 +73,42 @@ class Growth:
 
 @dataclass(frozen=True)
 class TestFn:
-    """Matrix test function with declared growth, and optionally a 1D
-    slope batch equal to evaluate at Mat.scalar of each slope."""
+    """Matrix test function with declared growth, and optionally a
+    batch equal to evaluate on each matrix of a stack a[N, n, n]."""
 
     evaluate: Callable
     growth: Growth
     description: str = ""
-    slopes: Callable | None = None
+    batch: Callable | None = None
 
 
-def evaluate_slopes(v: TestFn, s) -> np.ndarray:
-    """v at the 1x1 matrices of the slopes s, as a float64 array: the
-    batch v.slopes when v has one, else v.evaluate one slope at a time."""
-    s = np.asarray(s, dtype=float)
-    if v.slopes is None:
-        return np.array([v.evaluate(Mat.scalar(x)) for x in s.tolist()],
+def evaluate_batch(v: TestFn, a) -> np.ndarray:
+    """v at each matrix of the stack a[N, n, n], as a float64 array: the
+    batch v.batch when v has one, else v.evaluate one matrix at a time."""
+    a = np.asarray(a, dtype=float)
+    if a.ndim != 3 or a.shape[1] != a.shape[2]:
+        raise ValueError("expected a stack of square matrices")
+    if v.batch is None:
+        n = a.shape[1]
+        return np.array([v.evaluate(Mat(n, tuple(row)))
+                         for row in a.reshape(len(a), n * n).tolist()],
                         dtype=float)
-    if not np.isfinite(s).all():
+    if not _all_finite(a):
         raise ValueError("matrix entries must be finite")
-    return v.slopes(s)
+    with quiet():
+        return v.batch(a)
 
 
 def _powers(x: np.ndarray, p) -> np.ndarray:
     return np.array([t ** p for t in x.tolist()], dtype=float)
+
+
+def _entries_1d(a: np.ndarray, name: str) -> np.ndarray:
+    """The entry of each 1x1 matrix of a; the DomainError evaluate
+    raises on a larger one."""
+    if len(a) and a.shape[1] != 1:
+        raise DomainError(f"{name} is a 1D test function")
+    return a[:, 0, 0]
 
 
 def smoothstep(u: float) -> float:
@@ -164,61 +181,70 @@ def orho_extend(core: TestFn, rho: float, description: str = "") -> TestFn:
             return math.inf
         return inner(a)
 
-    core_slopes = core.slopes
-    if core_slopes is None:
-        return TestFn(evaluate, Growth.o_rho(rho), description)
-
-    def slopes(s: np.ndarray) -> np.ndarray:
-        out = np.full(s.shape, math.inf)
-        inside = slopes_in_rho_ball(s, ball)
-        out[inside] = core_slopes(s[inside])
+    def batch(a: np.ndarray) -> np.ndarray:
+        out = np.full(len(a), math.inf)
+        inside = _in_rho_balls(a, ball)
+        out[inside] = evaluate_batch(core, a[inside])
         return out
 
-    return TestFn(evaluate, Growth.o_rho(rho), description, slopes)
+    return TestFn(evaluate, Growth.o_rho(rho), description, batch)
 
 
 # -- builtin energies ---------------------------------------------------
 
 
-def _inv_penalty(p: float):
+def _inv_penalty(p: float) -> tuple:
+    """evaluate and batch of |s|^p + |s^-1|^p."""
     def evaluate(a: Mat) -> float:
         inv = inv_norm(a)
         return math.inf if inv == math.inf else frob_norm(a) ** p + inv ** p
-    return evaluate
+
+    def batch(a: np.ndarray) -> np.ndarray:
+        out = _inv_norms(a)
+        ok = out < math.inf
+        out[ok] = _powers(_frob_norms(a[ok]), p) + _powers(out[ok], p)
+        return out
+    return evaluate, batch
 
 
-def _double_well(well_a: Mat, well_b: Mat, p: float, gamma: float):
+def _double_well(well_a: Mat, well_b: Mat, p: float, gamma: float) -> tuple:
+    """evaluate and batch of the two-well energy."""
     def wells(a: Mat) -> float:
         da = frob_norm(a - well_a)
         db = frob_norm(a - well_b)
         return min(da * da, db * db)
 
+    n = well_a.n
+    both = np.array([well_a.flat, well_b.flat]).reshape(1, 2, n, n)
+
+    def batch(a: np.ndarray) -> np.ndarray:
+        if gamma == 0.0:
+            ok = _are_invertible(a)
+        else:
+            inv = _inv_norms(a)
+            ok = inv < math.inf
+        if a.shape[1] != n and ok.any():
+            raise ValueError("dimension mismatch")  # as Mat subtraction
+        diff = a[ok][:, None] - both
+        if not _all_finite(diff):
+            raise ValueError("matrix entries must be finite")
+        d = _frob_norms(diff.reshape(-1, n, n))  # a - A, a - B for each a
+        d *= d
+        val = np.minimum(d[0::2], d[1::2])
+        if gamma != 0.0:
+            val += gamma * _powers(inv[ok], p)
+        out = np.full(len(a), math.inf)
+        out[ok] = val
+        return out
+
     if gamma == 0.0:
         # without the coupling only invertibility matters, not A^-1
-        return lambda a: wells(a) if is_invertible(a) else math.inf
+        return (lambda a: wells(a) if is_invertible(a) else math.inf), batch
 
     def evaluate(a: Mat) -> float:
         inv = inv_norm(a)
         return math.inf if inv == math.inf else wells(a) + gamma * inv ** p
-    return evaluate
-
-
-def _double_well_slopes(well_a: float, well_b: float, p: float, gamma: float):
-    """Batch of _double_well for 1x1 wells."""
-    def slopes(s: np.ndarray) -> np.ndarray:
-        inv = slope_inv_norms(s)
-        ok = inv < math.inf
-        s = s[ok]
-        with np.errstate(over="ignore"):
-            da, db = s - well_a, s - well_b
-            da, db = np.sqrt(da * da), np.sqrt(db * db)
-            val = np.minimum(da * da, db * db)
-            if gamma != 0.0:
-                val += gamma * _powers(inv[ok], p)
-        out = np.full(inv.shape, math.inf)
-        out[ok] = val
-        return out
-    return slopes
+    return evaluate, batch
 
 
 def _wells(value) -> tuple:
@@ -254,8 +280,10 @@ def builtin_energy(name: str, params: dict | None = None) -> TestFn:
     """
     if name == "inv_penalty":
         p = _params(name, params, {"p": (2.0, real(above=0.0))})["p"]
-        return TestFn(_inv_penalty(p), Growth.c_pmp(p),
-                      f"|s|^{p:g} + |s^-1|^{p:g}, sandwich constants c=c'=1")
+        evaluate, batch = _inv_penalty(p)
+        return TestFn(evaluate, Growth.c_pmp(p),
+                      f"|s|^{p:g} + |s^-1|^{p:g}, sandwich constants c=c'=1",
+                      batch)
 
     if name == "double_well_inv":
         a = _params(name, params, {
@@ -265,9 +293,8 @@ def builtin_energy(name: str, params: dict | None = None) -> TestFn:
         desc = (f"two-well distance energy, wells at {list(wa.flat)} and {list(wb.flat)}, "
                 f"inverse coupling {gamma:g}*|s^-1|^{p:g}; "
                 f"sandwich exponents (2, -{p:g}) with c=min(1/2, gamma), c'=2+gamma+2*max well norm^2")
-        batch = _double_well_slopes(wa.flat[0], wb.flat[0], p, gamma) if wa.n == 1 else None
-        return TestFn(_double_well(wa, wb, p, gamma), Growth.c_pmp(max(2.0, p)), desc,
-                      batch)
+        evaluate, batch = _double_well(wa, wb, p, gamma)
+        return TestFn(evaluate, Growth.c_pmp(max(2.0, p)), desc, batch)
 
     if name == "shear_well_2d":
         a = _params(name, params, {"kappa": (1.0, real()),
@@ -278,7 +305,8 @@ def builtin_energy(name: str, params: dict | None = None) -> TestFn:
         wb = Mat.from_rows([[1.0, kappa], [0.0, 1.0]])
         desc = (f"planar shear wells I and I + {kappa:g} e1(x)e2, "
                 f"inverse coupling {gamma:g}*|s^-1|^{p:g}; sandwich exponents (2, -{p:g})")
-        return TestFn(_double_well(wa, wb, p, gamma), Growth.c_pmp(max(2.0, p)), desc)
+        evaluate, batch = _double_well(wa, wb, p, gamma)
+        return TestFn(evaluate, Growth.c_pmp(max(2.0, p)), desc, batch)
 
     raise UnknownEnergy(f"no builtin energy named {name!r}")
 
@@ -286,9 +314,9 @@ def builtin_energy(name: str, params: dict | None = None) -> TestFn:
 # -- named plain test functions (used by batteries and the CLI) ---------
 
 
-def _quartic_slopes(s: np.ndarray) -> np.ndarray:
-    with np.errstate(over="ignore"):
-        return _powers(s * s - 1.0, 2)
+def _quartic_batch(a: np.ndarray) -> np.ndarray:
+    s = _entries_1d(a, "quartic_well_1d")
+    return _powers(s * s - 1.0, 2)
 
 
 def named_testfn(kind: str, params: dict | None = None) -> TestFn:
@@ -303,10 +331,10 @@ def named_testfn(kind: str, params: dict | None = None) -> TestFn:
     if kind == "frob_power":
         p = _params(kind, params, {"p": (2.0, real())})["p"]
         return TestFn(lambda a, _p=p: frob_norm(a) ** _p, Growth.c_p(p + 1.0),
-                      f"|s|^{p:g}")
+                      f"|s|^{p:g}", lambda a, _p=p: _powers(_frob_norms(a), _p))
     if kind == "det":
         _params(kind, params, {})
-        return TestFn(det, Growth.c_p(3.0), "det s")
+        return TestFn(det, Growth.c_p(3.0), "det s", _dets)
     if kind == "phi_rho":
         rho = _params(kind, params, {"rho": (2.0, real(above=0.0))})["rho"]
         return make_phi_rho(rho)
@@ -318,7 +346,7 @@ def named_testfn(kind: str, params: dict | None = None) -> TestFn:
                 raise DomainError("entry_power is a 1D test function")
             return a.flat[0] ** _k
         return TestFn(evaluate, Growth.c_p(float(k + 1)), f"s^{k} (1D)",
-                      lambda s, _k=k: _powers(s, _k))
+                      lambda a, _k=k: _powers(_entries_1d(a, "entry_power"), _k))
     if kind == "quartic_well_1d":
         _params(kind, params, {})
 
@@ -328,7 +356,7 @@ def named_testfn(kind: str, params: dict | None = None) -> TestFn:
             s = a.flat[0]
             return (s * s - 1.0) ** 2
         return TestFn(evaluate, Growth.c_p(5.0), "(s^2 - 1)^2 (1D)",
-                      _quartic_slopes)
+                      _quartic_batch)
     if kind == "inv_power":
         q = _params(kind, params, {"q": (2.0, real())})["q"]
 
@@ -339,116 +367,3 @@ def named_testfn(kind: str, params: dict | None = None) -> TestFn:
             return inv ** _q
         return TestFn(evaluate, Growth.c_pmp(q), f"|s^-1|^{q:g}")
     raise UnknownEnergy(f"no named test function of kind {kind!r}")
-
-
-# -- growth verification -------------------------------------------------
-
-
-@dataclass(frozen=True)
-class GrowthReport:
-    """Sampled growth diagnosis for a declared class."""
-
-    declared: Growth
-    max_ratio: float
-    scale_ratios: tuple  # (scale, mean ratio) pairs
-    decays: bool
-    consistent: bool
-    notes: str = ""
-
-
-def _growth_samples(n: int, samples: int, rng) -> list:
-    """Matrices whose |s| + |s^-1| spans several decades, deterministic
-    for a fixed sample count."""
-    out = []
-    scales = np.logspace(-1.5, 2.5, max(4, samples))
-    for lam in scales:
-        g = rng.normal(size=(n, n))
-        # keep the random factor well conditioned, then stretch it
-        base = np.eye(n) + 0.3 * g
-        out.append(Mat.from_rows((lam * base).tolist()))
-        if n >= 2:
-            d = [lam] + [1.0 / lam] * (n - 1)
-            out.append(Mat.diag(*d))
-        else:
-            out.append(Mat.scalar(1.0 / lam))
-    return out
-
-
-def growth_check(v: TestFn, samples: int = 64) -> GrowthReport:
-    """Sample |v| against the declared growth denominator over a scale
-    ladder.  Reports the max ratio, whether ratios decay along the ladder,
-    and a consistency verdict (ratios not growing, structural zeros and
-    infinities where the class requires them)."""
-    rng = np.random.default_rng(1234)
-    # infer the dimension the function accepts: try 1, then 2
-    n = 1
-    try:
-        v.evaluate(Mat.identity(1))
-    except (DomainError, ValueError):
-        n = 2
-    mats = _growth_samples(n, samples, rng)
-
-    kind = v.growth.kind
-    p = v.growth.param
-    entries = []
-    consistent = True
-    notes = []
-    for a in mats:
-        inv = inv_norm(a)
-        scale = frob_norm(a) + inv
-        if kind == "O_rho":
-            ball = RhoBall(p)
-            val = v.evaluate(a)
-            inside = in_rho_ball(a, ball)
-            if inside and not math.isfinite(val):
-                consistent = False
-                notes.append("infinite inside the rho ball")
-            if not inside and val != math.inf:
-                # outside the ball the function must be +inf
-                consistent = False
-                notes.append("finite outside the rho ball")
-            continue
-        try:
-            val = v.evaluate(a)
-        except DomainError:
-            if kind != "C_pmp":
-                consistent = False
-                notes.append("unexpected DomainError")
-            continue
-        if not math.isfinite(val):
-            consistent = False
-            notes.append("infinite value in a finite-growth class")
-            continue
-        if kind == "C_p":
-            denom = max(frob_norm(a), 1e-300) ** p
-        elif kind == "C_pmp":
-            denom = frob_norm(a) ** p + inv ** p
-        else:  # C_0inv
-            denom = 1.0
-        entries.append((scale, abs(val) / denom))
-
-    if kind == "C_0inv":
-        # structural zero on a singular matrix
-        z = v.evaluate(Mat.zero(n))
-        if z != 0.0:
-            consistent = False
-            notes.append("nonzero on a singular matrix")
-
-    if kind == "O_rho":
-        return GrowthReport(v.growth, 0.0, (), True, consistent,
-                            "; ".join(dict.fromkeys(notes)))
-
-    entries.sort(key=lambda e: e[0])
-    ratios = [r for _, r in entries]
-    max_ratio = max(ratios) if ratios else 0.0
-    third = max(1, len(entries) // 3)
-    low = sum(r for _, r in entries[:third]) / third
-    high = sum(r for _, r in entries[-third:]) / third
-    growing = high > 10.0 * max(low, 1e-12) and high > 1e-9
-    decays = high < 0.1 * max(low, 1e-300) or max_ratio == 0.0
-    if growing:
-        consistent = False
-        notes.append(f"ratio grows along the scale ladder ({low:.3e} -> {high:.3e})")
-    scale_ratios = tuple((s, r) for s, r in entries)
-    return GrowthReport(v.growth, max_ratio, scale_ratios, decays, consistent,
-                        "; ".join(dict.fromkeys(notes)))

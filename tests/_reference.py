@@ -1,11 +1,19 @@
 """The sequential golden-section search and multistart pricing loop, as
-they stood before the starts moved in lockstep.  Tests hold the batched
-versions in ymrelax._search and ymrelax.relax to these bit for bit."""
+they stood before the starts moved in lockstep, and the lamination
+bound with its coarse scan one split at a time, as it stood before the
+scan became one batch.  Tests hold the batched versions in
+ymrelax._search, ymrelax.relax and ymrelax.envelope to these bit for
+bit."""
 
 import math
 
+from ymrelax.envelope import (_LAMBDA_COARSE, EnvelopeEstimate, _angular_dyads,
+                              _checked)
+from ymrelax.errors import NoAdmissibleSplit
 from ymrelax.matcore import Mat, in_rho_ball
+from ymrelax.measure import AtomicMeasure
 from ymrelax.relax import PRICING_STARTS, REDUCED_COST_TOL
+from ymrelax.testfn import orho_extend
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -80,3 +88,75 @@ def refine_atoms(atoms, dual_moment, dual_mass, w, ball, rng):
     if best_flat is not None and best_val < -REDUCED_COST_TOL:
         return Mat.from_flat(best_flat), best_val
     return None, best_val
+
+
+def qinv_laminate_upper(v, f, rho_tilde, depth=2, angles=32):
+    v = orho_extend(v, rho_tilde)
+    fmat = Mat.coerce(f)
+    dyads = _angular_dyads(fmat.n, angles)
+    tmax = 2.0 * rho_tilde
+    evals = [0]
+
+    def ev(mat):
+        evals[0] += 1
+        return v.evaluate(mat)
+
+    def split_value(g, d, t, lam):
+        a = g - ((1.0 - lam) * t) * d
+        b = g + (lam * t) * d
+        va = ev(a)
+        if va == math.inf:
+            return math.inf
+        vb = ev(b)
+        if vb == math.inf:
+            return math.inf
+        return lam * va + (1.0 - lam) * vb
+
+    def node(g, d):
+        base = ev(g)
+        if d == 0:
+            return base, [(g, 1.0)]
+        best = (math.inf, None)
+        for dyad in dyads:
+            for i in range(1, 14):
+                t = tmax * i / 13.0
+                for lam in _LAMBDA_COARSE:
+                    val = split_value(g, dyad, t, lam)
+                    if val < best[0]:
+                        best = (val, (dyad, t, lam))
+        if best[1] is None:
+            return base, [(g, 1.0)]
+        dyad, t0, lam0 = best[1]
+
+        def over_t(t):
+            _, val = golden_min(lambda lam: split_value(g, dyad, t, lam),
+                                1e-6, 1.0 - 1e-6, iters=24, coarse=7)
+            return val
+
+        t_ref, _ = golden_min(over_t, max(1e-9, t0 - tmax / 13.0),
+                              min(tmax, t0 + tmax / 13.0), iters=24, coarse=7)
+        lam_ref, val_ref = golden_min(lambda lam: split_value(g, dyad, t_ref, lam),
+                                      1e-6, 1.0 - 1e-6, iters=32, coarse=9)
+        if val_ref > best[0]:
+            t_ref, lam_ref = t0, lam0
+        a = g - ((1.0 - lam_ref) * t_ref) * dyad
+        b = g + (lam_ref * t_ref) * dyad
+        va, wa = node(a, d - 1)
+        vb, wb = node(b, d - 1)
+        cand = lam_ref * va + (1.0 - lam_ref) * vb
+        if cand < base:
+            leaves = [(m, lam_ref * wgt) for m, wgt in wa]
+            leaves += [(m, (1.0 - lam_ref) * wgt) for m, wgt in wb]
+            return cand, leaves
+        return base, [(g, 1.0)]
+
+    value, leaves = node(fmat, depth)
+    if value == math.inf:
+        raise NoAdmissibleSplit("no finite rank-one split of the barycenter "
+                                "was found; raise depth, angles or rho_tilde")
+    witness = AtomicMeasure((m, wgt) for m, wgt in leaves if wgt > 1e-15)
+    est = EnvelopeEstimate(value, None, witness, rho_tilde, "laminate",
+                           {"depth": depth, "angles": angles,
+                            "evaluations": evals[0],
+                            "atoms": len(witness.atoms)})
+    return _checked(est, v)

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+import _reference
 from ymrelax.envelope import (
     qinv_fe_upper,
     qinv_laminate_upper,
@@ -116,8 +117,8 @@ class TestOracleBatch:
     @pytest.mark.parametrize("grid", [100, 10000])
     def test_matches_the_scalar_scan(self, name, f, grid):
         v = BATCHED_ENERGIES[name]
-        assert v.slopes is not None
-        scalar = dataclasses.replace(v, slopes=None)
+        assert v.batch is not None
+        scalar = dataclasses.replace(v, batch=None)
         batched, looped = (json.dumps(qinv_oracle_1d(fn, Mat.scalar(f), RHO_T, grid)
                                       .to_json_dict(), sort_keys=True)
                            for fn in (v, scalar))
@@ -177,6 +178,41 @@ class TestLaminateUpper:
     def test_negative_depth_rejected(self):
         with pytest.raises(ValueError):
             qinv_laminate_upper(well(), Mat.scalar(0.5), RHO_T, depth=-1)
+
+
+_SHEAR = builtin_energy("shear_well_2d", {"kappa": 1.0, "gamma": 0.0})
+_MID = Mat.from_rows([[1.0, 0.5], [0.0, 1.0]])
+# (integrand, barycenter, rho_tilde, depth, angles); the first is the
+# benchmark's envelope_laminate_2d scenario
+_LAMINATE_CASES = {
+    "shear_2d": (_SHEAR, _MID, 3.0, 2, 8),
+    "shear_2d_coupled": (builtin_energy("shear_well_2d", {"gamma": 0.05}),
+                         Mat.from_rows([[1.2, 0.3], [0.1, 0.9]]), 2.5, 1, 4),
+    "shear_2d_scalar_only": (MatrixFn(_SHEAR.evaluate, _SHEAR.growth),
+                             _MID, 3.0, 1, 4),
+    "double_well_1d": (builtin_energy("double_well_inv", {"gamma": 1e-3}),
+                       Mat.scalar(0.3), RHO_T, 2, 32),
+    "quartic_1d_raw": (named_testfn("quartic_well_1d"), Mat.scalar(-0.4),
+                       RHO_T, 2, 32),
+}
+
+
+class TestLaminateBatch:
+    """Each node's coarse scan is one batch; value, witness and
+    evaluation count equal the sequential scan's bit for bit."""
+
+    @pytest.mark.parametrize("case", sorted(_LAMINATE_CASES))
+    def test_matches_the_sequential_scan(self, case):
+        v, f, rho_t, depth, angles = _LAMINATE_CASES[case]
+        got, ref = (json.dumps(route(v, f, rho_t, depth=depth, angles=angles)
+                               .to_json_dict(), sort_keys=True)
+                    for route in (qinv_laminate_upper,
+                                  _reference.qinv_laminate_upper))
+        assert got == ref
+
+    def test_benchmark_scenario_evaluations(self):
+        est = qinv_laminate_upper(_SHEAR, _MID, 3.0, depth=2, angles=8)
+        assert est.detail["evaluations"] == 28321
 
 
 class TestFeUpper:

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from _mixing import mix_deformations
 from ymrelax.errors import BudgetExceeded, InfeasibleLayer, NotRankOne
 from ymrelax.laminate import (
     WEIGHT_FUNCTIONS,
@@ -11,7 +12,6 @@ from ymrelax.laminate import (
     build_laminate_sequence,
     empirical_pairing,
     integrate_weight,
-    mix_deformations,
     verify_generation,
 )
 from ymrelax.matcore import Mat

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -21,10 +22,14 @@ from ymrelax.matcore import (
     mat_close,
     max_norm_pair,
     rank_one_difference,
+    dets,
+    frob_norms,
+    fsum_rows,
+    in_rho_balls,
+    inv_norms,
+    inverses,
     singular_threshold,
     singular_values,
-    slope_inv_norms,
-    slopes_in_rho_ball,
 )
 
 finite = st.floats(min_value=-10.0, max_value=10.0,
@@ -227,13 +232,13 @@ class TestInverseKernel:
         [0.0, -0.0, 1e-13, -1e-13, 1e-12, -1e-12, 1e154, -1e200])),
         max_size=20), st.booleans())
     def test_slope_arrays_match_scalars(self, xs, positive):
-        s = np.array(xs, dtype=float)
+        s = np.array(xs, dtype=float).reshape(-1, 1, 1)
         scalars = [Mat.scalar(x) for x in xs]
-        assert (slope_inv_norms(s).tobytes()
+        assert (inv_norms(s).tobytes()
                 == np.array([inv_norm(a) for a in scalars], dtype=float).tobytes())
         for rho in (1.0, 3.0, math.inf):
             ball = RhoBall(rho, positive)
-            assert (slopes_in_rho_ball(s, ball).tolist()
+            assert (in_rho_balls(s, ball).tolist()
                     == [in_rho_ball(a, ball) for a in scalars])
 
     @pytest.mark.parametrize("rho", [math.nan, 0.0, -1.0, -math.inf])
@@ -245,6 +250,146 @@ class TestInverseKernel:
         ball = RhoBall(math.inf)
         assert in_rho_ball(Mat.diag(1e-5, 1e5), ball)
         assert not in_rho_ball(Mat.zero(2), ball)
+
+
+# -- the kernels on stacks of matrices against the scalar kernels -------
+
+# m * 2^e with a small odd m: squares and products are exact, so sums
+# of them across exponent gaps near 53 land on and beside rounding ties
+dyadic = st.builds(lambda m, e, sign: sign * m * 2.0 ** e,
+                   st.sampled_from([1, 3, 5, 7]), st.integers(-80, 20),
+                   st.sampled_from([1.0, -1.0]))
+# terms an ulp, half an ulp and an ulp's ulp below a unit-sized first
+# term, with either sign: the cascade's error sum decides these roundings
+near_tie = st.builds(lambda m, e, sign: sign * m * 2.0 ** -e,
+                     st.sampled_from([1, 3, 5, 7]),
+                     st.sampled_from([0, 1, 2, 52, 53, 54, 55, 105, 106, 107, 108]),
+                     st.sampled_from([1.0, -1.0]))
+# every finite float: subnormals, and squares that overflow
+any_finite = st.floats(allow_nan=False, allow_infinity=False)
+EDGE_ENTRIES = [0.0, -0.0, 5e-324, 1e-160, 2.0 ** -27, 1e-12, 1.0, 1e154,
+                1.35e154, 1e200, -1.7e308]
+entries = st.one_of(finite, dyadic, any_finite, st.sampled_from(EDGE_ENTRIES))
+
+# squares 1, 2^-54, 2^-54, 2^-108: the cascade's float error sum rounds
+# s + e onto the tie 1 + 2^-53, while the exact sum lies above it
+CASCADE_TIE = [1.0, 2.0 ** -27, 2.0 ** -27, 2.0 ** -54]
+EDGE_MATRICES = [
+    CASCADE_TIE,
+    [1.0, 2.0 ** -27, 2.0 ** -27, 0.0],   # an exact tie: even rounds down
+    [1.0, 0.0, 0.0, 1e-12],               # det on the singular threshold
+    [3.0, 0.0, 0.0, 1e-12 / 3.0],
+    [1e155, 0.0, 0.0, 1.0],               # an infinite |A| and threshold
+    [4.0, 4.5e307, 4.0, 4.5e307],         # det is inf - inf
+    [1e154, 1e154, 1e154, 1e154],         # the squares' fsum overflows
+    [1e200, 0.0, 0.0, 1e200],             # det and the squares overflow
+    [1e-160, 0.0, 0.0, 1e-160],           # subnormal squares
+    [5e-324, 0.0, 0.0, 5e-324],
+    [-0.0, 0.0, 0.0, -0.0],
+]
+
+
+@st.composite
+def stacks(draw):
+    """A stack a[N, n, n] for n = 1 or 2, mixing drawn rows with edge
+    matrices and exactly singular rows."""
+    n = draw(st.integers(1, 2))
+    rows = draw(st.lists(st.lists(entries, min_size=n * n, max_size=n * n),
+                         max_size=12))
+    if n == 2:
+        rows += draw(st.lists(st.sampled_from(EDGE_MATRICES), max_size=3))
+        rows += [r[:2] + r[:2] for r in rows[:draw(st.integers(0, 2))]]
+    return np.array(rows, dtype=float).reshape(-1, n, n)
+
+
+def scalar_outcome(fn, row):
+    try:
+        return fn(row)
+    except Exception as exc:
+        return exc
+
+
+def assert_rows(batch, scalar, a, dtype=float):
+    """batch(a) equals scalar on each row, bit for bit.  When a row
+    raises, each row is checked alone: its error, or its value."""
+    n = a.shape[1]
+    mats = [Mat(n, tuple(r)) for r in a.reshape(len(a), n * n).tolist()]
+    want = [scalar_outcome(scalar, m) for m in mats]
+    if not any(isinstance(w, Exception) for w in want):
+        assert batch(a).tobytes() == np.array(want, dtype=dtype).tobytes()
+        return
+    for i, w in enumerate(want):
+        if isinstance(w, Exception):
+            with pytest.raises(type(w), match=re.escape(str(w))):
+                batch(a[i:i + 1])
+        else:
+            assert batch(a[i:i + 1]).tobytes() == np.array([w], dtype=dtype).tobytes()
+
+
+def _inverse_flat(a: Mat):
+    inv = inverse(a)
+    return (False,) + (0.0,) * (a.n * a.n) if inv is None else (True,) + inv.flat
+
+
+def _inverses_flat(a: np.ndarray) -> np.ndarray:
+    ok, inv = inverses(a)
+    out = np.zeros((len(a), 1 + a.shape[1] ** 2))
+    out[:, 0] = ok
+    out[ok, 1:] = inv.reshape(len(inv), a.shape[1] ** 2)
+    return out
+
+
+class TestStackKernels:
+    """The kernels on stacks a[N, n, n] equal the scalar kernels on
+    every row, bit for bit, errors included."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.lists(st.lists(st.one_of(dyadic, near_tie), min_size=1, max_size=9),
+                    min_size=1, max_size=20))
+    def test_fsum_rows_on_ties(self, rows):
+        for k in range(1, 10):
+            block = [(r * 9)[:k] for r in rows]
+            x = np.array(block, dtype=float)
+            want = np.array([math.fsum(r) for r in block], dtype=float)
+            assert fsum_rows(x).tobytes() == want.tobytes()
+
+    def test_cascade_tie(self):
+        x = np.array([CASCADE_TIE]) ** 2
+        assert fsum_rows(x)[0] == math.fsum(x[0].tolist()) == 1.0 + 2.0 ** -52
+        assert frob_norms(np.array(CASCADE_TIE).reshape(1, 2, 2))[0] == \
+            frob_norm(Mat.from_flat(CASCADE_TIE))
+
+    def test_empty_stacks(self):
+        for n in (1, 2):
+            a = np.zeros((0, n, n))
+            assert frob_norms(a).shape == dets(a).shape == (0,)
+            assert in_rho_balls(a, RhoBall(2.0, True)).shape == (0,)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(stacks())
+    def test_match_scalars(self, a):
+        assert_rows(frob_norms, frob_norm, a)
+        assert_rows(dets, det, a)
+        assert_rows(lambda b: in_rho_balls(b, RhoBall(math.inf)), is_invertible,
+                    a, bool)
+        assert_rows(inv_norms, inv_norm, a)
+        assert_rows(_inverses_flat, _inverse_flat, a)
+        for rho in (1.0, 3.0, math.inf):
+            for positive in (False, True):
+                ball = RhoBall(rho, positive)
+                assert_rows(lambda b: in_rho_balls(b, ball),
+                            lambda m: in_rho_ball(m, ball), a, bool)
+
+    def test_edge_matrices(self):
+        a = np.array(EDGE_MATRICES, dtype=float).reshape(-1, 2, 2)
+        assert_rows(frob_norms, frob_norm, a)
+        assert_rows(lambda b: in_rho_balls(b, RhoBall(math.inf)), is_invertible,
+                    a, bool)
+        assert_rows(inv_norms, inv_norm, a)
+        with pytest.raises(OverflowError):
+            frob_norms(a[6:7])
+        with pytest.raises(ValueError):
+            inv_norms(a[5:6])
 
 
 def test_coordinate_dyads():

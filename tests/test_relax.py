@@ -136,28 +136,35 @@ def _priced(out):
 
 
 _DW1 = builtin_energy("double_well_inv", {"gamma": 1e-3, "p": 2.0})
+_SHEAR = builtin_energy("shear_well_2d")
+_SHEAR_ATOMS = [Mat.identity(2), Mat.from_rows([[1.0, 1.0], [0.0, 1.0]]),
+                Mat.from_rows([[1.2, 0.5], [0.1, 0.9]])]
 _PRICING_CASES = {
     "1d_slope_batch": (_DW1, scalar_atoms(-0.8, 0.1, 1.3), RhoBall(math.inf)),
     "1d_evaluate_only": (MatrixFn(_DW1.evaluate, _DW1.growth),
                          scalar_atoms(-0.8, 0.1, 1.3), RhoBall(math.inf)),
     "1d_rho_cap_positive_det": (_DW1, scalar_atoms(0.6, 1.4),
                                 RhoBall(1.7, True)),
-    "2d": (builtin_energy("shear_well_2d"),
-           [Mat.identity(2), Mat.from_rows([[1.0, 1.0], [0.0, 1.0]]),
-            Mat.from_rows([[1.2, 0.5], [0.1, 0.9]])], RhoBall(math.inf)),
+    "2d": (_SHEAR, _SHEAR_ATOMS, RhoBall(math.inf)),
+    "2d_evaluate_only": (MatrixFn(_SHEAR.evaluate, _SHEAR.growth), _SHEAR_ATOMS,
+                         RhoBall(math.inf)),
+    "2d_coupled_rho_cap_positive_det": (
+        builtin_energy("shear_well_2d", {"gamma": 0.1, "p": 2.0}), _SHEAR_ATOMS,
+        RhoBall(2.5, True)),
 }
 
 
 class TestLockstepPricing:
-    """refine_atoms moves its starts in lockstep; each start must take
-    the steps the sequential multistart loop takes, so the returned
-    (matrix, reduced cost) is the same bit for bit."""
+    """refine_atoms moves its starts in lockstep and prices each step's
+    points in one batch; each start must take the steps the sequential
+    multistart loop takes, so the returned (matrix, reduced cost) is
+    the same bit for bit."""
 
     @pytest.mark.parametrize("case", sorted(_PRICING_CASES))
     @pytest.mark.parametrize("duals", [(0.0, 0.0), (0.3, 0.05), (-0.7, 0.4)])
     def test_matches_sequential_loop(self, case, duals):
         w, atoms, ball = _PRICING_CASES[case]
-        assert (w.slopes is None) == (case in ("1d_evaluate_only", "2d"))
+        assert (w.batch is None) == case.endswith("_evaluate_only")
         n = atoms[0].n
         pi = np.full(n * n, duals[0])
         for seed in (1, 2):

@@ -5,14 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _growth import growth_check
 from ymrelax.errors import DomainError, UnknownEnergy
 from ymrelax.matcore import Mat, frob_norm, invert
 from ymrelax.testfn import (
     Growth,
     TestFn as MatrixFn,
     builtin_energy,
-    evaluate_slopes,
-    growth_check,
+    evaluate_batch,
     make_det_cutoff,
     make_phi_rho,
     named_testfn,
@@ -271,7 +271,7 @@ class TestGrowthCheck:
         assert rep.notes == "nonzero on a singular matrix"
 
 
-# -- the 1D slope batch against scalar evaluate -------------------------
+# -- the batch of 1x1 matrices (slopes) against scalar evaluate ---------
 
 BATCHED_CORES = {
     "quartic_well_1d": named_testfn("quartic_well_1d"),
@@ -285,6 +285,9 @@ BATCHED_CORES = {
         "double_well_inv", {"wells": [-0.7, 1.3], "gamma": 0.5, "p": -1.5}),
     "energy_entry": named_testfn("energy", {"name": "double_well_inv",
                                             "gamma": 0.25, "p": 3.0}),
+    "inv_penalty": builtin_energy("inv_penalty", {"p": 1.5}),
+    "frob_power": named_testfn("frob_power", {"p": 3.0}),
+    "det": named_testfn("det"),
 }
 BALL_RADII = (2.0, 3.3, math.inf)
 BATCHED = dict(BATCHED_CORES)
@@ -311,9 +314,13 @@ def scalar_outcome(v, slopes):
 
 def batch_outcome(v, slopes):
     try:
-        return evaluate_slopes(v, np.array(slopes, dtype=float)).tobytes()
+        return slope_batch(v, slopes).tobytes()
     except Exception as exc:
         return type(exc), str(exc)
+
+
+def slope_batch(v, slopes):
+    return evaluate_batch(v, np.array(slopes, dtype=float).reshape(-1, 1, 1))
 
 
 slope_lists = st.lists(st.one_of(st.sampled_from(SPECIAL_SLOPES),
@@ -321,19 +328,17 @@ slope_lists = st.lists(st.one_of(st.sampled_from(SPECIAL_SLOPES),
 
 
 class TestSlopeBatch:
-    """evaluate_slopes equals scalar evaluate bit for bit, infinities and
-    raised errors included."""
+    """evaluate_batch on 1x1 matrices equals scalar evaluate bit for
+    bit, infinities and raised errors included."""
 
     def test_batched_functions_have_a_batch(self):
-        assert all(v.slopes is not None for v in BATCHED.values())
-        for v in (builtin_energy("shear_well_2d"),
-                  builtin_energy("inv_penalty"),
-                  builtin_energy("double_well_inv",
-                                 {"wells": [[1, 0, 0, 1], [-1, 0, 0, 1]]}),
-                  named_testfn("frob_power"), make_phi_rho(2.0),
-                  orho_extend(MatrixFn(lambda a: 7.0, Growth.c_p(1.0)), 3.0),
-                  orho_extend(named_testfn("inv_power"), 2.0)):
-            assert v.slopes is None
+        assert all(v.batch is not None for v in BATCHED.values())
+        # an extension tests its ball in batch, and its core falls back
+        assert orho_extend(named_testfn("inv_power"), 2.0).batch is not None
+        for v in (make_phi_rho(2.0), make_det_cutoff(0.5, True),
+                  named_testfn("inv_power"),
+                  MatrixFn(lambda a: 7.0, Growth.c_p(1.0))):
+            assert v.batch is None
 
     @pytest.mark.parametrize("name", sorted(BATCHED))
     def test_special_and_uniform_slopes(self, name):
@@ -351,9 +356,9 @@ class TestSlopeBatch:
 
     def test_plain_functions_fall_back_to_evaluate(self):
         v = orho_extend(MatrixFn(lambda a: 7.0, Growth.c_p(1.0)), 3.0)
-        assert evaluate_slopes(v, [0.0, 1.0, 4.0]).tolist() == [math.inf, 7.0, math.inf]
+        assert slope_batch(v, [0.0, 1.0, 4.0]).tolist() == [math.inf, 7.0, math.inf]
         phi = make_phi_rho(2.0)
-        assert evaluate_slopes(phi, np.array([0.0, 1.0])).tolist() == [0.0, 1.0]
+        assert slope_batch(phi, [0.0, 1.0]).tolist() == [0.0, 1.0]
 
     def test_non_finite_slopes_raise_as_scalar(self):
         v = BATCHED["quartic_well_1d in the 2.0-ball"]
@@ -363,5 +368,107 @@ class TestSlopeBatch:
     def test_overflow_is_raised(self):
         v = orho_extend(named_testfn("entry_power", {"exponent": 2000}), 3.3)
         with pytest.raises(OverflowError):
-            evaluate_slopes(v, np.array([3.0]))
-        assert evaluate_slopes(v, np.array([4.0])).tolist() == [math.inf]
+            slope_batch(v, [3.0])
+        assert slope_batch(v, [4.0]).tolist() == [math.inf]
+
+
+# -- the batch of n x n matrices against scalar evaluate ------------------
+
+MATRIX_CORES = {
+    "shear_well_2d": builtin_energy("shear_well_2d"),
+    "shear_well_2d_coupled": builtin_energy("shear_well_2d",
+                                            {"kappa": 0.5, "gamma": 0.1, "p": 3.0}),
+    "shear_well_2d_p_negative": builtin_energy("shear_well_2d",
+                                               {"gamma": 0.5, "p": -1.5}),
+    "double_well_2x2": builtin_energy(
+        "double_well_inv", {"wells": [[1, 0, 0, 1], [-1, 0, 0, 1]], "gamma": 1e-3}),
+    "inv_penalty": builtin_energy("inv_penalty"),
+    "inv_penalty_p3": builtin_energy("inv_penalty", {"p": 3.0}),
+    "frob_power": named_testfn("frob_power"),
+    "frob_power_p_negative": named_testfn("frob_power", {"p": -1.0}),
+    "det": named_testfn("det"),
+    # 1D functions raise DomainError on a 2x2 matrix, batch or not
+    "quartic_well_1d": named_testfn("quartic_well_1d"),
+    "entry_power_3": named_testfn("entry_power", {"exponent": 3}),
+}
+MATRIX_BATCHED = dict(MATRIX_CORES)
+MATRIX_BATCHED.update({f"{name} in the {rho}-ball": orho_extend(core, rho)
+                       for name, core in MATRIX_CORES.items()
+                       for rho in BALL_RADII})
+
+# the wells, the det threshold and the ball edges
+SPECIAL_2X2 = [[1, 0, 0, 1], [1, 1, 0, 1], [1, 0.5, 0, 1], [0, 0, 0, 0],
+               [1, 0, 0, 1e-12], [1, 0, 0, 1e-13], [2, 0, 0, 0.5],
+               [3.3, 0, 0, 1 / 3.3], [-1, 0, 0, 1], [0, 1, -1, 0],
+               [1, 2, 2, 4], [1e-300, 0, 0, 1e-300]]
+# entries whose squares, products or powers overflow; one row at a time
+HUGE_2X2 = [[1e77, 0, 0, 1], [1e154, 1e154, 1e154, 1e154], [1e200, 0, 0, 1e200],
+            [4.0, 4.5e307, 4.0, 4.5e307], [1.7e308, 0, 0, -1.0]]
+
+matrix_entries = st.one_of(st.floats(-4.0, 4.0),
+                           st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 1e-12]))
+stacks_2x2 = st.lists(st.one_of(
+    st.lists(matrix_entries, min_size=4, max_size=4),
+    st.sampled_from(SPECIAL_2X2)), max_size=24)
+
+
+def assert_batch_matches(v, rows):
+    """evaluate_batch(v, rows) equals v.evaluate on each row, bit for
+    bit, +inf included; a row that raises is checked alone."""
+    a = np.array(rows, dtype=float).reshape(-1, 2, 2)
+
+    def outcome(fn, arg):
+        try:
+            return np.asarray(fn(arg), dtype=float).tobytes()
+        except Exception as exc:
+            return type(exc), str(exc)
+
+    want = [outcome(lambda m: [v.evaluate(m)], Mat(2, tuple(r)))
+            for r in a.reshape(-1, 4).tolist()]
+
+    def batch(b):
+        return outcome(lambda b: evaluate_batch(v, b), b)
+
+    if all(isinstance(w, bytes) for w in want):
+        assert batch(a) == b"".join(want)
+    else:
+        assert [batch(a[i:i + 1]) for i in range(len(a))] == want
+
+
+class TestMatrixBatch:
+    """Every batched TestFn, bare and under orho_extend, equals scalar
+    evaluate on stacks of 2x2 matrices bit for bit."""
+
+    def test_batched_functions_have_a_batch(self):
+        assert all(v.batch is not None for v in MATRIX_BATCHED.values())
+
+    @pytest.mark.parametrize("name", sorted(MATRIX_BATCHED))
+    def test_special_uniform_and_huge_rows(self, name):
+        v = MATRIX_BATCHED[name]
+        draws = np.random.default_rng(7).uniform(-3.5, 3.5, (2000, 4)).tolist()
+        for rows in [SPECIAL_2X2, draws] + [[r] for r in HUGE_2X2]:
+            assert_batch_matches(v, rows)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.sampled_from(sorted(MATRIX_BATCHED)), stacks_2x2)
+    def test_random_stacks(self, name, rows):
+        assert_batch_matches(MATRIX_BATCHED[name], rows)
+
+    @pytest.mark.parametrize("name", ["double_well_2x2", "shear_well_2d_coupled"])
+    def test_other_sizes_fail_as_scalar(self, name):
+        # 2x2 wells against 1x1 matrices: singular ones are +inf before
+        # the wells are reached, invertible ones raise
+        v = MATRIX_CORES[name]
+        for slopes in ([0.0], [2.0], [0.0, 2.0]):
+            assert batch_outcome(v, slopes) == scalar_outcome(v, slopes)
+
+    def test_plain_function_falls_back_to_evaluate(self):
+        phi = make_phi_rho(2.0)
+        a = np.array([np.eye(2), np.zeros((2, 2))])
+        assert evaluate_batch(phi, a).tolist() == [1.0, 0.0]
+
+    def test_stack_shape_checked(self):
+        with pytest.raises(ValueError):
+            evaluate_batch(MATRIX_CORES["det"], np.zeros((3, 2, 3)))
+        with pytest.raises(ValueError):
+            evaluate_batch(MATRIX_CORES["det"], np.zeros((3, 4)))
