@@ -9,12 +9,15 @@ membership are decided here only, through the one inverse().
 
 The same kernels run on stacks a[N, n, n] of N matrices (frob_norms,
 dets, inverses, inv_norms, in_rho_balls), each equal to its scalar form
-on every row bit for bit; a row raises the error the scalar form
-raises.  in_rho_balls on the unbounded ball is is_invertible on arrays:
-the det threshold alone, with no inverse built.  frob_norm sums its
-squares by math.fsum, which rounds correctly; fsum_rows does so on
-arrays through an error-free TwoSum cascade and leaves to math.fsum the
-rows whose rounding the cascade cannot decide.
+on every row bit for bit.  The equality holds by construction, as both
+sides follow one rounding rule: a sum over a matrix's entries runs left
+to right from 0.0 (sum_rows on arrays, a loop over columns), and |A|^n
+is a product, not a power.  So each stack kernel is its scalar kernel's
+arithmetic on columns.  A left-to-right sum of at most 9 nonnegative
+terms is within 8 units of roundoff of the exact sum (Higham 2002,
+section 4.2), far inside SINGULAR_RTOL.  in_rho_balls on the unbounded
+ball is is_invertible on arrays: the det threshold alone, with no
+inverse built.
 """
 
 from __future__ import annotations
@@ -191,7 +194,10 @@ def mat_close(a: Mat, b: Mat, tol: float) -> bool:
 
 
 def frob_norm(a: Mat) -> float:
-    return math.sqrt(math.fsum(x * x for x in a.flat))
+    s = 0.0  # left to right; built-in sum is compensated from Python 3.12
+    for x in a.flat:
+        s += x * x
+    return math.sqrt(s)
 
 
 def det(a: Mat) -> float:
@@ -205,9 +211,16 @@ def det(a: Mat) -> float:
             + f[2] * (f[3] * f[7] - f[4] * f[6]))
 
 
+def _nth_power(r, n: int):
+    """r^n for n = 1, 2, 3 as a product, on a float or an array alike."""
+    if n == 1:
+        return r
+    return r * r if n == 2 else r * r * r
+
+
 def singular_threshold(a: Mat) -> float:
     """Determinant magnitude below which a matrix is treated as singular."""
-    return SINGULAR_RTOL * max(1.0, frob_norm(a) ** a.n)
+    return SINGULAR_RTOL * max(1.0, _nth_power(frob_norm(a), a.n))
 
 
 def is_invertible(a: Mat) -> bool:
@@ -218,7 +231,7 @@ def inverse(a: Mat) -> Mat | None:
     """Closed-form inverse, or None below the det threshold: the one
     place that decides invertibility and builds A^-1."""
     d = det(a)
-    if abs(d) < singular_threshold(a):
+    if not abs(d) >= singular_threshold(a):  # a NaN det is singular
         return None
     f = a.flat
     if a.n == 1:
@@ -379,16 +392,6 @@ def iter_coordinate_dyads(n: int) -> Iterable[Mat]:
 
 # -- the kernels on stacks of matrices ------------------------------------
 
-# fsum_rows: each TwoSum error is at most 2^-53 of its partial sum, and
-# a partial sum at most the row's sum of magnitudes; the float sum of 8
-# errors is off by at most 7 * 2^-53 of their magnitudes.  So the error
-# of e is below 56 * 2^-106 of the sum of magnitudes; 2^-98 bounds it
-# with room for the rounding of that sum.
-_ERR_SCALE = 2.0 ** -98
-_HALF_ULP = 0.5 * (1.0 - 2.0 ** -50)
-# rows whose sum of magnitudes is below it overflow no partial sum
-_NO_OVERFLOW = 2.0 ** 1022
-
 
 def quiet() -> np.errstate:
     """numpy's floating-point warnings off: the infinities and NaNs the
@@ -406,36 +409,13 @@ def _quiet(kernel):
     return run
 
 
-def _two_sum(a, b):
-    s = a + b
-    bb = s - a
-    return s, (a - (s - bb)) + (b - bb)
-
-
-def _fsum_rows(x: np.ndarray) -> np.ndarray:
-    """math.fsum of each row of x[N, k], k <= 9, bit for bit.
-
-    A TwoSum cascade leaves the row's exact sum as s plus the rounding
-    errors t; r = fl(s + e), with e the float sum of the t, is the
-    correctly rounded sum unless r + q = s + e (TwoSum) lies within the
-    error of e of a rounding boundary of r.  Those rows, and rows whose
-    magnitudes could overflow a partial sum, take math.fsum."""
-    if x.shape[1] == 1:
-        return x[:, 0] + 0.0  # fsum turns -0.0 into 0.0
-    mass = np.abs(x).sum(axis=1)
-    s, e = x[:, 0], 0.0
+def _sum_rows(x: np.ndarray) -> np.ndarray:
+    """Each row of x[N, k] summed left to right from 0.0, a column at a
+    time: np.sum adds pairwise from 8 terms on."""
+    s = x[:, 0] + 0.0
     for j in range(1, x.shape[1]):
-        s, t = _two_sum(s, x[:, j])
-        e = e + t
-    r, q = _two_sum(s, e)
-    # the nearer rounding boundary of r is half the smaller of its two
-    # ulps away, and that ulp lies toward zero
-    decided = (np.abs(q) + _ERR_SCALE * mass
-               < _HALF_ULP * np.abs(r - np.nextafter(r, 0.0)))
-    decided &= mass < _NO_OVERFLOW
-    for i in np.flatnonzero(~decided):
-        r[i] = math.fsum(x[i].tolist())
-    return r
+        s = s + x[:, j]
+    return s
 
 
 def _all_finite(x: np.ndarray) -> bool:
@@ -451,9 +431,7 @@ def _rows(a: np.ndarray) -> np.ndarray:
 def _frob_norms(a: np.ndarray) -> np.ndarray:
     """frob_norm of each matrix of a[N, n, n]."""
     x = _rows(a)
-    x = x * x
-    # fsum of one square is that square, which is never -0.0
-    return np.sqrt(x[:, 0] if a.shape[1] == 1 else _fsum_rows(x))
+    return np.sqrt(_sum_rows(x * x))
 
 
 def _dets(a: np.ndarray) -> np.ndarray:
@@ -470,19 +448,8 @@ def _dets(a: np.ndarray) -> np.ndarray:
 
 def _invertible(a: np.ndarray, d: np.ndarray) -> np.ndarray:
     """is_invertible of each matrix of a, given its determinants d."""
-    n = a.shape[1]
-    ad = np.abs(d)
-    if n == 1:
-        # d is the entry, and |A| = sqrt(fsum([d^2])) = sqrt(d^2)
-        return ad >= SINGULAR_RTOL * np.maximum(1.0, np.sqrt(d * d))
-    norms = _frob_norms(a)
-    thr = SINGULAR_RTOL * np.maximum(1.0, norms ** n)
-    # numpy's power can miss Python's ** by an ulp, and ** raises where
-    # it overflows: rows near their threshold or with an infinite one
-    # take the scalar rule
-    for i in np.flatnonzero(~(np.abs(ad - thr) > 2.0 ** -40 * thr)):
-        thr[i] = singular_threshold(Mat(n, tuple(a[i].ravel().tolist())))
-    return ad >= thr
+    scale = _nth_power(_frob_norms(a), a.shape[1])
+    return np.abs(d) >= SINGULAR_RTOL * np.maximum(1.0, scale)
 
 
 def _are_invertible(a: np.ndarray) -> np.ndarray:
@@ -497,10 +464,6 @@ def _inverses(a: np.ndarray) -> tuple:
     n = a.shape[1]
     d = _dets(a)
     ok = _invertible(a, d)
-    if n > 1 and np.isnan(d).any():
-        # products that overflow: not below the threshold, so inverse()
-        # builds a matrix of NaN entries, which Mat rejects
-        raise ValueError("matrix entries must be finite")
     d = d[ok]
     if n == 1:
         return ok, (1.0 / d).reshape(-1, 1, 1)
@@ -525,7 +488,7 @@ def _inverses(a: np.ndarray) -> tuple:
 def _inv_norms(a: np.ndarray) -> np.ndarray:
     """inv_norm of each matrix of a[N, n, n]; infinite where singular."""
     if a.shape[1] == 1:
-        # |1/x| as sqrt(fsum([(1/x)^2])), taken on every row at once
+        # frob_norm of the inverse [1/x], taken on every row at once
         x = a[:, 0, 0]
         r = 1.0 / x
         return np.where(_invertible(a, x), np.sqrt(r * r), math.inf)
@@ -549,12 +512,12 @@ def _in_rho_balls(a: np.ndarray, ball: RhoBall) -> np.ndarray:
     return inside
 
 
-def fsum_rows(x: np.ndarray) -> np.ndarray:
-    """math.fsum of each row of x[N, k], k <= 9, bit for bit."""
+def sum_rows(x: np.ndarray) -> np.ndarray:
+    """Each row of x[N, k] summed left to right from 0.0."""
     if x.shape[1] == 1:
-        return _fsum_rows(x)  # no arithmetic that could warn
+        return _sum_rows(x)  # no arithmetic that could warn
     with quiet():
-        return _fsum_rows(x)
+        return _sum_rows(x)
 
 
 frob_norms = _quiet(_frob_norms)

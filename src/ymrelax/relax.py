@@ -25,7 +25,7 @@ import numpy as np
 
 from ._search import golden_min_rows, lower_hull
 from .errors import Infeasible, Stalled
-from .matcore import Mat, RhoBall, frob_norm, fsum_rows, in_rho_ball, in_rho_balls
+from .matcore import Mat, RhoBall, frob_norm, in_rho_ball, in_rho_balls, sum_rows
 from .measure import (AtomicMeasure, Mesh, YoungMeasureField, classify,
                       first_moment, pair)
 from .meshdef import MeshDeformation, descend_nodes
@@ -174,13 +174,13 @@ def refine_atoms(atoms, dual_moment, dual_mass: float, w, ball: RhoBall, rng):
 
     def reduced(x: np.ndarray) -> list:
         """w(s) - pi . s - dual_mass at each row s of x[N, n*n], the dot
-        product an fsum of products; +inf off the ball (the duals are
+        product summed left to right; +inf off the ball (the duals are
         finite)."""
         out = np.full(len(x), math.inf)
         inside = in_rho_balls(x.reshape(-1, n, n), ball)
         x = x[inside]
         out[inside] = (evaluate_batch(w, x.reshape(-1, n, n))
-                       - fsum_rows(x * pi_row) - dual_mass)
+                       - sum_rows(x * pi_row) - dual_mass)
         return out.tolist()
 
     seeds = [Mat.identity(n).flat] + [a.flat for a in atoms]

@@ -53,8 +53,10 @@ def refine_atoms(atoms, dual_moment, dual_mass, w, ball, rng):
         mat = Mat.from_flat(flat)
         if not in_rho_ball(mat, ball):
             return math.inf
-        val = w.evaluate(mat)
-        return val - math.fsum(p * s for p, s in zip(pi, flat)) - dual_mass
+        dot = 0.0  # left to right, as matcore.sum_rows
+        for p, s in zip(pi, flat):
+            dot += p * s
+        return w.evaluate(mat) - dot - dual_mass
 
     seeds = [Mat.identity(n).flat] + [a.flat for a in atoms]
     k = 0

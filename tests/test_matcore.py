@@ -24,13 +24,14 @@ from ymrelax.matcore import (
     rank_one_difference,
     dets,
     frob_norms,
-    fsum_rows,
     in_rho_balls,
     inv_norms,
     inverses,
     singular_threshold,
     singular_values,
+    sum_rows,
 )
+from ymrelax.testfn import builtin_energy, evaluate_batch
 
 finite = st.floats(min_value=-10.0, max_value=10.0,
                    allow_nan=False, allow_infinity=False)
@@ -260,7 +261,7 @@ dyadic = st.builds(lambda m, e, sign: sign * m * 2.0 ** e,
                    st.sampled_from([1, 3, 5, 7]), st.integers(-80, 20),
                    st.sampled_from([1.0, -1.0]))
 # terms an ulp, half an ulp and an ulp's ulp below a unit-sized first
-# term, with either sign: the cascade's error sum decides these roundings
+# term, with either sign: sums of them round onto and beside ties
 near_tie = st.builds(lambda m, e, sign: sign * m * 2.0 ** -e,
                      st.sampled_from([1, 3, 5, 7]),
                      st.sampled_from([0, 1, 2, 52, 53, 54, 55, 105, 106, 107, 108]),
@@ -271,17 +272,16 @@ EDGE_ENTRIES = [0.0, -0.0, 5e-324, 1e-160, 2.0 ** -27, 1e-12, 1.0, 1e154,
                 1.35e154, 1e200, -1.7e308]
 entries = st.one_of(finite, dyadic, any_finite, st.sampled_from(EDGE_ENTRIES))
 
-# squares 1, 2^-54, 2^-54, 2^-108: the cascade's float error sum rounds
-# s + e onto the tie 1 + 2^-53, while the exact sum lies above it
-CASCADE_TIE = [1.0, 2.0 ** -27, 2.0 ** -27, 2.0 ** -54]
 EDGE_MATRICES = [
-    CASCADE_TIE,
+    # squares 1, 2^-54, 2^-54, 2^-108: each partial sum rounds back to 1,
+    # while the exact sum rounds to 1 + 2^-52
+    [1.0, 2.0 ** -27, 2.0 ** -27, 2.0 ** -54],
     [1.0, 2.0 ** -27, 2.0 ** -27, 0.0],   # an exact tie: even rounds down
     [1.0, 0.0, 0.0, 1e-12],               # det on the singular threshold
     [3.0, 0.0, 0.0, 1e-12 / 3.0],
     [1e155, 0.0, 0.0, 1.0],               # an infinite |A| and threshold
     [4.0, 4.5e307, 4.0, 4.5e307],         # det is inf - inf
-    [1e154, 1e154, 1e154, 1e154],         # the squares' fsum overflows
+    [1e154, 1e154, 1e154, 1e154],         # the squares' sum overflows
     [1e200, 0.0, 0.0, 1e200],             # det and the squares overflow
     [1e-160, 0.0, 0.0, 1e-160],           # subnormal squares
     [5e-324, 0.0, 0.0, 5e-324],
@@ -344,20 +344,20 @@ class TestStackKernels:
     every row, bit for bit, errors included."""
 
     @settings(max_examples=300, deadline=None, derandomize=True)
-    @given(st.lists(st.lists(st.one_of(dyadic, near_tie), min_size=1, max_size=9),
+    @given(st.lists(st.lists(st.one_of(dyadic, near_tie, st.sampled_from(EDGE_ENTRIES)),
+                             min_size=1, max_size=9),
                     min_size=1, max_size=20))
-    def test_fsum_rows_on_ties(self, rows):
+    def test_sum_rows_on_ties(self, rows):
         for k in range(1, 10):
             block = [(r * 9)[:k] for r in rows]
+            want = []
+            for r in block:
+                s = 0.0
+                for x in r:
+                    s += x
+                want.append(s)
             x = np.array(block, dtype=float)
-            want = np.array([math.fsum(r) for r in block], dtype=float)
-            assert fsum_rows(x).tobytes() == want.tobytes()
-
-    def test_cascade_tie(self):
-        x = np.array([CASCADE_TIE]) ** 2
-        assert fsum_rows(x)[0] == math.fsum(x[0].tolist()) == 1.0 + 2.0 ** -52
-        assert frob_norms(np.array(CASCADE_TIE).reshape(1, 2, 2))[0] == \
-            frob_norm(Mat.from_flat(CASCADE_TIE))
+            assert sum_rows(x).tobytes() == np.array(want, dtype=float).tobytes()
 
     def test_empty_stacks(self):
         for n in (1, 2):
@@ -386,10 +386,23 @@ class TestStackKernels:
         assert_rows(lambda b: in_rho_balls(b, RhoBall(math.inf)), is_invertible,
                     a, bool)
         assert_rows(inv_norms, inv_norm, a)
-        with pytest.raises(OverflowError):
-            frob_norms(a[6:7])
-        with pytest.raises(ValueError):
-            inv_norms(a[5:6])
+        big = Mat.from_flat(EDGE_MATRICES[6])
+        assert frob_norms(a[6:7])[0] == frob_norm(big) == math.inf
+        assert not is_invertible(big)
+        assert not in_rho_ball(big, RhoBall(math.inf))
+        # |A|^3 is a product: it overflows to inf, where ** would raise
+        assert singular_threshold(Mat.diag(1e103, 1.0, 1.0)) == math.inf
+
+    def test_nan_det_is_singular(self):
+        a = np.array(EDGE_MATRICES[5], dtype=float).reshape(1, 2, 2)
+        m = Mat.from_flat(EDGE_MATRICES[5])
+        assert math.isnan(det(m))
+        assert inverse(m) is None and not is_invertible(m)
+        assert inv_norm(m) == inv_norms(a)[0] == math.inf
+        w = builtin_energy("double_well_inv", {"wells": [[1.0, 0.0, 0.0, 1.0],
+                                                         [2.0, 0.0, 0.0, 2.0]],
+                                               "gamma": 0.5})
+        assert w.evaluate(m) == evaluate_batch(w, a)[0] == math.inf
 
 
 def test_coordinate_dyads():
