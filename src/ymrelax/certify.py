@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field as dc_field
 
 from .errors import HypothesisViolated
-from .matcore import Mat, RhoBall, det, frob_norm, in_rho_ball, max_norm_pair
+from .matcore import Mat, det, frob_norm, max_norm_pair
 from .measure import YoungMeasureField, classify, first_moment, pair as pair_fn
 from .meshdef import MeshDeformation
 from .testfn import orho_extend
@@ -195,20 +195,18 @@ def check_det_limit(fields, p: float) -> Certificate:
     if not p > n:
         raise HypothesisViolated(f"integrability exponent {p:g} must exceed "
                                  f"the dimension {n}")
-    k_plus = RhoBall(math.inf, positive_det_only=True)
-    for f in fields:
-        for g in f.grads:
-            if not in_rho_ball(g, k_plus):
-                raise HypothesisViolated("the sequence must consist of "
-                                         "orientation-preserving gradients")
+    inv_sups = [f.sup_inv_norm() for f in fields]
+    m_inv = max(inv_sups)
+    # K+: every gradient has det > 0 and a finite |grad^-1|
+    if m_inv == math.inf or min(f.min_det() for f in fields) <= 0.0:
+        raise HypothesisViolated("the sequence must consist of "
+                                 "orientation-preserving gradients")
 
     checks = [Check("exponent_above_dimension", PASS, None,
                     f"p = {p:g} > n = {n}"),
               Check("orientation_along_sequence", PASS, 0.0,
                     "every gradient has positive determinant")]
 
-    inv_sups = [f.sup_inv_norm() for f in fields]
-    m_inv = max(inv_sups)
     last = fields[-1]
     avg = Mat.zero(n)
     for w, g in zip(last.widths, last.grads):

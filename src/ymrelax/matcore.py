@@ -224,14 +224,14 @@ def singular_threshold(a: Mat) -> float:
 
 
 def is_invertible(a: Mat) -> bool:
-    return abs(det(a)) >= singular_threshold(a)
+    return math.inf > abs(det(a)) >= singular_threshold(a)  # NaN, inf: singular
 
 
 def inverse(a: Mat) -> Mat | None:
-    """Closed-form inverse, or None below the det threshold: the one
-    place that decides invertibility and builds A^-1."""
+    """Closed-form inverse, or None below the det threshold or at a NaN
+    or inf det: the one place that decides invertibility and builds A^-1."""
     d = det(a)
-    if not abs(d) >= singular_threshold(a):  # a NaN det is singular
+    if not math.inf > abs(d) >= singular_threshold(a):  # as is_invertible
         return None
     f = a.flat
     if a.n == 1:
@@ -449,7 +449,8 @@ def _dets(a: np.ndarray) -> np.ndarray:
 def _invertible(a: np.ndarray, d: np.ndarray) -> np.ndarray:
     """is_invertible of each matrix of a, given its determinants d."""
     scale = _nth_power(_frob_norms(a), a.shape[1])
-    return np.abs(d) >= SINGULAR_RTOL * np.maximum(1.0, scale)
+    d = np.abs(d)
+    return (math.inf > d) & (d >= SINGULAR_RTOL * np.maximum(1.0, scale))
 
 
 def _are_invertible(a: np.ndarray) -> np.ndarray:

@@ -25,11 +25,11 @@ import numpy as np
 
 from ._search import golden_min_rows, lower_hull
 from .errors import Infeasible, Stalled
-from .matcore import Mat, RhoBall, frob_norm, in_rho_ball, in_rho_balls, sum_rows
+from .matcore import Mat, frob_norm, sum_rows
 from .measure import (AtomicMeasure, Mesh, YoungMeasureField, classify,
                       first_moment, pair)
 from .meshdef import MeshDeformation, descend_nodes
-from .testfn import evaluate_batch
+from .testfn import evaluate_batch, orho_extend
 
 REDUCED_COST_TOL = 1e-8
 MOMENT_TOL = 1e-8
@@ -156,9 +156,9 @@ def lp_weights(atoms, target: Mat, costs) -> LpSolution:
 # -- column generation -------------------------------------------------------
 
 
-def refine_atoms(atoms, dual_moment, dual_mass: float, w, ball: RhoBall, rng):
-    """Search for a matrix in the ball with negative reduced cost against
-    the duals.
+def refine_atoms(atoms, dual_moment, dual_mass: float, w, rng):
+    """Search for a matrix of finite energy w with negative reduced cost
+    against the duals.
 
     Multistart local descent: the identity, the current atoms, and
     random perturbations of the atoms, each polished entrywise by
@@ -174,13 +174,10 @@ def refine_atoms(atoms, dual_moment, dual_mass: float, w, ball: RhoBall, rng):
 
     def reduced(x: np.ndarray) -> list:
         """w(s) - pi . s - dual_mass at each row s of x[N, n*n], the dot
-        product summed left to right; +inf off the ball (the duals are
-        finite)."""
-        out = np.full(len(x), math.inf)
-        inside = in_rho_balls(x.reshape(-1, n, n), ball)
-        x = x[inside]
-        out[inside] = (evaluate_batch(w, x.reshape(-1, n, n))
-                       - sum_rows(x * pi_row) - dual_mass)
+        product summed left to right where w(s) is finite."""
+        out = evaluate_batch(w, x.reshape(-1, n, n))
+        finite = np.isfinite(out)
+        out[finite] = out[finite] - sum_rows(x[finite] * pi_row) - dual_mass
         return out.tolist()
 
     seeds = [Mat.identity(n).flat] + [a.flat for a in atoms]
@@ -224,7 +221,9 @@ def refine_atoms(atoms, dual_moment, dual_mass: float, w, ball: RhoBall, rng):
 @dataclass(frozen=True)
 class RelaxProblem:
     """Energy, mesh, affine boundary data and growth exponents for the
-    discrete relaxation."""
+    discrete relaxation.  The energy w must be +inf on singular matrices,
+    as every builtin energy is: an atom may use a matrix exactly where w
+    is finite (in the rho_cap ball, and of det > 0 when asked)."""
 
     w: object
     mesh: Mesh
@@ -273,11 +272,11 @@ class RelaxSolution:
         }
 
 
-def _spanning_atoms(center: Mat, delta: float, ball: RhoBall, rng) -> list:
-    """center plus axis perturbations; members outside the ball get
-    jittered."""
+def _spanning_atoms(center: Mat, delta: float, w, rng) -> tuple:
+    """center plus axis perturbations, and their costs; members of
+    infinite cost get jittered, and left out when no jitter helps."""
     n = center.n
-    out = []
+    atoms, costs = [], []
     cands = [center]
     for idx in range(n * n):
         for s in (+1.0, -1.0):
@@ -285,32 +284,29 @@ def _spanning_atoms(center: Mat, delta: float, ball: RhoBall, rng) -> list:
             flat[idx] += s * delta
             cands.append(Mat.from_flat(flat))
     for cand in cands:
-        if in_rho_ball(cand, ball):
-            out.append(cand)
-            continue
+        atom, cost = cand, w.evaluate(cand)
         for _ in range(12):
-            jit = Mat.from_flat(tuple(x + e for x, e in
-                                      zip(cand.flat, rng.normal(0.0, 0.1 * delta, n * n))))
-            if in_rho_ball(jit, ball):
-                out.append(jit)
+            if cost < math.inf:
                 break
-    return out
+            atom = Mat.from_flat(tuple(x + e for x, e in
+                                       zip(cand.flat, rng.normal(0.0, 0.1 * delta, n * n))))
+            cost = w.evaluate(atom)
+        if cost < math.inf:
+            atoms.append(atom)
+            costs.append(cost)
+    return atoms, costs
 
 
-def _initial_atoms(g: Mat, w, ball: RhoBall, rng) -> tuple:
+def _initial_atoms(g: Mat, w, rng) -> tuple:
     """Finite-cost atoms around g whose hull holds g, their costs, and
     the cell LP over them."""
     n = g.n
-    base = g if in_rho_ball(g, ball) and w.evaluate(g) < math.inf else Mat.identity(n)
+    base = g if w.evaluate(g) < math.inf else Mat.identity(n)
     delta = max(0.5, 2.0 * max((abs(a - b) for a, b in
                                 zip(g.flat, base.flat)), default=0.0))
     for _ in range(8):
-        atoms = _spanning_atoms(base, delta, ball, rng)
-        costs = [w.evaluate(a) for a in atoms]
-        finite = [i for i, c in enumerate(costs) if c < math.inf]
-        if len(finite) >= n * n + 1:
-            atoms = [atoms[i] for i in finite]
-            costs = [costs[i] for i in finite]
+        atoms, costs = _spanning_atoms(base, delta, w, rng)
+        if len(atoms) >= n * n + 1:
             try:
                 return atoms, costs, lp_weights(atoms, g, costs)
             except Infeasible:
@@ -336,17 +332,17 @@ def relax_solve(problem: RelaxProblem) -> RelaxSolution:
     MOMENT_TOL and the final atoms price out to REDUCED_COST_TOL.
     """
     w = problem.w
+    if problem.rho_cap is not None or problem.positive_det:
+        w = orho_extend(w, problem.rho_cap or math.inf,
+                        positive_det_only=problem.positive_det)
     mesh = problem.mesh
-    # the matrices an atom may use: invertible, in the rho_cap ball when
-    # one is given, with det > 0 when asked
-    ball = RhoBall(problem.rho_cap or math.inf, problem.positive_det)
     vol = mesh.cell_volume
     ncells = mesh.n_cells
     u = MeshDeformation.affine(mesh, problem.f)
 
     seed_rng = np.random.default_rng([problem.seed, 0])
     grads = u.cell_gradients()
-    starts = [_initial_atoms(grads[c], w, ball, seed_rng) for c in range(ncells)]
+    starts = [_initial_atoms(grads[c], w, seed_rng) for c in range(ncells)]
     atoms = [a for a, _, _ in starts]
     costs = [c for _, c, _ in starts]
     sols = [s for _, _, s in starts]
@@ -357,13 +353,14 @@ def relax_solve(problem: RelaxProblem) -> RelaxSolution:
         for a in atoms[c]:
             if frob_norm(a - mat) < 1e-9:
                 return False
-        if len(atoms[c]) >= problem.atom_budget:
-            drop = next((i for i, wgt in enumerate(sol.weights)
-                         if wgt <= 1e-14), None)
-            if drop is None:
-                return False
-            atoms[c].pop(drop)
-            costs[c].pop(drop)
+        # at or over the budget, zero-weight atoms go, up to the excess
+        drops = len(atoms[c]) + 1 - problem.atom_budget
+        zero = [i for i, wgt in enumerate(sol.weights) if wgt <= 1e-14]
+        if drops > 0 and not zero:
+            return False
+        for i in reversed(zero[:max(drops, 0)]):
+            atoms[c].pop(i)
+            costs[c].pop(i)
         atoms[c].append(mat)
         costs[c].append(w.evaluate(mat))
         return True
@@ -377,7 +374,7 @@ def relax_solve(problem: RelaxProblem) -> RelaxSolution:
                 sol = sols[c]
                 rng = np.random.default_rng([problem.seed, it, rnd, c])
                 cand, _ = refine_atoms(atoms[c], sol.dual_moment,
-                                       sol.dual_mass, w, ball, rng)
+                                       sol.dual_mass, w, rng)
                 if cand is None or not add_atom(c, cand, sol):
                     break
                 sols[c] = lp_weights(atoms[c], grads[c], costs[c])
@@ -401,7 +398,7 @@ def relax_solve(problem: RelaxProblem) -> RelaxSolution:
     for c in range(ncells):
         rng = np.random.default_rng([problem.seed, problem.max_outer + 1, 0, c])
         _, red = refine_atoms(atoms[c], sols[c].dual_moment, sols[c].dual_mass,
-                              w, ball, rng)
+                              w, rng)
         last_reduced.append(red)
 
     measures = []

@@ -4,7 +4,8 @@ A TestFn pairs an evaluator on matrices with a declared growth class:
 
 * C_p        -- continuous everywhere, |v(s)| controlled by |s|^p
 * C_pmp      -- continuous on invertibles, controlled by |s|^p + |s^-1|^p;
-                evaluation at a singular matrix raises DomainError
+                the builtin energies are +inf at a singular matrix, a
+                plain function such as inv_power raises DomainError there
 * C_0inv     -- continuous, vanishes on singular matrices and at infinity
 * O_rho      -- finite and continuous on the rho ball, +inf outside it
 
@@ -163,18 +164,21 @@ def make_det_cutoff(epsilon: float, signed: bool) -> TestFn:
     return TestFn(evaluate, Growth.c_p(1.0), desc)
 
 
-def orho_extend(core: TestFn, rho: float, description: str = "") -> TestFn:
+def orho_extend(core: TestFn, rho: float, description: str = "",
+                positive_det_only: bool = False) -> TestFn:
     """Extend a finite integrand by +inf outside the rho ball.
 
-    The evaluator of core is kept on R_rho and replaced by math.inf
-    elsewhere, producing an O_rho-class TestFn.  A core already declared
-    O_rho for this rho is returned as it is.
+    The evaluator of core is kept on R_rho (at det > 0 only, if
+    positive_det_only) and replaced by math.inf elsewhere, producing an
+    O_rho-class TestFn.  A core already declared O_rho for this rho is
+    returned as it is, unless positive_det_only.
     """
-    if core.growth == Growth.o_rho(rho):
+    if core.growth == Growth.o_rho(rho) and not positive_det_only:
         return core
-    ball = RhoBall(rho)
+    ball = RhoBall(rho, positive_det_only)
     inner = core.evaluate
-    description = description or f"{core.description}, +inf outside the {rho}-ball"
+    description = description or (f"{core.description}, +inf outside the {rho}-ball"
+                                  + (" and at det <= 0" if positive_det_only else ""))
 
     def evaluate(a: Mat) -> float:
         if not in_rho_ball(a, ball):

@@ -159,6 +159,16 @@ class TestDetLimit:
         with pytest.raises(HypothesisViolated):
             check_det_limit(bad, 2.0)
 
+    @pytest.mark.parametrize("last", [
+        GradientField.from_slopes_1d([2.0, -1.0], [0.5, 0.5]),  # det < 0
+        GradientField.from_slopes_1d([2.0, 0.0], [0.5, 0.5]),   # singular
+        GradientField.affine(Mat.diag(1.0, 1e-13)),  # det > 0, singular
+    ])
+    def test_orientation_needs_det_and_inverse(self, last):
+        fields = [GradientField.affine(Mat.identity(last.n)), last]
+        with pytest.raises(HypothesisViolated, match="orientation-preserving"):
+            check_det_limit(fields, 3.0)
+
 
 class TestThm3:
     def test_dirac_field_all_pass(self):

@@ -287,18 +287,29 @@ EDGE_MATRICES = [
     [5e-324, 0.0, 0.0, 5e-324],
     [-0.0, 0.0, 0.0, -0.0],
 ]
+EDGE_MATRICES_3 = [
+    # det and the cofactors overflow: inf / inf would be a NaN inverse
+    [1e200, 0.0, 0.0, 0.0, 1e200, 0.0, 0.0, 0.0, 1e200],
+    [1e103, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0],  # |A|^3 overflows
+    # det is -1 while a cofactor and |A| overflow
+    [1.0, 1e200, 0.0, 0.0, 0.0, 1.0, 0.0, 1.0, 1e200],
+    [1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1e-12],  # det on the threshold
+    [1.0, 2.0 ** -27, 2.0 ** -27, 2.0 ** -27, 1.0, 0.0, 0.0, 0.0, 2.0 ** -54],
+    [5e-324, 0.0, 0.0, 0.0, 5e-324, 0.0, 0.0, 0.0, 5e-324],
+]
 
 
 @st.composite
 def stacks(draw):
-    """A stack a[N, n, n] for n = 1 or 2, mixing drawn rows with edge
-    matrices and exactly singular rows."""
-    n = draw(st.integers(1, 2))
+    """A stack a[N, n, n] for n = 1, 2 or 3, mixing drawn rows with edge
+    matrices and rows that repeat their first row."""
+    n = draw(st.integers(1, 3))
     rows = draw(st.lists(st.lists(entries, min_size=n * n, max_size=n * n),
                          max_size=12))
-    if n == 2:
-        rows += draw(st.lists(st.sampled_from(EDGE_MATRICES), max_size=3))
-        rows += [r[:2] + r[:2] for r in rows[:draw(st.integers(0, 2))]]
+    if n > 1:
+        edges = EDGE_MATRICES if n == 2 else EDGE_MATRICES_3
+        rows += draw(st.lists(st.sampled_from(edges), max_size=3))
+        rows += [r[:n] + r[:n * n - n] for r in rows[:draw(st.integers(0, 2))]]
     return np.array(rows, dtype=float).reshape(-1, n, n)
 
 
@@ -392,6 +403,23 @@ class TestStackKernels:
         assert not in_rho_ball(big, RhoBall(math.inf))
         # |A|^3 is a product: it overflows to inf, where ** would raise
         assert singular_threshold(Mat.diag(1e103, 1.0, 1.0)) == math.inf
+
+    @pytest.mark.parametrize("m", [Mat.diag(1e200, 1e200),
+                                   Mat.diag(1e200, 1e200, 1e200)])
+    def test_overflowing_det_is_singular(self, m):
+        a = np.array(m.flat).reshape(1, m.n, m.n)
+        assert det(m) == dets(a)[0] == math.inf
+        assert not is_invertible(m) and inverse(m) is None
+        assert inv_norm(m) == inv_norms(a)[0] == math.inf
+        ok, inv = inverses(a)
+        assert ok.tolist() == [False] and inv.shape == (0, m.n, m.n)
+        assert in_rho_balls(a, RhoBall(math.inf)).tolist() == [False]
+
+    def test_3x3_edge_matrices(self):
+        a = np.array(EDGE_MATRICES_3, dtype=float).reshape(-1, 3, 3)
+        assert_rows(frob_norms, frob_norm, a)
+        assert_rows(inv_norms, inv_norm, a)
+        assert_rows(_inverses_flat, _inverse_flat, a)
 
     def test_nan_det_is_singular(self):
         a = np.array(EDGE_MATRICES[5], dtype=float).reshape(1, 2, 2)

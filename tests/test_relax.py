@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import _reference
+import ymrelax.relax as relax
 from ymrelax._search import lower_hull
 from ymrelax.envelope import qinv_oracle_1d
 from ymrelax.errors import Infeasible, Stalled
@@ -115,7 +116,7 @@ class TestRefineAtoms:
         v = orho_extend(named_testfn("quartic_well_1d"), 3.0)
         # duals make the wells strictly attractive
         atom, reduced = refine_atoms(
-            [Mat.scalar(0.2)], np.zeros(1), 0.5, v, RhoBall(3.0), rng)
+            [Mat.scalar(0.2)], np.zeros(1), 0.5, v, rng)
         assert reduced == pytest.approx(-0.5, abs=1e-6)
         assert atom is not None
         assert abs(atom.flat[0]) == pytest.approx(1.0, abs=1e-3)
@@ -123,7 +124,7 @@ class TestRefineAtoms:
     def test_none_when_everything_nonnegative(self, rng):
         v = orho_extend(named_testfn("quartic_well_1d"), 3.0)
         atom, reduced = refine_atoms(
-            [Mat.scalar(1.0)], np.zeros(1), -0.1, v, RhoBall(3.0), rng)
+            [Mat.scalar(1.0)], np.zeros(1), -0.1, v, rng)
         assert atom is None
         assert reduced >= -1e-8
 
@@ -154,11 +155,20 @@ _PRICING_CASES = {
 }
 
 
+def _confined(w, ball):
+    """w with +inf off the ball, as relax_solve confines its energy: not
+    at all on K_inf, where w is +inf at the singular matrices already."""
+    if ball == RhoBall(math.inf):
+        return w
+    return orho_extend(w, ball.rho, positive_det_only=ball.positive_det_only)
+
+
 class TestLockstepPricing:
     """refine_atoms moves its starts in lockstep and prices each step's
-    points in one batch; each start must take the steps the sequential
-    multistart loop takes, so the returned (matrix, reduced cost) is
-    the same bit for bit."""
+    points in one batch of the confined energy; each start must take
+    the steps the sequential multistart loop takes, with its own ball
+    test, so the returned (matrix, reduced cost) is the same bit for
+    bit."""
 
     @pytest.mark.parametrize("case", sorted(_PRICING_CASES))
     @pytest.mark.parametrize("duals", [(0.0, 0.0), (0.3, 0.05), (-0.7, 0.4)])
@@ -168,31 +178,41 @@ class TestLockstepPricing:
         n = atoms[0].n
         pi = np.full(n * n, duals[0])
         for seed in (1, 2):
-            got = refine_atoms(atoms, tuple(pi), duals[1], w, ball,
+            got = refine_atoms(atoms, tuple(pi), duals[1], _confined(w, ball),
                                np.random.default_rng(seed))
             ref = _reference.refine_atoms(atoms, tuple(pi), duals[1], w, ball,
                                           np.random.default_rng(seed))
             assert _priced(got) == _priced(ref)
 
     def test_found_and_not_found_both_covered(self):
-        w, atoms, ball = _PRICING_CASES["1d_slope_batch"]
-        found, _ = refine_atoms(atoms, (0.0,), 0.4, w, ball,
-                                np.random.default_rng(1))
-        none, _ = refine_atoms(atoms, (0.0,), -0.1, w, ball,
-                               np.random.default_rng(1))
+        w, atoms, _ = _PRICING_CASES["1d_slope_batch"]
+        found, _ = refine_atoms(atoms, (0.0,), 0.4, w, np.random.default_rng(1))
+        none, _ = refine_atoms(atoms, (0.0,), -0.1, w, np.random.default_rng(1))
         assert found is not None and none is None
 
 
 class TestAdmissibleSet:
-    """The matrices a relax atom may use: the RhoBall relax_solve builds
-    from rho_cap (unbounded without one) and positive_det."""
+    """The matrices a relax atom may use: those where the energy,
+    confined to the rho_cap ball (unbounded without one) and to det > 0
+    when asked, is finite."""
 
     def test_cap_and_orientation(self):
-        assert in_rho_ball(Mat.scalar(5.0), RhoBall(math.inf))
-        assert not in_rho_ball(Mat.scalar(0.0), RhoBall(math.inf))
-        assert not in_rho_ball(Mat.scalar(3.0), RhoBall(2.0))
-        assert not in_rho_ball(Mat.scalar(-1.0), RhoBall(math.inf, True))
-        assert in_rho_ball(Mat.scalar(1.0), RhoBall(2.0, True))
+        w = builtin_energy("double_well_inv")
+        assert _confined(w, RhoBall(math.inf)) is w
+        assert w.evaluate(Mat.scalar(5.0)) < math.inf
+        assert w.evaluate(Mat.scalar(0.0)) == math.inf
+        assert _confined(w, RhoBall(2.0)).evaluate(Mat.scalar(3.0)) == math.inf
+        assert _confined(w, RhoBall(math.inf, True)).evaluate(
+            Mat.scalar(-1.0)) == math.inf
+        assert _confined(w, RhoBall(2.0, True)).evaluate(Mat.scalar(1.0)) == 0.0
+
+    def test_energy_finite_on_singular_matrices_stalls(self):
+        # |s|^2 is finite at 0, so the relax may place atoms at singular
+        # matrices; the field then leaves Y^{p,q} and the guard stops it
+        w = named_testfn("frob_power", {"p": 2.0})
+        with pytest.raises(Stalled, match="left the admissible measure class"):
+            relax_solve(RelaxProblem(w, Mesh.interval(2), Mat.scalar(0.0),
+                                     seed=1))
 
 
 class TestRelaxProblem:
@@ -291,6 +311,24 @@ class TestRelaxSolve:
         with pytest.raises(Stalled, match="no feasible starting atom set"):
             relax_solve(RelaxProblem(w, Mesh.interval(2), Mat.scalar(f),
                                      rho_cap=cap, positive_det=positive_det))
+
+    def test_atom_budget_bounds_the_working_set(self, monkeypatch):
+        # the 2D start spans 2n^2 + 1 = 9 atoms against a budget of 8:
+        # after a cell's first enrichment its set stays within budget
+        sizes = {}
+        priced = relax.refine_atoms
+
+        def recording(atoms, *args):
+            sizes.setdefault(id(atoms), []).append(len(atoms))
+            return priced(atoms, *args)
+
+        monkeypatch.setattr(relax, "refine_atoms", recording)
+        w = builtin_energy("shear_well_2d", {"kappa": 1.0, "gamma": 0.0})
+        mid = Mat.from_rows([[1.0, 0.5], [0.0, 1.0]])
+        relax_solve(RelaxProblem(w, Mesh.square(1, 1), mid, atom_budget=8,
+                                 max_outer=1, seed=1))
+        assert sizes and all(seq[0] == 9 for seq in sizes.values())
+        assert all(max(seq[1:]) <= 8 for seq in sizes.values())
 
     def test_json_dict(self):
         w = builtin_energy("double_well_inv", {"gamma": 0.0})

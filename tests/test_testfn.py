@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from _growth import growth_check
 from ymrelax.errors import DomainError, UnknownEnergy
-from ymrelax.matcore import Mat, frob_norm, invert
+from ymrelax.matcore import Mat, det, frob_norm, invert
 from ymrelax.testfn import (
     Growth,
     TestFn as MatrixFn,
@@ -120,6 +120,33 @@ class TestOrhoExtend:
         assert w is not v and w.growth == Growth.o_rho(2.0)
         assert v.evaluate(Mat.scalar(2.5)) == 6.25
         assert w.evaluate(Mat.scalar(2.5)) == math.inf
+
+    def test_orientation_is_not_the_same_radius(self):
+        v = orho_extend(named_testfn("frob_power", {"p": 2.0}), 3.0)
+        w = orho_extend(v, 3.0, positive_det_only=True)
+        assert w is not v and w.growth == Growth.o_rho(3.0)
+        assert w.description.endswith("+inf outside the 3.0-ball and at det <= 0")
+        assert v.evaluate(Mat.scalar(-1.0)) == 1.0
+        assert w.evaluate(Mat.scalar(-1.0)) == math.inf
+        assert w.evaluate(Mat.scalar(1.0)) == 1.0
+
+    @pytest.mark.parametrize("rho", [math.inf, 2.5])
+    def test_positive_det_only(self, rho):
+        # evaluate and batch agree bit for bit, and both are +inf where
+        # det <= 0, on 1x1 and 2x2 stacks
+        draws = np.random.default_rng(3).uniform(-3.0, 3.0, (400, 4))
+        for core, a in (
+                (builtin_energy("double_well_inv", {"gamma": 1e-3}),
+                 np.array(SPECIAL_SLOPES + draws[:, 0].tolist()).reshape(-1, 1, 1)),
+                (builtin_energy("shear_well_2d", {"gamma": 0.1, "p": 2.0}),
+                 np.vstack([np.array(SPECIAL_2X2, dtype=float), draws]).reshape(-1, 2, 2))):
+            v = orho_extend(core, rho, positive_det_only=True)
+            n = a.shape[1]
+            mats = [Mat(n, tuple(r)) for r in a.reshape(len(a), n * n).tolist()]
+            want = np.array([v.evaluate(m) for m in mats])
+            assert evaluate_batch(v, a).tobytes() == want.tobytes()
+            assert all(x == math.inf for x, m in zip(want, mats) if det(m) <= 0.0)
+            assert any(x < math.inf for x in want)
 
 
 class TestBuiltinEnergies:
