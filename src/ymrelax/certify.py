@@ -15,7 +15,8 @@ from dataclasses import dataclass, field as dc_field
 
 from .errors import HypothesisViolated
 from .matcore import Mat, det, frob_norm, max_norm_pair
-from .measure import YoungMeasureField, classify, first_moment, pair as pair_fn
+from .measure import (YoungMeasureField, classify, first_moment, pair as pair_fn,
+                      power_or_inf)
 from .meshdef import MeshDeformation
 from .testfn import orho_extend
 
@@ -80,13 +81,18 @@ def check_thm12(field: YoungMeasureField, p: float, q: float,
     gradient sequences, so the certificate is conclusive either way and
     always agrees with classify."""
     report = classify(field, p, q)
+
+    def moment(name: str, integrand: str, value: float, infinite_at: str) -> Check:
+        finite = math.isfinite(value)
+        return Check(name, PASS if finite else FAIL, None,
+                     f"integrated {integrand} moment = {value:.6g}"
+                     + ("" if finite else f" (infinite at {infinite_at})"))
+
+    overflow = "a power beyond the float range"
     checks = [
-        Check("finite_p_moment",
-              PASS if math.isfinite(report.moment_p) else FAIL,
-              None, f"integrated |s|^{p:g} moment = {report.moment_p:.6g}"),
-        Check("finite_inverse_moment",
-              PASS if math.isfinite(report.moment_negq) else FAIL,
-              None, f"integrated |s^-1|^{q:g} moment = {report.moment_negq:.6g}"),
+        moment("finite_p_moment", f"|s|^{p:g}", report.moment_p, overflow),
+        moment("finite_inverse_moment", f"|s^-1|^{q:g}", report.moment_negq,
+               f"singular mass or {overflow}"),
         Check("invertible_support",
               PASS if report.inv_mass_deficit == 0.0 else FAIL,
               report.inv_mass_deficit,
@@ -111,7 +117,7 @@ def _det_q_integral(widths, abs_dets, q: float) -> float:
     for w, d in zip(widths, abs_dets):
         if d == 0.0:
             return math.inf
-        total += w * d ** (-q)
+        total += w * power_or_inf(d, -q)
     return total
 
 
@@ -168,6 +174,9 @@ def check_support_from_sequence(fields, epsilon_ladder, q: float) -> Certificate
         None,
         "integrated |det grad|^-q along the sequence: "
         + ", ".join(f"{v:.4g}" for v in integrals)
+        + ("" if math.inf not in integrals else
+           " (infinite at a zero determinant or a power beyond the float"
+           " range)")
         + ("" if bounded else "; the growth rules out a uniform bound, so"
            " limiting support control is not certified")))
     return Certificate("support", tuple(checks),

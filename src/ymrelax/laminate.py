@@ -26,10 +26,8 @@ from ._search import fit_loglog_slope
 from .errors import BudgetExceeded, InfeasibleLayer, NotRankOne
 from .matcore import (
     Mat,
-    RhoBall,
     det,
     frob_norm,
-    in_rho_ball,
     inv_norm,
     max_norm_pair,
     rank_one_difference,
@@ -541,7 +539,7 @@ def _band_2d(f: Mat, m: tuple, w: float, cap: float, inner: tuple,
         c = tuple((fm[i] - gm[i] - b[i]) / w for i in range(2))
         band = g + Mat.outer(c, m)
         piece = (1.0 - w, 1.0, band, tuple(b[i] - (1.0 - w) * c[i] for i in range(2)))
-    if not in_rho_ball(band, RhoBall(cap)):
+    if not max_norm_pair(band) <= cap:
         raise InfeasibleLayer(f"{'left' if left else 'right'} band gradient leaves "
                               f"the {cap:.4g}-ball (|G| = {frob_norm(band):.4g})")
     return piece

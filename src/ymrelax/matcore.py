@@ -9,20 +9,22 @@ membership are decided here only, through the one inverse().
 
 The same kernels run on stacks a[N, n, n] of N matrices (frob_norms,
 dets, inverses, inv_norms, in_rho_balls), each equal to its scalar form
-on every row bit for bit.  The equality holds by construction, as both
-sides follow one rounding rule: a sum over a matrix's entries runs left
-to right from 0.0 (sum_rows on arrays, a loop over columns), and |A|^n
-is a product, not a power.  So each stack kernel is its scalar kernel's
-arithmetic on columns.  A left-to-right sum of at most 9 nonnegative
-terms is within 8 units of roundoff of the exact sum (Higham 2002,
-section 4.2), far inside SINGULAR_RTOL.  in_rho_balls on the unbounded
-ball is is_invertible on arrays: the det threshold alone, with no
-inverse built.
+on every row bit for bit.  Each formula has one body: _det and
+_inverse_entries take the n*n row-major entries of one matrix, the
+floats of Mat.flat or the columns of a stack, so a stack kernel is its
+scalar kernel's arithmetic on columns.  Both sides follow one rounding
+rule: a sum over a matrix's entries runs left to right from 0.0
+(sum_rows on arrays, a loop over columns), and |A|^n is a product, not
+a power.  A left-to-right sum of at most 9 nonnegative terms is within
+8 units of roundoff of the exact sum (Higham 2002, section 4.2), far
+inside SINGULAR_RTOL.  in_rho_balls on the unbounded ball is
+is_invertible on arrays: the det threshold alone, with no inverse
+built.  The stack kernels leave numpy's warnings to their caller, who
+runs them under quiet(), as evaluate_batch does.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -200,15 +202,20 @@ def frob_norm(a: Mat) -> float:
     return math.sqrt(s)
 
 
-def det(a: Mat) -> float:
-    f = a.flat
-    if a.n == 1:
+def _det(f, n: int):
+    """The determinant of the n x n matrix whose row-major entries are f:
+    floats, or the columns of a stack.  For n = 1 this is f[0] itself."""
+    if n == 1:
         return f[0]
-    if a.n == 2:
+    if n == 2:
         return f[0] * f[3] - f[1] * f[2]
     return (f[0] * (f[4] * f[8] - f[5] * f[7])
             - f[1] * (f[3] * f[8] - f[5] * f[6])
             + f[2] * (f[3] * f[7] - f[4] * f[6]))
+
+
+def det(a: Mat) -> float:
+    return _det(a.flat, a.n)
 
 
 def _nth_power(r, n: int):
@@ -227,19 +234,14 @@ def is_invertible(a: Mat) -> bool:
     return math.inf > abs(det(a)) >= singular_threshold(a)  # NaN, inf: singular
 
 
-def inverse(a: Mat) -> Mat | None:
-    """Closed-form inverse, or None below the det threshold or at a NaN
-    or inf det: the one place that decides invertibility and builds A^-1."""
-    d = det(a)
-    if not math.inf > abs(d) >= singular_threshold(a):  # as is_invertible
-        return None
-    f = a.flat
-    if a.n == 1:
-        return Mat(1, (1.0 / d,))
-    if a.n == 2:
-        return Mat(2, (f[3] / d, -f[1] / d, -f[2] / d, f[0] / d))
-    # adjugate transpose over the determinant
-    c = (
+def _inverse_entries(f, n: int, d) -> tuple:
+    """The row-major entries of the inverse of the n x n matrix with
+    entries f and determinant d, as _det takes f: the adjugate over d."""
+    if n == 1:
+        return (1.0 / d,)
+    if n == 2:
+        return (f[3] / d, -f[1] / d, -f[2] / d, f[0] / d)
+    return tuple(c / d for c in (
         f[4] * f[8] - f[5] * f[7],
         f[2] * f[7] - f[1] * f[8],
         f[1] * f[5] - f[2] * f[4],
@@ -249,8 +251,16 @@ def inverse(a: Mat) -> Mat | None:
         f[3] * f[7] - f[4] * f[6],
         f[1] * f[6] - f[0] * f[7],
         f[0] * f[4] - f[1] * f[3],
-    )
-    return Mat(3, tuple(x / d for x in c))
+    ))
+
+
+def inverse(a: Mat) -> Mat | None:
+    """Closed-form inverse, or None below the det threshold or at a NaN
+    or inf det: the one place that decides invertibility and builds A^-1."""
+    d = _det(a.flat, a.n)
+    if not math.inf > abs(d) >= singular_threshold(a):  # as is_invertible
+        return None
+    return Mat(a.n, _inverse_entries(a.flat, a.n, d))
 
 
 def invert(a: Mat) -> Mat:
@@ -396,20 +406,12 @@ def iter_coordinate_dyads(n: int) -> Iterable[Mat]:
 def quiet() -> np.errstate:
     """numpy's floating-point warnings off: the infinities and NaNs the
     kernels make are those their scalar forms make, or sit in rows they
-    discard.  The public kernels run under it; the private ones, which
-    TestFn batches call, expect their caller to."""
+    discard.  The stack kernels below expect their caller to run them
+    under it, as evaluate_batch does."""
     return np.errstate(over="ignore", invalid="ignore", divide="ignore")
 
 
-def _quiet(kernel):
-    @functools.wraps(kernel)
-    def run(*args):
-        with quiet():
-            return kernel(*args)
-    return run
-
-
-def _sum_rows(x: np.ndarray) -> np.ndarray:
+def sum_rows(x: np.ndarray) -> np.ndarray:
     """Each row of x[N, k] summed left to right from 0.0, a column at a
     time: np.sum adds pairwise from 8 terms on."""
     s = x[:, 0] + 0.0
@@ -418,111 +420,62 @@ def _sum_rows(x: np.ndarray) -> np.ndarray:
     return s
 
 
-def _all_finite(x: np.ndarray) -> bool:
-    """np.isfinite(x).all(), sooner: a finite sum has finite terms."""
-    return math.isfinite(x.sum()) or bool(np.isfinite(x).all())
-
-
 def _rows(a: np.ndarray) -> np.ndarray:
     """a[N, n, n] as N rows of n*n row-major entries."""
     return a.reshape(len(a), a.shape[1] * a.shape[2])
 
 
-def _frob_norms(a: np.ndarray) -> np.ndarray:
+def frob_norms(a: np.ndarray) -> np.ndarray:
     """frob_norm of each matrix of a[N, n, n]."""
     x = _rows(a)
-    return np.sqrt(_sum_rows(x * x))
+    return np.sqrt(sum_rows(x * x))
 
 
-def _dets(a: np.ndarray) -> np.ndarray:
-    """det of each matrix of a[N, n, n], by det's formula."""
-    f = _rows(a).T
-    if a.shape[1] == 1:
-        return f[0].copy()
-    if a.shape[1] == 2:
-        return f[0] * f[3] - f[1] * f[2]
-    return (f[0] * (f[4] * f[8] - f[5] * f[7])
-            - f[1] * (f[3] * f[8] - f[5] * f[6])
-            + f[2] * (f[3] * f[7] - f[4] * f[6]))
+def dets(a: np.ndarray) -> np.ndarray:
+    """det of each matrix of a[N, n, n], in a new array."""
+    d = _det(_rows(a).T, a.shape[1])
+    return d.copy() if a.shape[1] == 1 else d  # for n = 1, d is a view of a
 
 
 def _invertible(a: np.ndarray, d: np.ndarray) -> np.ndarray:
     """is_invertible of each matrix of a, given its determinants d."""
-    scale = _nth_power(_frob_norms(a), a.shape[1])
+    scale = _nth_power(frob_norms(a), a.shape[1])
     d = np.abs(d)
     return (math.inf > d) & (d >= SINGULAR_RTOL * np.maximum(1.0, scale))
 
 
-def _are_invertible(a: np.ndarray) -> np.ndarray:
-    """is_invertible of each matrix of a[N, n, n]: the det threshold
-    alone, with no inverse built."""
-    return _invertible(a, _dets(a))
-
-
-def _inverses(a: np.ndarray) -> tuple:
+def inverses(a: np.ndarray) -> tuple:
     """inverse on each matrix of a[N, n, n], as (ok, inv): the mask of
     the invertible rows and their inverses, inv[N_ok, n, n]."""
     n = a.shape[1]
-    d = _dets(a)
+    d = dets(a)
     ok = _invertible(a, d)
-    d = d[ok]
-    if n == 1:
-        return ok, (1.0 / d).reshape(-1, 1, 1)
-    f = _rows(a[ok]).T
-    if n == 2:
-        inv = [f[3] / d, -f[1] / d, -f[2] / d, f[0] / d]
-    else:
-        inv = [c / d for c in (
-            f[4] * f[8] - f[5] * f[7],
-            f[2] * f[7] - f[1] * f[8],
-            f[1] * f[5] - f[2] * f[4],
-            f[5] * f[6] - f[3] * f[8],
-            f[0] * f[8] - f[2] * f[6],
-            f[2] * f[3] - f[0] * f[5],
-            f[3] * f[7] - f[4] * f[6],
-            f[1] * f[6] - f[0] * f[7],
-            f[0] * f[4] - f[1] * f[3],
-        )]
+    inv = _inverse_entries(_rows(a[ok]).T, n, d[ok])
     return ok, np.stack(inv, axis=1).reshape(-1, n, n)
 
 
-def _inv_norms(a: np.ndarray) -> np.ndarray:
+def inv_norms(a: np.ndarray) -> np.ndarray:
     """inv_norm of each matrix of a[N, n, n]; infinite where singular."""
     if a.shape[1] == 1:
         # frob_norm of the inverse [1/x], taken on every row at once
         x = a[:, 0, 0]
         r = 1.0 / x
         return np.where(_invertible(a, x), np.sqrt(r * r), math.inf)
-    ok, inv = _inverses(a)
+    ok, inv = inverses(a)
     out = np.full(len(a), math.inf)
-    out[ok] = _frob_norms(inv)
+    out[ok] = frob_norms(inv)
     return out
 
 
-def _in_rho_balls(a: np.ndarray, ball: RhoBall) -> np.ndarray:
+def in_rho_balls(a: np.ndarray, ball: RhoBall) -> np.ndarray:
     """in_rho_ball of each matrix of a[N, n, n]; each test runs on the
     rows the one before it kept, as the scalar test short-circuits."""
     if ball.positive_det_only:
-        inside = ~(_dets(a) <= 0.0)
-        inside[inside] = _in_rho_balls(a[inside], RhoBall(ball.rho))
+        inside = ~(dets(a) <= 0.0)
+        inside[inside] = in_rho_balls(a[inside], RhoBall(ball.rho))
         return inside
     if ball.rho == math.inf:
-        return _are_invertible(a)
-    inside = _frob_norms(a) <= ball.rho
-    inside[inside] = _inv_norms(a[inside]) <= ball.rho
+        return _invertible(a, dets(a))
+    inside = frob_norms(a) <= ball.rho
+    inside[inside] = inv_norms(a[inside]) <= ball.rho
     return inside
-
-
-def sum_rows(x: np.ndarray) -> np.ndarray:
-    """Each row of x[N, k] summed left to right from 0.0."""
-    if x.shape[1] == 1:
-        return _sum_rows(x)  # no arithmetic that could warn
-    with quiet():
-        return _sum_rows(x)
-
-
-frob_norms = _quiet(_frob_norms)
-dets = _quiet(_dets)
-inverses = _quiet(_inverses)
-inv_norms = _quiet(_inv_norms)
-in_rho_balls = _quiet(_in_rho_balls)

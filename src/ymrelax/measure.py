@@ -318,7 +318,7 @@ class ClassReport:
     p: float
     q: float
     moment_p: float
-    moment_negq: float  # math.inf when singular mass is present
+    moment_negq: float  # math.inf on singular mass or an overflowing power
     inv_mass_deficit: float
     positive_det_mass_deficit: float
 
@@ -342,10 +342,20 @@ class ClassReport:
         }
 
 
+def power_or_inf(x: float, e: float) -> float:
+    """x ** e for x >= 0, math.inf where that is beyond the float range,
+    as frob_norm takes an overflowing sum."""
+    try:
+        return x ** e
+    except OverflowError:
+        return math.inf
+
+
 def classify(field: YoungMeasureField, p: float, q: float) -> ClassReport:
     """Decide membership in the invertible-support class (full mass on
     invertible matrices, finite (p, -q) moments) and its orientation-
-    preserving refinement (additionally det > 0 almost everywhere)."""
+    preserving refinement (additionally det > 0 almost everywhere).  A
+    moment is infinite when an atom's power is beyond the float range."""
     if not (p > 0.0 and q > 0.0):
         raise ValueError("growth exponents must be positive")
     vol = field.mesh.cell_volume
@@ -355,7 +365,7 @@ def classify(field: YoungMeasureField, p: float, q: float) -> ClassReport:
     m2 = 0.0
     for nu in field.measures:
         for a, w in nu.atoms:
-            m1 += vol * w * frob_norm(a) ** p
+            m1 += vol * w * power_or_inf(frob_norm(a), p)
             inv = inv_norm(a)
             if inv == math.inf:
                 inv_deficit += vol * w
@@ -363,7 +373,7 @@ def classify(field: YoungMeasureField, p: float, q: float) -> ClassReport:
                 m2 = math.inf
                 continue
             if m2 != math.inf:
-                m2 += vol * w * inv ** q
+                m2 += vol * w * power_or_inf(inv, q)
             if det(a) <= 0.0:
                 pos_deficit += vol * w
     return ClassReport(p, q, m1, m2, inv_deficit, pos_deficit)

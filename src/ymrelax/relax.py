@@ -25,7 +25,7 @@ import numpy as np
 
 from ._search import golden_min_rows, lower_hull
 from .errors import Infeasible, Stalled
-from .matcore import Mat, frob_norm, sum_rows
+from .matcore import Mat, frob_norm, quiet, sum_rows
 from .measure import (AtomicMeasure, Mesh, YoungMeasureField, classify,
                       first_moment, pair)
 from .meshdef import MeshDeformation, descend_nodes
@@ -177,7 +177,8 @@ def refine_atoms(atoms, dual_moment, dual_mass: float, w, rng):
         product summed left to right where w(s) is finite."""
         out = evaluate_batch(w, x.reshape(-1, n, n))
         finite = np.isfinite(out)
-        out[finite] = out[finite] - sum_rows(x[finite] * pi_row) - dual_mass
+        with quiet():
+            out[finite] = out[finite] - sum_rows(x[finite] * pi_row) - dual_mass
         return out.tolist()
 
     seeds = [Mat.identity(n).flat] + [a.flat for a in atoms]

@@ -18,8 +18,8 @@ A TestFn may also carry a batch: a float64 stack a[N, n, n] of
 matrices in, the N values of evaluate at them out, bit for bit (1D is
 N x 1 x 1).  Scalar evaluate stays the reference; evaluate_batch uses
 the batch when there is one and evaluate otherwise.  It runs a batch
-under matcore.quiet(), so a batch builds on matcore's private stack
-kernels, which expect that of their caller.  Powers in a batch are
+under matcore.quiet(), so a batch builds on matcore's stack kernels,
+which expect that of their caller.  Powers in a batch are
 taken by Python's ** element by element, as evaluate takes them:
 numpy's power and square differ from libm pow by an ulp on some
 inputs, and ** raises the OverflowError evaluate raises.
@@ -35,9 +35,9 @@ import numpy as np
 
 from ._values import integer, real
 from .errors import DomainError, UnknownEnergy
-from .matcore import (Mat, RhoBall, _all_finite, _are_invertible, _dets,
-                      _frob_norms, _in_rho_balls, _inv_norms, det, frob_norm,
-                      in_rho_ball, inv_norm, is_invertible, quiet)
+from .matcore import (Mat, RhoBall, det, dets, frob_norm, frob_norms,
+                      in_rho_ball, in_rho_balls, inv_norm, inv_norms,
+                      is_invertible, quiet)
 
 
 @dataclass(frozen=True)
@@ -83,6 +83,11 @@ class TestFn:
     batch: Callable | None = None
 
 
+def _all_finite(x: np.ndarray) -> bool:
+    """np.isfinite(x).all(), sooner: a finite sum has finite terms."""
+    return math.isfinite(x.sum()) or bool(np.isfinite(x).all())
+
+
 def evaluate_batch(v: TestFn, a) -> np.ndarray:
     """v at each matrix of the stack a[N, n, n], as a float64 array: the
     batch v.batch when v has one, else v.evaluate one matrix at a time."""
@@ -94,9 +99,9 @@ def evaluate_batch(v: TestFn, a) -> np.ndarray:
         return np.array([v.evaluate(Mat(n, tuple(row)))
                          for row in a.reshape(len(a), n * n).tolist()],
                         dtype=float)
-    if not _all_finite(a):
-        raise ValueError("matrix entries must be finite")
-    with quiet():
+    with quiet():  # the finiteness test's sum may overflow too
+        if not _all_finite(a):
+            raise ValueError("matrix entries must be finite")
         return v.batch(a)
 
 
@@ -187,7 +192,7 @@ def orho_extend(core: TestFn, rho: float, description: str = "",
 
     def batch(a: np.ndarray) -> np.ndarray:
         out = np.full(len(a), math.inf)
-        inside = _in_rho_balls(a, ball)
+        inside = in_rho_balls(a, ball)
         out[inside] = evaluate_batch(core, a[inside])
         return out
 
@@ -204,9 +209,9 @@ def _inv_penalty(p: float) -> tuple:
         return math.inf if inv == math.inf else frob_norm(a) ** p + inv ** p
 
     def batch(a: np.ndarray) -> np.ndarray:
-        out = _inv_norms(a)
+        out = inv_norms(a)
         ok = out < math.inf
-        out[ok] = _powers(_frob_norms(a[ok]), p) + _powers(out[ok], p)
+        out[ok] = _powers(frob_norms(a[ok]), p) + _powers(out[ok], p)
         return out
     return evaluate, batch
 
@@ -219,20 +224,21 @@ def _double_well(well_a: Mat, well_b: Mat, p: float, gamma: float) -> tuple:
         return min(da * da, db * db)
 
     n = well_a.n
+    k_inf = RhoBall(math.inf)
     both = np.array([well_a.flat, well_b.flat]).reshape(1, 2, n, n)
 
     def batch(a: np.ndarray) -> np.ndarray:
         if gamma == 0.0:
-            ok = _are_invertible(a)
+            ok = in_rho_balls(a, k_inf)
         else:
-            inv = _inv_norms(a)
+            inv = inv_norms(a)
             ok = inv < math.inf
         if a.shape[1] != n and ok.any():
             raise ValueError("dimension mismatch")  # as Mat subtraction
         diff = a[ok][:, None] - both
         if not _all_finite(diff):
             raise ValueError("matrix entries must be finite")
-        d = _frob_norms(diff.reshape(-1, n, n))  # a - A, a - B for each a
+        d = frob_norms(diff.reshape(-1, n, n))  # a - A, a - B for each a
         d *= d
         val = np.minimum(d[0::2], d[1::2])
         if gamma != 0.0:
@@ -335,10 +341,10 @@ def named_testfn(kind: str, params: dict | None = None) -> TestFn:
     if kind == "frob_power":
         p = _params(kind, params, {"p": (2.0, real())})["p"]
         return TestFn(lambda a, _p=p: frob_norm(a) ** _p, Growth.c_p(p + 1.0),
-                      f"|s|^{p:g}", lambda a, _p=p: _powers(_frob_norms(a), _p))
+                      f"|s|^{p:g}", lambda a, _p=p: _powers(frob_norms(a), _p))
     if kind == "det":
         _params(kind, params, {})
-        return TestFn(det, Growth.c_p(3.0), "det s", _dets)
+        return TestFn(det, Growth.c_p(3.0), "det s", dets)
     if kind == "phi_rho":
         rho = _params(kind, params, {"rho": (2.0, real(above=0.0))})["rho"]
         return make_phi_rho(rho)

@@ -336,10 +336,6 @@ class TestMalformedValues:
 OVERFLOWS = [  # valid configs whose arithmetic overflows a float at run time
     pytest.param("certify", {**THM3_CFG, "battery": [
         {"kind": "entry_power", "exponent": 2000}]}, id="thm3_entry_power_2000"),
-    pytest.param("certify", {"theorem": "thm1", "p": 2000, "q": 2, "field": {
-        "mesh": {"dim": 1, "cells": 4},
-        "constant_measure": {"atoms": [{"mat": [3.0], "w": 1.0}]}}},
-                 id="thm1_p_2000"),
     pytest.param("relax", {**RELAX_CFG, "energy_params": {"gamma": 1, "p": -2000}},
                  id="relax_p_minus_2000"),
 ]
@@ -510,6 +506,37 @@ class TestCertifyCommand:
         assert cert["verdict"] == "inconclusive"
         assert cert["details"]["q_integrals"] == pytest.approx(
             [8.5, 32.5, 128.5])
+
+    @pytest.mark.parametrize("cfg, check, verdict", [
+        pytest.param({"theorem": "thm1", "p": 2000, "q": 2, "field": {
+            "mesh": {"dim": 1, "cells": 4},
+            "constant_measure": {"atoms": [{"mat": [3.0], "w": 1.0}]}}},
+            "finite_p_moment", "fail", id="thm1_p_2000"),
+        pytest.param({"theorem": "thm1", "p": 5, "q": 2, "field": {
+            "mesh": {"dim": 1, "cells": 4},
+            "constant_measure": {"atoms": [{"mat": [1e100], "w": 1.0}]}}},
+            "finite_p_moment", "fail", id="thm1_atom_1e100_p_5"),
+        pytest.param({"theorem": "support", "q": 5, "epsilon_ladder": [0.5],
+                      "fields": [{"n": 1, "normal": [1.0], "breaks": [0.0, 1.0],
+                                  "grads": [[1e-70]], "offsets": [[0.0]]}]},
+                     "uniform_inverse_determinant_moment", "inconclusive",
+                     id="support_slope_1e-70_q_5"),
+    ])
+    def test_overflowing_power_is_infinite(self, tmp_path, cfg, check, verdict):
+        """A moment power beyond the float range reads as an infinite
+        moment, not as an internal error."""
+        code, out = run(tmp_path, "certify", cfg)
+        assert code == 0
+        cert = load_result(out)["certificate"]
+        assert cert["verdict"] == verdict
+        by_name = {c["name"]: c for c in cert["checks"]}
+        assert by_name[check]["status"] == verdict
+        assert by_name[check]["explanation"].endswith(
+            "= inf (infinite at a power beyond the float range)"
+            if verdict == "fail" else
+            ": inf (infinite at a zero determinant or a power beyond the float "
+            "range); the growth rules out a uniform bound, so limiting support "
+            "control is not certified")
 
     def test_discontinuous_fields_exit_2(self, tmp_path, capsys):
         field = {"n": 1, "normal": [1.0], "breaks": [0.0, 0.5, 1.0],

@@ -21,6 +21,7 @@ from ymrelax.matcore import (
     largest_singular_value,
     mat_close,
     max_norm_pair,
+    quiet,
     rank_one_difference,
     dets,
     frob_norms,
@@ -235,12 +236,13 @@ class TestInverseKernel:
     def test_slope_arrays_match_scalars(self, xs, positive):
         s = np.array(xs, dtype=float).reshape(-1, 1, 1)
         scalars = [Mat.scalar(x) for x in xs]
-        assert (inv_norms(s).tobytes()
-                == np.array([inv_norm(a) for a in scalars], dtype=float).tobytes())
-        for rho in (1.0, 3.0, math.inf):
-            ball = RhoBall(rho, positive)
-            assert (in_rho_balls(s, ball).tolist()
-                    == [in_rho_ball(a, ball) for a in scalars])
+        with quiet():
+            assert (inv_norms(s).tobytes()
+                    == np.array([inv_norm(a) for a in scalars], dtype=float).tobytes())
+            for rho in (1.0, 3.0, math.inf):
+                ball = RhoBall(rho, positive)
+                assert (in_rho_balls(s, ball).tolist()
+                        == [in_rho_ball(a, ball) for a in scalars])
 
     @pytest.mark.parametrize("rho", [math.nan, 0.0, -1.0, -math.inf])
     def test_radius_must_be_positive(self, rho):
@@ -321,20 +323,23 @@ def scalar_outcome(fn, row):
 
 
 def assert_rows(batch, scalar, a, dtype=float):
-    """batch(a) equals scalar on each row, bit for bit.  When a row
-    raises, each row is checked alone: its error, or its value."""
+    """batch(a) under quiet(), as its callers run it, equals scalar on
+    each row, bit for bit.  When a row raises, each row is checked
+    alone: its error, or its value."""
     n = a.shape[1]
     mats = [Mat(n, tuple(r)) for r in a.reshape(len(a), n * n).tolist()]
     want = [scalar_outcome(scalar, m) for m in mats]
-    if not any(isinstance(w, Exception) for w in want):
-        assert batch(a).tobytes() == np.array(want, dtype=dtype).tobytes()
-        return
-    for i, w in enumerate(want):
-        if isinstance(w, Exception):
-            with pytest.raises(type(w), match=re.escape(str(w))):
-                batch(a[i:i + 1])
-        else:
-            assert batch(a[i:i + 1]).tobytes() == np.array([w], dtype=dtype).tobytes()
+    with quiet():
+        if not any(isinstance(w, Exception) for w in want):
+            assert batch(a).tobytes() == np.array(want, dtype=dtype).tobytes()
+            return
+        for i, w in enumerate(want):
+            if isinstance(w, Exception):
+                with pytest.raises(type(w), match=re.escape(str(w))):
+                    batch(a[i:i + 1])
+            else:
+                assert (batch(a[i:i + 1]).tobytes()
+                        == np.array([w], dtype=dtype).tobytes())
 
 
 def _inverse_flat(a: Mat):
@@ -368,7 +373,20 @@ class TestStackKernels:
                     s += x
                 want.append(s)
             x = np.array(block, dtype=float)
-            assert sum_rows(x).tobytes() == np.array(want, dtype=float).tobytes()
+            with quiet():
+                assert sum_rows(x).tobytes() == np.array(want, dtype=float).tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_results_are_not_views(self, n):
+        """Writing into a kernel's result leaves its input alone."""
+        a = np.stack([2.0 * np.eye(n), -3.0 * np.eye(n)])
+        before = a.copy()
+        ok, inv = inverses(a)
+        for out in (frob_norms(a), dets(a), ok, inv, inv_norms(a),
+                    in_rho_balls(a, RhoBall(math.inf)),
+                    in_rho_balls(a, RhoBall(5.0, True)), sum_rows(a[:, 0])):
+            out[...] = 7
+        assert a.tobytes() == before.tobytes()
 
     def test_empty_stacks(self):
         for n in (1, 2):
@@ -398,7 +416,8 @@ class TestStackKernels:
                     a, bool)
         assert_rows(inv_norms, inv_norm, a)
         big = Mat.from_flat(EDGE_MATRICES[6])
-        assert frob_norms(a[6:7])[0] == frob_norm(big) == math.inf
+        with quiet():
+            assert frob_norms(a[6:7])[0] == frob_norm(big) == math.inf
         assert not is_invertible(big)
         assert not in_rho_ball(big, RhoBall(math.inf))
         # |A|^3 is a product: it overflows to inf, where ** would raise
@@ -408,12 +427,13 @@ class TestStackKernels:
                                    Mat.diag(1e200, 1e200, 1e200)])
     def test_overflowing_det_is_singular(self, m):
         a = np.array(m.flat).reshape(1, m.n, m.n)
-        assert det(m) == dets(a)[0] == math.inf
         assert not is_invertible(m) and inverse(m) is None
-        assert inv_norm(m) == inv_norms(a)[0] == math.inf
-        ok, inv = inverses(a)
-        assert ok.tolist() == [False] and inv.shape == (0, m.n, m.n)
-        assert in_rho_balls(a, RhoBall(math.inf)).tolist() == [False]
+        with quiet():
+            assert det(m) == dets(a)[0] == math.inf
+            assert inv_norm(m) == inv_norms(a)[0] == math.inf
+            ok, inv = inverses(a)
+            assert ok.tolist() == [False] and inv.shape == (0, m.n, m.n)
+            assert in_rho_balls(a, RhoBall(math.inf)).tolist() == [False]
 
     def test_3x3_edge_matrices(self):
         a = np.array(EDGE_MATRICES_3, dtype=float).reshape(-1, 3, 3)
@@ -426,7 +446,8 @@ class TestStackKernels:
         m = Mat.from_flat(EDGE_MATRICES[5])
         assert math.isnan(det(m))
         assert inverse(m) is None and not is_invertible(m)
-        assert inv_norm(m) == inv_norms(a)[0] == math.inf
+        with quiet():
+            assert inv_norm(m) == inv_norms(a)[0] == math.inf
         w = builtin_energy("double_well_inv", {"wells": [[1.0, 0.0, 0.0, 1.0],
                                                          [2.0, 0.0, 0.0, 2.0]],
                                                "gamma": 0.5})

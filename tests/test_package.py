@@ -31,3 +31,19 @@ def test_imports_are_used():
         unused += [f"{path.name}:{line} {name}"
                    for name, line in imported.items() if name not in used]
     assert unused == []
+
+
+def test_no_private_imports_across_modules():
+    """No module of the package imports another module's _-prefixed
+    name: what a module shares, it names publicly."""
+    private = []
+    for path in sorted(pathlib.Path(ymrelax.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            if node.level == 0 and (node.module or "").split(".")[0] != "ymrelax":
+                continue
+            private += [f"{path.name}:{node.lineno} {alias.name}"
+                        for alias in node.names
+                        if alias.name.startswith("_") and not alias.name.endswith("__")]
+    assert private == []

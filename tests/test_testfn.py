@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -493,6 +494,15 @@ class TestMatrixBatch:
         phi = make_phi_rho(2.0)
         a = np.array([np.eye(2), np.zeros((2, 2))])
         assert evaluate_batch(phi, a).tolist() == [1.0, 0.0]
+
+    def test_huge_entries_warn_nothing(self):
+        """Entries whose sum overflows are finite: the batch takes them
+        under quiet(), with no RuntimeWarning."""
+        v = builtin_energy("double_well_inv", {"gamma": 1e-3, "p": 2.0})
+        a = np.full((2, 1, 1), 1e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert evaluate_batch(v, a).tolist() == [math.inf, math.inf]
 
     def test_stack_shape_checked(self):
         with pytest.raises(ValueError):
