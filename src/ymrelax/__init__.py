@@ -38,7 +38,6 @@ from .matcore import (
     invert,
     is_invertible,
     iter_coordinate_dyads,
-    largest_singular_value,
     mat_close,
     max_norm_pair,
     rank_one_difference,
@@ -118,7 +117,7 @@ __all__ = [
     # matrices
     "Mat", "RhoBall", "mat_close", "frob_norm", "det", "singular_threshold",
     "is_invertible", "inverse", "invert", "inv_norm", "singular_values",
-    "largest_singular_value", "rank_one_difference", "in_rho_ball",
+    "rank_one_difference", "in_rho_ball",
     "max_norm_pair",
     "iter_coordinate_dyads",
     # test functions

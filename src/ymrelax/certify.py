@@ -13,8 +13,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dc_field
 
+import numpy as np
+
 from .errors import HypothesisViolated
-from .matcore import Mat, det, frob_norm, max_norm_pair
+from .matcore import Mat, det, frob_norm, max_norm_pair, quiet
 from .measure import (YoungMeasureField, classify, first_moment, pair as pair_fn,
                       power_or_inf)
 from .meshdef import MeshDeformation
@@ -167,7 +169,8 @@ def check_support_from_sequence(fields, epsilon_ladder, q: float) -> Certificate
             f"volume with |det grad| < {eps:g} against the eps^{q:g} "
             "moment bound"))
 
-    bounded = math.isfinite(integrals[-1]) and not _grows(integrals)
+    grows = _grows(integrals)
+    bounded = math.isfinite(integrals[-1]) and not grows
     checks.append(Check(
         "uniform_inverse_determinant_moment",
         PASS if bounded else INCONCLUSIVE,
@@ -177,8 +180,10 @@ def check_support_from_sequence(fields, epsilon_ladder, q: float) -> Certificate
         + ("" if math.inf not in integrals else
            " (infinite at a zero determinant or a power beyond the float"
            " range)")
-        + ("" if bounded else "; the growth rules out a uniform bound, so"
-           " limiting support control is not certified")))
+        + ("" if bounded else
+           ("; the growth rules out a uniform bound" if grows else
+            "; the last integral is infinite")
+           + ", so limiting support control is not certified")))
     return Certificate("support", tuple(checks),
                        {"q_integrals": integrals, "masses": masses})
 
@@ -216,10 +221,13 @@ def check_det_limit(fields, p: float) -> Certificate:
               Check("orientation_along_sequence", PASS, 0.0,
                     "every gradient has positive determinant")]
 
+    # the volume average of the last field, summed piece by piece in
+    # order from a zero row
     last = fields[-1]
-    avg = Mat.zero(n)
-    for w, g in zip(last.widths, last.grads):
-        avg = avg + w * g
+    with quiet():
+        rows = np.array(last.widths)[:, None] * last.grad_stack.reshape(-1, n * n)
+        total = np.cumsum(np.vstack([np.zeros(n * n), rows]), axis=0)[-1]
+    avg = Mat(n, tuple(total.tolist()))
     threshold = n ** (n / 2.0) / m_inv ** n
     d = det(avg)
     details = {"weak_limit": list(avg.flat), "det": d,

@@ -17,20 +17,28 @@ layer.
 
 from __future__ import annotations
 
+import errno
 import math
+import os
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
+
+import numpy as np
 
 from ._search import fit_loglog_slope
 from .errors import BudgetExceeded, InfeasibleLayer, NotRankOne
 from .matcore import (
     Mat,
-    det,
+    dets,
     frob_norm,
-    inv_norm,
+    frob_norms,
+    inv_norms,
     max_norm_pair,
+    quiet,
     rank_one_difference,
+    stack,
 )
 
 JUMP_TOL = 1e-10
@@ -57,8 +65,55 @@ def _slab_point(normal: tuple, t: float, s: float) -> tuple:
     return tuple(t * normal[k] + s * perp[k] for k in range(2))
 
 
+def _slab_points(normal: tuple, t: np.ndarray, s: float) -> np.ndarray:
+    """_slab_point at each slab coordinate of t, as rows x[len(t), n]."""
+    if len(normal) == 1:
+        return t[:, None]
+    perp = _perp(normal)
+    return np.stack([t * normal[k] + s * perp[k] for k in range(2)], axis=1)
+
+
 def _dot(u: Sequence[float], v: Sequence[float]) -> float:
     return math.fsum(a * b for a, b in zip(u, v))
+
+
+# -- the interface checks on arrays ----------------------------------------
+#
+# A fault is (mask over interfaces, exception factory): the interfaces
+# at which one step of the checks raises, and what it raises there.
+
+
+def _raising(exc_type, *args) -> Callable:
+    return lambda i: exc_type(*args)
+
+
+_DIMENSION = _raising(ValueError, "dimension mismatch")
+_NONFINITE = _raising(ValueError, "matrix entries must be finite")
+_VECTOR_LENGTH = _raising(ValueError, "vector length does not match dimension")
+_POW_OVERFLOW = _raising(OverflowError, errno.ERANGE, os.strerror(errno.ERANGE))
+
+
+def _fsum_rows(parts: np.ndarray) -> tuple:
+    """math.fsum over the last axis of parts[m, r, k], k <= 2 terms, a
+    row r at a time: the IEEE sum, a zero sum as +0.0, and the faults
+    where fsum raises instead, in row order."""
+    total = parts[..., 0] if parts.shape[2] == 1 else parts[..., 0] + parts[..., 1]
+    total = total + 0.0
+    faults = []
+    for r in range(parts.shape[1]):
+        p = parts[:, r]
+        faults += [((p == math.inf).any(axis=1) & (p == -math.inf).any(axis=1),
+                    _raising(ValueError, "-inf + inf in fsum")),
+                   (np.isfinite(p).all(axis=1) & ~np.isfinite(total[:, r]),
+                    _raising(OverflowError, "intermediate overflow in fsum"))]
+    return total, faults
+
+
+def _first_fault(faults: list):
+    """(interface, index into faults) of the first fault: the earliest
+    interface, and there the step that runs first; None without one."""
+    return min(((int(np.argmax(mask)), k) for k, (mask, _) in enumerate(faults)
+                if mask.any()), default=None)
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,18 +155,49 @@ class GradientField:
                 raise ValueError("offset dimension mismatch")
         self._check_interfaces()
 
+    @cached_property
+    def grad_stack(self) -> np.ndarray:
+        """The piece gradients as one array g[pieces, n, n]."""
+        return stack(self.grads, self.n)
+
     def _check_interfaces(self):
-        scale = max([1.0] + [frob_norm(g) for g in self.grads]
-                    + [abs(x) for b in self.offsets for x in b])
-        stations = (0.0, 0.5, 1.0) if self.n == 2 else (0.0,)
-        for i in range(len(self.grads) - 1):
-            t = self.breaks[i + 1]
-            dg = self.grads[i + 1] - self.grads[i]
-            db = tuple(b1 - b0 for b1, b0 in zip(self.offsets[i + 1], self.offsets[i]))
-            # Hadamard condition first: a jump that is not rank one along
-            # the normal can never be continuous, and the classified error
-            # is the more informative one
-            if self.n == 2 and frob_norm(dg) > 1e-13 * scale:
+        """Each interface in order: finite gradient jump, then (2D) a
+        Hadamard jump rank one along the normal, then continuity at the
+        stations.  The jumps are decided on arrays; the faults are those
+        the same float arithmetic meets one interface at a time, the
+        first one in that order raised."""
+        g = self.grad_stack
+        with quiet():
+            b = np.array(self.offsets, dtype=float)
+            # as max() from 1.0 over a list, skipping a NaN offset
+            scale = float(np.fmax.reduce(np.abs(b), axis=None,
+                                         initial=np.max(frob_norms(g), initial=1.0)))
+            dg = g[1:] - g[:-1]
+            db = b[1:] - b[:-1]
+            t = np.array(self.breaks[1:-1])
+            faults = [(~np.isfinite(dg).all(axis=(1, 2)), _NONFINITE)]
+            for s in (0.0, 0.5, 1.0) if self.n == 2 else (0.0,):
+                x = _slab_points(self.normal, t, s)
+                jump, jump_faults = _fsum_rows(dg * x[:, None, :])
+                e = jump + db
+                # squares as products: ** 2 (libm's pow) may round an ulp apart
+                sq = e * e
+                err2, err_faults = _fsum_rows(sq[:, None, :])
+                err = np.sqrt(err2[:, 0])
+                faults += jump_faults + [
+                    ((np.isfinite(e) & ~np.isfinite(sq)).any(axis=1), _POW_OVERFLOW)
+                ] + err_faults + [(err > JUMP_TOL * scale, lambda i, err=err: ValueError(
+                    f"deformation jumps by {err[i]:.3e} at interface {i}"))]
+        hit = _first_fault(faults)
+        # the Hadamard condition runs after the finite check and before
+        # continuity: a jump that is not rank one along the normal can
+        # never be continuous, and the classified error is the more
+        # informative one
+        stop = len(dg) if hit is None else hit[0] + (hit[1] > 0)
+        if self.n == 2:
+            with quiet():
+                big = frob_norms(dg[:stop]) > 1e-13 * scale
+            for i in np.flatnonzero(big).tolist():
                 ro = rank_one_difference(self.grads[i], self.grads[i + 1])
                 if ro is None:
                     raise NotRankOne(f"gradient jump at interface {i} is not rank one")
@@ -119,12 +205,8 @@ class GradientField:
                 if abs(_dot(mvec, self.normal)) < 1.0 - 1e-8:
                     raise NotRankOne(f"gradient jump at interface {i} is rank one "
                                      "along the wrong direction")
-            # continuity of the deformation across the interface
-            for s in stations:
-                jump = dg.mul_vec(_slab_point(self.normal, t, s))
-                err = math.sqrt(math.fsum((j + d) ** 2 for j, d in zip(jump, db)))
-                if err > JUMP_TOL * scale:
-                    raise ValueError(f"deformation jumps by {err:.3e} at interface {i}")
+        if hit is not None:
+            raise faults[hit[1]][1](hit[0])
 
     # -- construction helpers ------------------------------------------
 
@@ -134,7 +216,8 @@ class GradientField:
                     ) -> "GradientField":
         """Chain offsets so the deformation is continuous, starting from
         y(0) = start_value (default 0).  Gradient jumps must be rank one
-        along the normal; zero-width pieces are dropped."""
+        along the normal; zero-width pieces are dropped.  Breaks and
+        offsets are running sums, each added in piece order."""
         if len(widths) != len(grads):
             raise ValueError(f"{len(widths)} piece widths for {len(grads)} gradients")
         normal = tuple(float(x) for x in normal)
@@ -142,26 +225,39 @@ class GradientField:
         if not kept:
             raise ValueError("need at least one piece")
         b = tuple(float(x) for x in (start_value or (0.0,) * n))
-        breaks = [0.0]
-        offsets = [b]
-        out_grads = []
-        t = 0.0
-        for w, g in kept:
-            t += w
-            breaks.append(t)
-            out_grads.append(g)
+        breaks = np.cumsum([0.0] + [w for w, _ in kept]).tolist()
         # accumulated width must land on 1; snap the float dust
         total = breaks[-1]
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"piece widths sum to {total!r}, not 1")
         breaks[-1] = 1.0
-        for i in range(len(out_grads) - 1):
-            ti = breaks[i + 1]
-            dg = out_grads[i + 1] - out_grads[i]
-            a = dg.mul_vec(normal)
-            prev = offsets[i]
-            offsets.append(tuple(pb - ti * ak for pb, ak in zip(prev, a)))
-        return cls(n, normal, tuple(breaks), tuple(out_grads), tuple(offsets))
+        out_grads = tuple(g for _, g in kept)
+        dim = out_grads[0].n
+        # the gradients before the first one of another size, whose
+        # difference with it is a fault at that interface
+        same = next((i for i, g in enumerate(out_grads) if g.n != dim), len(out_grads))
+        g = stack(out_grads[:same], dim)
+        with quiet():
+            dg = g[1:] - g[:-1]
+            faults = [(np.arange(len(out_grads) - 1) == same - 1, _DIMENSION),
+                      (~np.isfinite(dg).all(axis=(1, 2)), _NONFINITE)]
+            if len(normal) != dim:
+                faults.append((np.arange(len(dg)) == 0, _VECTOR_LENGTH))
+            else:
+                a, sum_faults = _fsum_rows(dg * np.array(normal))
+                faults += sum_faults
+            hit = _first_fault(faults)
+            if hit is not None:
+                raise faults[hit[1]][1](hit[0])
+            offsets = [b]
+            if len(dg):
+                # offset i+1 = offset i - t_{i+1} (g_{i+1} - g_i) normal, on
+                # as many entries as the start value and the jump both have
+                k = min(len(b), dim)
+                steps = -(np.array(breaks[1:-1])[:, None] * a[:, :k])
+                chain = np.cumsum(np.vstack([b[:k], steps]), axis=0)
+                offsets += zip(*chain[1:].T.tolist())
+        return cls(n, normal, tuple(breaks), out_grads, tuple(offsets))
 
     @classmethod
     def from_slopes_1d(cls, slopes: Sequence[float], widths: Sequence[float],
@@ -205,13 +301,16 @@ class GradientField:
     # -- summaries ------------------------------------------------------
 
     def sup_norm(self) -> float:
-        return max(frob_norm(g) for g in self.grads)
+        with quiet():
+            return max(frob_norms(self.grad_stack).tolist())
 
     def sup_inv_norm(self) -> float:
-        return max(inv_norm(g) for g in self.grads)
+        with quiet():
+            return max(inv_norms(self.grad_stack).tolist())
 
     def min_det(self) -> float:
-        return min(det(g) for g in self.grads)
+        with quiet():
+            return min(dets(self.grad_stack).tolist())
 
     def to_csv_rows(self) -> list:
         rows = [["piece", "t_lo", "t_hi"]

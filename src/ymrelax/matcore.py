@@ -8,8 +8,9 @@ factorization is involved anywhere.  Invertibility, |A^-1| and rho-ball
 membership are decided here only, through the one inverse().
 
 The same kernels run on stacks a[N, n, n] of N matrices (frob_norms,
-dets, inverses, inv_norms, in_rho_balls), each equal to its scalar form
-on every row bit for bit.  Each formula has one body: _det and
+dets, inverses, inv_norms, in_rho_balls; stack builds one from Mats),
+each equal to its scalar form on every row bit for bit.  Each formula
+has one body: _det and
 _inverse_entries take the n*n row-major entries of one matrix, the
 floats of Mat.flat or the columns of a stack, so a stack kernel is its
 scalar kernel's arithmetic on columns.  Both sides follow one rounding
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -323,10 +325,6 @@ def singular_values(a: Mat) -> tuple:
     return tuple(math.sqrt(max(e, 0.0)) for e in eig)
 
 
-def largest_singular_value(a: Mat) -> float:
-    return singular_values(a)[0]
-
-
 # -- rank-one decomposition --------------------------------------------
 
 
@@ -418,6 +416,12 @@ def sum_rows(x: np.ndarray) -> np.ndarray:
     for j in range(1, x.shape[1]):
         s = s + x[:, j]
     return s
+
+
+def stack(mats: Sequence[Mat], n: int) -> np.ndarray:
+    """The n x n matrices mats as one array a[N, n, n]."""
+    return np.fromiter(chain.from_iterable(m.flat for m in mats), float,
+                       count=len(mats) * n * n).reshape(-1, n, n)
 
 
 def _rows(a: np.ndarray) -> np.ndarray:

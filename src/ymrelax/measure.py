@@ -15,16 +15,21 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 from typing import Callable, Sequence
 
 from .errors import SingularAtom
-from .matcore import (Mat, RhoBall, det, frob_norm, in_rho_ball, inv_norm,
-                      inverse, mat_close)
+from .matcore import (Mat, RhoBall, dets, frob_norms, in_rho_ball, inv_norms,
+                      inverse, mat_close, quiet, stack)
 from .testfn import make_phi_rho
 
 MERGE_TOL = 1e-10
 WEIGHT_TOL = 1e-12
 PAIRING_TOL = 1e-12
+
+# classify stacks at most this many atoms at a time, so its arrays stay
+# small however many cells a field has
+CLASSIFY_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -363,10 +368,17 @@ def classify(field: YoungMeasureField, p: float, q: float) -> ClassReport:
     pos_deficit = 0.0
     m1 = 0.0
     m2 = 0.0
-    for nu in field.measures:
-        for a, w in nu.atoms:
-            m1 += vol * w * power_or_inf(frob_norm(a), p)
-            inv = inv_norm(a)
+    # the kernels take a block of atoms at a time; the sums and powers
+    # stay Python floats, atom by atom in field order, because np.sum
+    # adds pairwise and numpy's power can round an ulp from **
+    atoms = (aw for nu in field.measures for aw in nu.atoms)
+    while block := list(islice(atoms, CLASSIFY_BLOCK)):
+        a = stack([x for x, _ in block], field.mesh.dim)
+        with quiet():
+            cols = zip(frob_norms(a).tolist(), inv_norms(a).tolist(),
+                       dets(a).tolist())
+        for (_, w), (norm, inv, d) in zip(block, cols):
+            m1 += vol * w * power_or_inf(norm, p)
             if inv == math.inf:
                 inv_deficit += vol * w
                 pos_deficit += vol * w
@@ -374,7 +386,7 @@ def classify(field: YoungMeasureField, p: float, q: float) -> ClassReport:
                 continue
             if m2 != math.inf:
                 m2 += vol * w * power_or_inf(inv, q)
-            if det(a) <= 0.0:
+            if d <= 0.0:
                 pos_deficit += vol * w
     return ClassReport(p, q, m1, m2, inv_deficit, pos_deficit)
 

@@ -1,17 +1,23 @@
-"""The sequential golden-section search and multistart pricing loop, as
-they stood before the starts moved in lockstep, and the lamination
-bound with its coarse scan one split at a time, as it stood before the
-scan became one batch.  Tests hold the batched versions in
-ymrelax._search, ymrelax.relax and ymrelax.envelope to these bit for
-bit."""
+"""Earlier scalar forms of batched code, kept as oracles.
+
+The sequential golden-section search and multistart pricing loop, as
+they stood before the starts moved in lockstep; the lamination bound
+with its coarse scan one split at a time, as it stood before the scan
+became one batch; classify one atom at a time, and GradientField
+chaining and checking its interfaces one Mat at a time, as they stood
+before both ran on stacks.  Tests hold the batched versions in
+ymrelax._search, ymrelax.relax, ymrelax.envelope, ymrelax.measure and
+ymrelax.laminate to these bit for bit, errors included."""
 
 import math
 
 from ymrelax.envelope import (_LAMBDA_COARSE, EnvelopeEstimate, _angular_dyads,
                               _checked)
-from ymrelax.errors import NoAdmissibleSplit
-from ymrelax.matcore import Mat, in_rho_ball
-from ymrelax.measure import AtomicMeasure
+from ymrelax.errors import NoAdmissibleSplit, NotRankOne
+from ymrelax.laminate import JUMP_TOL, GradientField, _dot, _slab_point
+from ymrelax.matcore import (Mat, det, frob_norm, in_rho_ball, inv_norm,
+                             rank_one_difference)
+from ymrelax.measure import AtomicMeasure, ClassReport, power_or_inf
 from ymrelax.relax import PRICING_STARTS, REDUCED_COST_TOL
 from ymrelax.testfn import orho_extend
 
@@ -162,3 +168,81 @@ def qinv_laminate_upper(v, f, rho_tilde, depth=2, angles=32):
                             "evaluations": evals[0],
                             "atoms": len(witness.atoms)})
     return _checked(est, v)
+
+
+def classify(field, p, q):
+    vol = field.mesh.cell_volume
+    inv_deficit = 0.0
+    pos_deficit = 0.0
+    m1 = 0.0
+    m2 = 0.0
+    for nu in field.measures:
+        for a, w in nu.atoms:
+            m1 += vol * w * power_or_inf(frob_norm(a), p)
+            inv = inv_norm(a)
+            if inv == math.inf:
+                inv_deficit += vol * w
+                pos_deficit += vol * w
+                m2 = math.inf
+                continue
+            if m2 != math.inf:
+                m2 += vol * w * power_or_inf(inv, q)
+            if det(a) <= 0.0:
+                pos_deficit += vol * w
+    return ClassReport(p, q, m1, m2, inv_deficit, pos_deficit)
+
+
+class ScalarGradientField(GradientField):
+    """GradientField with from_pieces and the interface checks one Mat
+    at a time; every other check is GradientField's."""
+
+    def _check_interfaces(self):
+        scale = max([1.0] + [frob_norm(g) for g in self.grads]
+                    + [abs(x) for b in self.offsets for x in b])
+        stations = (0.0, 0.5, 1.0) if self.n == 2 else (0.0,)
+        for i in range(len(self.grads) - 1):
+            t = self.breaks[i + 1]
+            dg = self.grads[i + 1] - self.grads[i]
+            db = tuple(b1 - b0 for b1, b0 in zip(self.offsets[i + 1], self.offsets[i]))
+            if self.n == 2 and frob_norm(dg) > 1e-13 * scale:
+                ro = rank_one_difference(self.grads[i], self.grads[i + 1])
+                if ro is None:
+                    raise NotRankOne(f"gradient jump at interface {i} is not rank one")
+                _, mvec = ro
+                if abs(_dot(mvec, self.normal)) < 1.0 - 1e-8:
+                    raise NotRankOne(f"gradient jump at interface {i} is rank one "
+                                     "along the wrong direction")
+            for s in stations:
+                jump = dg.mul_vec(_slab_point(self.normal, t, s))
+                err = math.sqrt(math.fsum((j + d) ** 2 for j, d in zip(jump, db)))
+                if err > JUMP_TOL * scale:
+                    raise ValueError(f"deformation jumps by {err:.3e} at interface {i}")
+
+    @classmethod
+    def from_pieces(cls, n, normal, widths, grads, start_value=None):
+        if len(widths) != len(grads):
+            raise ValueError(f"{len(widths)} piece widths for {len(grads)} gradients")
+        normal = tuple(float(x) for x in normal)
+        kept = [(float(w), g) for w, g in zip(widths, grads) if w > 0.0]
+        if not kept:
+            raise ValueError("need at least one piece")
+        b = tuple(float(x) for x in (start_value or (0.0,) * n))
+        breaks = [0.0]
+        offsets = [b]
+        out_grads = []
+        t = 0.0
+        for w, g in kept:
+            t += w
+            breaks.append(t)
+            out_grads.append(g)
+        total = breaks[-1]
+        if abs(total - 1.0) > 1e-9:
+            raise ValueError(f"piece widths sum to {total!r}, not 1")
+        breaks[-1] = 1.0
+        for i in range(len(out_grads) - 1):
+            ti = breaks[i + 1]
+            dg = out_grads[i + 1] - out_grads[i]
+            a = dg.mul_vec(normal)
+            prev = offsets[i]
+            offsets.append(tuple(pb - ti * ak for pb, ak in zip(prev, a)))
+        return cls(n, normal, tuple(breaks), tuple(out_grads), tuple(offsets))

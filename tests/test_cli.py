@@ -535,7 +535,7 @@ class TestCertifyCommand:
             "= inf (infinite at a power beyond the float range)"
             if verdict == "fail" else
             ": inf (infinite at a zero determinant or a power beyond the float "
-            "range); the growth rules out a uniform bound, so limiting support "
+            "range); the last integral is infinite, so limiting support "
             "control is not certified")
 
     def test_discontinuous_fields_exit_2(self, tmp_path, capsys):

@@ -1,8 +1,12 @@
 import math
+import warnings
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from _mixing import mix_deformations
+from _reference import ScalarGradientField
 from ymrelax.errors import BudgetExceeded, InfeasibleLayer, NotRankOne
 from ymrelax.laminate import (
     WEIGHT_FUNCTIONS,
@@ -14,7 +18,7 @@ from ymrelax.laminate import (
     integrate_weight,
     verify_generation,
 )
-from ymrelax.matcore import Mat
+from ymrelax.matcore import Mat, det, frob_norm, inv_norm
 from ymrelax.measure import pair
 from ymrelax.testfn import named_testfn
 
@@ -108,6 +112,165 @@ class TestGradientField:
         f = GradientField.from_slopes_1d([1.0, -1.0], [0.5, 0.5])
         rows = f.to_csv_rows()
         assert len(rows) == f.pieces + 1  # header plus one row per piece
+
+
+def outcome(make, *args):
+    """What make(*args) gives, to compare two builds of one field: the
+    breaks, gradients and offsets by repr (so -0.0 and 0.0 differ), or
+    the type and message of its error.  numpy may warn nothing."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            f = make(*args)
+        except Exception as exc:
+            return type(exc), str(exc)
+    return repr((f.breaks, f.grads, f.offsets))
+
+
+def same_as_scalar(method, *args):
+    """outcome of GradientField.method, or of the constructor when
+    method is None, against the scalar form's."""
+    got, want = (outcome(getattr(cls, method) if method else cls, *args)
+                 for cls in (GradientField, ScalarGradientField))
+    assert got == want
+    return got
+
+
+S = math.sqrt(0.5)
+HUGE = Mat.from_rows([[1.5e308, 1.5e308], [0.0, 0.0]])
+ZERO2 = Mat.zero(2)
+
+
+class TestInterfacesOnStacks:
+    """from_pieces chains breaks and offsets, and the interface checks
+    decide, on stacks of the gradients; the one-Mat-at-a-time forms in
+    _reference build the same fields bit for bit and raise the same
+    errors, in the same order."""
+
+    def test_overflowing_jump_is_not_finite(self):
+        assert same_as_scalar("from_slopes_1d", [1.7e308, -1.7e308], [0.5, 0.5]) == (
+            ValueError, "matrix entries must be finite")
+
+    def test_1d_station_is_the_slab_coordinate(self):
+        # the normal -1 chains the offset as if x were -t, but the check
+        # evaluates the jump at x = t
+        assert same_as_scalar("from_pieces", 1, (-1.0,), [0.5, 0.5],
+                              [Mat.scalar(1.0), Mat.scalar(2.0)]) == (
+            ValueError, "deformation jumps by 1.000e+00 at interface 0")
+
+    def test_hadamard_before_continuity(self):
+        grads = (Mat.identity(2), SHEAR, Mat.diag(3.0, 2.0))
+        breaks = (0.0, 0.25, 0.5, 1.0)
+        # interface 0 jumps in value, interface 1 is not rank one
+        jumpy = ((0.0, 0.0), (0.0, 1.0), (0.0, 0.0))
+        assert same_as_scalar(None, 2, (0.0, 1.0), breaks, grads, jumpy) == (
+            ValueError, "deformation jumps by 1.031e+00 at interface 0")
+        # interface 1 both jumps in value and is not rank one
+        offsets = GradientField.from_pieces(2, (0.0, 1.0), [0.25, 0.75],
+                                            grads[:2]).offsets + ((5.0, 5.0),)
+        assert same_as_scalar(None, 2, (0.0, 1.0), breaks, grads, offsets) == (
+            NotRankOne, "gradient jump at interface 1 is not rank one")
+        # a rank-one jump along the wrong normal, discontinuous as well
+        assert same_as_scalar(None, 2, (1.0, 0.0), (0.0, 0.5, 1.0),
+                              grads[:2], ((0.0, 0.0), (0.0, 0.0))) == (
+            NotRankOne, "gradient jump at interface 0 is rank one along the "
+            "wrong direction")
+
+    @pytest.mark.parametrize("args, error", [
+        # the two products of a chain step sum beyond the float range
+        ((2, (S, S), [0.5, 0.5], [ZERO2, HUGE]), OverflowError),
+        # a normal that is not a unit vector makes inf - inf
+        ((2, (2.0, 2.0), [0.5, 0.5],
+          [ZERO2, Mat.from_rows([[1e308, -1e308], [0.0, 0.0]])]), ValueError),
+        ((2, (2.0, 0.0), [0.5, 0.5], [ZERO2, SHEAR]), ValueError),
+        ((2, (1.0,), [0.5, 0.5], [Mat.identity(2), SHEAR]), ValueError),
+        ((2, (0.0, 1.0), [0.5, 0.5], [Mat.identity(2), Mat.scalar(1.0)]), ValueError),
+        # a gradient of another size after a jump beyond the float range
+        ((2, (0.0, 1.0), [0.25, 0.25, 0.5], [HUGE, HUGE * -1.0, Mat.scalar(1.0)]),
+         ValueError),
+        ((2, (1.0,), [0.25, 0.25, 0.5], [ZERO2, SHEAR, Mat.scalar(1.0)]), ValueError),
+        ((1, (1.0,), [0.5, 0.5], [Mat.scalar(1.0)] * 2, (0.0, 0.0)), ValueError),
+        ((1, (1.0,), [0.5, 0.0, 0.5], [Mat.scalar(x) for x in (1.0, 9.0, -1.0)],
+          (-0.0,)), None),
+        # a zero jump met by a negative normal: fsum's zero is +0.0
+        ((1, (-1.0,), [0.5, 0.5], [Mat.scalar(1.0)] * 2, (-0.0,)), None),
+    ])
+    def test_from_pieces_edge_cases(self, args, error):
+        got = same_as_scalar("from_pieces", *args)
+        assert (got[0] if isinstance(got, tuple) else None) is error
+
+    @pytest.mark.parametrize("n, normal, grads, offsets, error", [
+        # a gradient jump beyond the float range
+        (1, (1.0,), (1.7e308, -1.7e308), ((0.0,), (0.0,)), ValueError),
+        # (j + d) ** 2 beyond the float range
+        (1, (1.0,), (1.0, 1.0), ((0.0,), (1.6e154,)), OverflowError),
+        # an infinite or NaN offset: no finite error to report
+        (1, (1.0,), (1.0, 1.0), ((0.0,), (math.inf,)), None),
+        (1, (1.0,), (1.0, 1.0), ((math.nan,), (0.0,)), None),
+        # two finite squares that sum beyond the float range
+        (2, (1.0, 0.0), (1.0, 0.0, 0.0, 1.0) * 2, ((0.0, 0.0), (1e154, 1e154)),
+         OverflowError),
+        # a jump whose two products sum beyond the float range
+        (2, (S, S), (0.0,) * 4 + (1.5e308, -1.5e308, 0.0, 0.0),
+         ((0.0, 0.0), (0.0, 0.0)), OverflowError),
+    ])
+    def test_check_edge_cases(self, n, normal, grads, offsets, error):
+        grads = [Mat.from_flat(grads[i:i + n * n]) for i in range(0, len(grads), n * n)]
+        got = same_as_scalar(None, n, normal, (0.0, 0.5, 1.0), tuple(grads),
+                             offsets)
+        assert (got[0] if isinstance(got, tuple) else None) is error
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.lists(st.sampled_from([0.0, -0.0, 1.0, -2.5, 0.3, 1e-300, 1e154,
+                                     -1.2e154, 1e308, -1.7e308]),
+                    min_size=1, max_size=7),
+           st.sampled_from([0.0, -0.0, 2.0]))
+    def test_1d_pieces_match_scalar(self, slopes, y0):
+        widths = [1.0 / len(slopes)] * len(slopes)
+        same_as_scalar("from_slopes_1d", slopes, widths, y0)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.lists(st.tuples(st.sampled_from([0.0, 1.0, -0.7, 1e154, 1.5e308]),
+                              st.sampled_from([0.0, 1.0, -3.0, -1.5e308])),
+                    min_size=1, max_size=5),
+           st.sampled_from([(1.0, 0.0), (S, S), (0.0, -1.0)]))
+    def test_2d_pieces_match_scalar(self, jumps, normal):
+        # each gradient adds a (x) normal to the last, a rank-one jump
+        grads = [Mat.identity(2)]
+        try:
+            for a in jumps:
+                grads.append(grads[-1] + Mat.outer(a, normal))
+        except ValueError:  # a gradient entry beyond the float range
+            assume(False)
+        widths = [1.0 / len(grads)] * len(grads)
+        same_as_scalar("from_pieces", 2, normal, widths, grads)
+
+    def test_laminates_match_scalar(self):
+        for atoms, weights in (((SHEAR, Mat.identity(2)), (0.25, 0.75)),
+                               ((Mat.scalar(1.0), Mat.scalar(-2.0), Mat.scalar(0.5)),
+                                (0.2, 0.3, 0.5))):
+            normal = build_laminate_sequence(SequenceSpec(atoms, weights, 1)).normal
+            for k in (1, 3, 64):
+                widths = [w / k for _ in range(k) for w in weights]
+                same_as_scalar("from_pieces", atoms[0].n, normal, widths,
+                               list(atoms) * k)
+
+    @pytest.mark.parametrize("field, singular", [
+        (GradientField.from_slopes_1d([0.5, 0.0, -3.0, 2.0], [0.25] * 4), True),
+        (build_laminate_sequence(SequenceSpec((Mat.identity(2), Mat.diag(1.0, 0.0)),
+                                              (0.5, 0.5), 4)), True),
+        (build_laminate_sequence(SequenceSpec((Mat.diag(1.0, -2.0), Mat.diag(1.0, 3.0)),
+                                              (0.5, 0.5), 3)), False),
+        # det inf, then det inf - inf = NaN: min() keeps the inf it met first
+        (GradientField.from_pieces(2, (1.0, 0.0), [0.5, 0.5], [
+            Mat.from_rows([[1e200, 1e200], [0.0, 1e200]]),
+            Mat.from_rows([[1e200, 1e200], [1e200, 1e200]])]), True),
+    ], ids=["1d_singular", "2d_singular", "2d_negative", "2d_nan_det"])
+    def test_summaries_equal_scalar(self, field, singular):
+        assert field.sup_norm() == max(frob_norm(g) for g in field.grads)
+        assert field.sup_inv_norm() == max(inv_norm(g) for g in field.grads)
+        assert field.min_det() == min(det(g) for g in field.grads)
+        assert (field.sup_inv_norm() == math.inf) is singular
 
 
 class TestBuildLaminate:

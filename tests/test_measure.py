@@ -1,13 +1,16 @@
 import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import _reference
 from ymrelax.errors import SingularAtom
 from ymrelax.matcore import (Mat, RhoBall, frob_norm, inv_norm, invert,
                              max_norm_pair)
 from ymrelax.measure import (
+    CLASSIFY_BLOCK,
     MERGE_TOL,
     AtomicMeasure,
     ClassReport,
@@ -304,6 +307,73 @@ class TestClassify:
         assert not rep.in_ypq and not rep.in_ypq_plus
         assert rep.inv_mass_deficit == pytest.approx(0.25)
         assert rep.moment_negq == math.inf
+
+
+def mixed_atoms(rng, n, count):
+    """count n x n atoms: invertible ones of either det sign, singular
+    ones (rank n - 1) and zero matrices, in a seeded order."""
+    out = []
+    for kind in rng.integers(0, 4, count):
+        a = rng.normal(0.0, 1.5, (n, n))
+        if kind == 1:
+            a[-1] = a[0] if n > 1 else 0.0
+        elif kind == 2:
+            a[:] = 0.0
+        out.append(Mat(n, tuple(a.ravel().tolist())))
+    return out
+
+
+def mixed_field(rng, dim, extra=()):
+    """A field of more than CLASSIFY_BLOCK atoms: two atoms a cell on
+    2048 intervals (1D) or 1024 triangles (2D); on 1024 cells of a
+    stand-in mesh for 3x3 atoms, which no Mesh carries.  extra atoms
+    join the first cell's measure."""
+    cells = {1: 2048, 2: 1024, 3: 1024}[dim]
+    atoms = mixed_atoms(rng, dim, 2 * cells)
+    measures = [AtomicMeasure(list(zip(atoms[2 * c:2 * c + 2], (0.375, 0.625))))
+                for c in range(cells)]
+    if extra:
+        measures[0] = AtomicMeasure.mix(
+            [measures[0], AtomicMeasure([(a, 1.0 / len(extra)) for a in extra])],
+            [0.5, 0.5])
+    if dim == 3:
+        return SimpleNamespace(mesh=SimpleNamespace(dim=3, cell_volume=1.0 / cells),
+                               measures=tuple(measures))
+    mesh = Mesh.interval(cells) if dim == 1 else Mesh.square(16, 32)
+    return YoungMeasureField(mesh, tuple(measures))
+
+
+class TestClassifyOnStacks:
+    """classify takes its norms, inverse norms and determinants from the
+    stack kernels, CLASSIFY_BLOCK atoms at a time; the atom-by-atom loop
+    in _reference gives the same report, float for float."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("p, q", [(2.0, 2.0), (5.0, 3.0), (0.5, 7.0)])
+    def test_equals_scalar_loop(self, rng, dim, p, q):
+        field = mixed_field(rng, dim)
+        atoms = sum(len(nu.atoms) for nu in field.measures)
+        assert atoms > CLASSIFY_BLOCK
+        got = classify(field, p, q)
+        assert got == _reference.classify(field, p, q)
+        assert 0.0 < got.inv_mass_deficit < got.positive_det_mass_deficit < 1.0
+        assert got.moment_negq == math.inf
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_overflowing_power_equals_scalar_loop(self, rng, dim):
+        big = Mat(dim, (1e100,) + (0.0,) * (dim * dim - 1))
+        field = mixed_field(rng, dim, extra=[big])
+        got = classify(field, 5.0, 2.0)
+        assert got.moment_p == math.inf
+        assert got == _reference.classify(field, 5.0, 2.0)
+
+    def test_invertible_field_has_finite_moments(self, rng):
+        nu = AtomicMeasure([(Mat.diag(1.0, 2.0), 0.5), (Mat.diag(-3.0, 0.5), 0.5)])
+        field = YoungMeasureField.constant(Mesh.square(32, 32), nu)
+        got = classify(field, 3.0, 3.0)
+        assert got == _reference.classify(field, 3.0, 3.0)
+        assert math.isfinite(got.moment_negq)
+        assert got.positive_det_mass_deficit == pytest.approx(0.5)
 
 
 class TestMeasuresEqual:
