@@ -16,7 +16,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .errors import HypothesisViolated
-from .matcore import Mat, det, frob_norm, max_norm_pair, quiet
+from .matcore import Mat, det, dets, frob_norm, max_norm_pair, quiet
 from .measure import (YoungMeasureField, classify, first_moment, pair as pair_fn,
                       power_or_inf)
 from .meshdef import MeshDeformation
@@ -145,9 +145,10 @@ def check_support_from_sequence(fields, epsilon_ladder, q: float) -> Certificate
     epsilon_ladder = list(epsilon_ladder)
     if not epsilon_ladder:
         raise ValueError("need at least one epsilon")
-    abs_dets = [[abs(det(g)) for g in f.grads] for f in fields]
-    integrals = [_det_q_integral(f.widths, dets, q)
-                 for f, dets in zip(fields, abs_dets)]
+    widths = [f.widths for f in fields]
+    with quiet():
+        abs_dets = [np.abs(dets(f.grad_stack)).tolist() for f in fields]
+    integrals = [_det_q_integral(w, d, q) for w, d in zip(widths, abs_dets)]
 
     checks = []
     masses = {}
@@ -156,8 +157,8 @@ def check_support_from_sequence(fields, epsilon_ladder, q: float) -> Certificate
             raise ValueError("epsilons must sit in (0, 1)")
         worst = 0.0
         row = []
-        for f, dets, ik in zip(fields, abs_dets, integrals):
-            mass = math.fsum(w for w, d in zip(f.widths, dets) if d < eps)
+        for ws, ds, ik in zip(widths, abs_dets, integrals):
+            mass = math.fsum(w for w, d in zip(ws, ds) if d < eps)
             row.append(mass)
             bound = ik if ik == math.inf else (eps ** q) * ik
             worst = max(worst, mass - bound)

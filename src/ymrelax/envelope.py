@@ -5,13 +5,11 @@ Three routes, in decreasing exactness:
 
 * qinv_oracle_1d: exact on the interval, by lower convex hull of the
   function over the admissible slope set (two components separated by
-  the singular gap) plus a local polish of the supporting segment.  The
-  grid scan is batched by evaluate_batch, with scalar evaluate as its
-  reference.
+  the singular gap): _line_hull with g = 0 and d = 1.
 * qinv_laminate_upper: greedy recursive rank-one splitting; sound upper
   bound in any supported dimension, witnessed by an atomic measure.
-  Each node's coarse scan is one evaluate_batch call; the golden
-  refinement after it is scalar.
+  Each node's coarse scan of dyads is one evaluate_batch call, and
+  _line_hull along the best dyad refines its split.
 * qinv_fe_upper: coordinate descent over mesh deformations with the
   affine boundary condition; witnessed by the final deformation.
 
@@ -36,7 +34,7 @@ from .testfn import evaluate_batch, orho_extend
 
 REPRODUCE_TOL = 1e-9
 
-# slopes per evaluate_batch call in the oracle scan; bounds the arrays
+# points per evaluate_batch call in the line scan; bounds the arrays
 # alive at once whatever the grid
 _SCAN_BLOCK = 1024
 
@@ -85,11 +83,83 @@ def _checked(est: EnvelopeEstimate, v) -> EnvelopeEstimate:
     return est
 
 
-# -- 1D exact oracle ---------------------------------------------------------
+# -- the lower convex hull along a line --------------------------------------
 
 
 def _scalar_eval(v, s: float) -> float:
     return v.evaluate(Mat.scalar(s))
+
+
+def _line_hull(v, g: Mat, d: Mat, s0: float, intervals, points: int):
+    """The lower convex hull of s -> v(g + s d) over sorted disjoint
+    intervals, read at s0: the hull of a batched scan of `points` s per
+    interval, then a golden polish of each end of the supporting pair,
+    the other end held fixed, against the grid bias.  Returns (value, sa,
+    sb, hull_size, evaluations), sa <= s0 <= sb; value is +inf and sa =
+    sb = s0 when fewer than two grid points are finite."""
+    n = g.n
+    gf, df = np.array(g.flat), np.array(d.flat)
+    evals = 0
+    pts = []
+    for lo, hi in intervals:
+        for start in range(0, points, _SCAN_BLOCK):
+            i = np.arange(start, min(start + _SCAN_BLOCK, points))
+            s = lo + (hi - lo) * (i / (points - 1))
+            vals = evaluate_batch(v, (gf + s[:, None] * df).reshape(-1, n, n))
+            evals += len(s)
+            keep = vals < math.inf
+            pts.extend(zip(s[keep].tolist(), vals[keep].tolist()))
+    if len(pts) < 2:
+        return math.inf, s0, s0, len(pts), evals
+    hull = lower_hull(pts)
+
+    # supporting segment at s0
+    ib = min(bisect_left(hull, s0, key=lambda p: p[0]), len(hull) - 1)
+    ia = ib - 1 if hull[0][0] < s0 < hull[-1][0] else ib
+    sa, sb = hull[ia][0], hull[ib][0]
+    comp_a, comp_b = (next(iv for iv in reversed(intervals) if iv[0] <= s)
+                      for s in (sa, sb))
+
+    def ev(s: float) -> float:
+        nonlocal evals
+        evals += 1
+        return v.evaluate(Mat(n, tuple(x + s * y for x, y in zip(g.flat, d.flat))))
+
+    def lever(a: float, b: float, va=None, vb=None) -> float:
+        """la v(a) + (1 - la) v(b) at the lever rule weight la; an end
+        whose value is given is not evaluated again."""
+        if b - a < 1e-15:
+            if abs(a - s0) >= 1e-12:
+                return math.inf
+            return ev(a) if va is None else va
+        la = (b - s0) / (b - a)
+        if la < -1e-12 or la > 1.0 + 1e-12:
+            return math.inf
+        la = min(1.0, max(0.0, la))
+        va = ev(a) if va is None else va
+        vb = ev(b) if vb is None else vb
+        return la * va + (1.0 - la) * vb
+
+    best_val = lever(sa, sb)
+    for _ in range(2):
+        lo, hi = comp_a[0], min(comp_a[1], s0)
+        if hi > lo:
+            vb = ev(sb)
+            sa_new, val = golden_min(lambda a: lever(a, sb, vb=vb), lo, hi,
+                                     iters=48)
+            if val < best_val:
+                sa, best_val = sa_new, val
+        lo, hi = max(comp_b[0], s0), comp_b[1]
+        if hi > lo:
+            va = ev(sa)
+            sb_new, val = golden_min(lambda b: lever(sa, b, va=va), lo, hi,
+                                     iters=48)
+            if val < best_val:
+                sb, best_val = sb_new, val
+    return best_val, sa, sb, len(hull), evals
+
+
+# -- 1D exact oracle ---------------------------------------------------------
 
 
 def qinv_oracle_1d(v, f, rho_tilde: float, grid: int = 10000) -> EnvelopeEstimate:
@@ -97,9 +167,8 @@ def qinv_oracle_1d(v, f, rho_tilde: float, grid: int = 10000) -> EnvelopeEstimat
 
     The admissible slope set is K = [-rt, -1/rt] u [1/rt, rt]; the
     envelope at f in conv(K) = [-rt, rt] is the lower convex hull of v
-    restricted to K, evaluated at f.  A dense grid hull gives the
-    supporting pair of slopes; a derivative-free polish of that pair
-    removes the grid bias.
+    restricted to K, evaluated at f: _line_hull along the slopes
+    themselves, grid // 2 of them on each component of K.
     """
     fmat = Mat.coerce(f, 1)
     fs = fmat.flat[0]
@@ -111,65 +180,12 @@ def qinv_oracle_1d(v, f, rho_tilde: float, grid: int = 10000) -> EnvelopeEstimat
         raise InfeasibleBarycenter(f"barycenter {fs:.6g} outside "
                                    f"[-{rho_tilde:.6g}, {rho_tilde:.6g}]")
     v = orho_extend(v, rho_tilde)
-    half = grid // 2
     comps = ((-rho_tilde, -1.0 / rho_tilde), (1.0 / rho_tilde, rho_tilde))
-    pts = []
-    for lo, hi in comps:
-        for start in range(0, half, _SCAN_BLOCK):
-            i = np.arange(start, min(start + _SCAN_BLOCK, half))
-            s = lo + (hi - lo) * (i / (half - 1))
-            vals = evaluate_batch(v, s.reshape(-1, 1, 1))
-            keep = vals < math.inf
-            pts.extend(zip(s[keep].tolist(), vals[keep].tolist()))
-    if len(pts) < 2:
+    best_val, sa, sb, hull_size, _ = _line_hull(
+        v, Mat.scalar(0.0), Mat.scalar(1.0), fs, comps, grid // 2)
+    if hull_size < 2:
         raise NoAdmissibleSplit("the function is infinite on the admissible set")
-    hull = lower_hull(pts)
-
-    # supporting segment at fs
-    ib = min(bisect_left(hull, fs, key=lambda p: p[0]), len(hull) - 1)
-    ia = ib - 1 if hull[0][0] < fs < hull[-1][0] else ib
-    sa, sb = hull[ia][0], hull[ib][0]
-
-    def comp_of(s: float):
-        return comps[0] if s < 0.0 else comps[1]
-
-    def lever(a: float, b: float, va=None, vb=None) -> float:
-        """la v(a) + (1 - la) v(b) at the lever rule weight la; an end
-        whose value is given is not evaluated again."""
-        if b - a < 1e-15:
-            if abs(a - fs) >= 1e-12:
-                return math.inf
-            return _scalar_eval(v, a) if va is None else va
-        la = (b - fs) / (b - a)
-        if la < -1e-12 or la > 1.0 + 1e-12:
-            return math.inf
-        la = min(1.0, max(0.0, la))
-        va = _scalar_eval(v, a) if va is None else va
-        vb = _scalar_eval(v, b) if vb is None else vb
-        return la * va + (1.0 - la) * vb
-
-    best_val = lever(sa, sb)
-    # polish the supporting pair against grid bias, one end held fixed
-    for _ in range(2):
-        lo, hi = comp_of(sa)
-        hi = min(hi, fs)
-        if hi > lo:
-            vb = _scalar_eval(v, sb)
-            sa_new, val = golden_min(lambda a: lever(a, sb, vb=vb), lo, hi,
-                                     iters=48)
-            if val < best_val:
-                sa, best_val = sa_new, val
-        lo, hi = comp_of(sb)
-        lo = max(lo, fs)
-        if hi > lo:
-            va = _scalar_eval(v, sa)
-            sb_new, val = golden_min(lambda b: lever(sa, b, va=va), lo, hi,
-                                     iters=48)
-            if val < best_val:
-                sb, best_val = sb_new, val
-
     dirac_val = _scalar_eval(v, fs)  # infinite off K
-
     if dirac_val <= best_val or sb - sa < 1e-12:
         value = min(dirac_val, best_val)
         witness = AtomicMeasure.dirac(fmat)
@@ -179,7 +195,7 @@ def qinv_oracle_1d(v, f, rho_tilde: float, grid: int = 10000) -> EnvelopeEstimat
         pairs = [(Mat.scalar(sa), la), (Mat.scalar(sb), 1.0 - la)]
         witness = AtomicMeasure((m, wgt) for m, wgt in pairs if wgt > 1e-15)
     est = EnvelopeEstimate(value, value, witness, rho_tilde, "oracle_1d",
-                           {"grid": grid, "hull_size": len(hull),
+                           {"grid": grid, "hull_size": hull_size,
                             "support": [sa, sb]})
     return _checked(est, v)
 
@@ -202,18 +218,22 @@ def _angular_dyads(n: int, angles: int) -> list:
 
 _LAMBDA_COARSE = (0.5, 0.25, 0.75, 0.125, 0.875)
 
+# grid points of the line hull along a node's best dyad, on [-2 rt, 2 rt]
+_LINE_POINTS = 1025
+
 
 def qinv_laminate_upper(v, f, rho_tilde: float, depth: int = 2,
                         angles: int = 32) -> EnvelopeEstimate:
     """Upper bound by recursive rank-one splitting, greedy at each node.
 
     Each node either keeps its matrix or splits it along the best dyad
-    found by a coarse scan plus golden refinement; children recurse with
-    one less level.  The witness measure collects the leaves.  A node's
-    coarse scan (dyads x 13 t x 5 lambda) is one batch of its first
-    ends and one of the second ends whose first end is finite; it keeps
-    the first least split in scan order, as a sequential scan with a
-    strict < would.
+    of a coarse scan; children recurse with one less level.  The witness
+    measure collects the leaves.  A node's coarse scan (dyads x 13 t x 5
+    lambda) is one batch of its first ends and one of the second ends
+    whose first end is finite; it keeps the first least split in scan
+    order, as a sequential scan with a strict < would.  The node then
+    takes the supporting pair of _line_hull along that dyad instead,
+    unless the pair does not straddle the node or is worse.
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
@@ -225,7 +245,7 @@ def qinv_laminate_upper(v, f, rho_tilde: float, depth: int = 2,
     evals = [0]
 
     # the scan's splits in scan order: dyad, then t, then lambda; the
-    # steps g - a and b - g of each, as split_value forms them
+    # steps g - a and b - g of each
     splits = [(tmax * i / 13.0, lam) for i in range(1, 14)
               for lam in _LAMBDA_COARSE]
     lams = np.tile([lam for _, lam in splits], len(dyads))
@@ -236,24 +256,10 @@ def qinv_laminate_upper(v, f, rho_tilde: float, depth: int = 2,
     step_b = (np.array([lam * t for t, lam in splits])[None, :, None]
               * dyad_rows).reshape(-1, n, n)
 
-    def ev(mat: Mat) -> float:
-        evals[0] += 1
-        return v.evaluate(mat)
-
-    def split_value(g: Mat, d: Mat, t: float, lam: float) -> float:
-        a = g - ((1.0 - lam) * t) * d
-        b = g + (lam * t) * d
-        va = ev(a)
-        if va == math.inf:
-            return math.inf
-        vb = ev(b)
-        if vb == math.inf:
-            return math.inf
-        return lam * va + (1.0 - lam) * vb
-
     def scan(g: Mat):
-        """split_value at every coarse split of g: the first least value
-        and its (dyad, t, lambda), or None when every split is infinite."""
+        """The value lam v(a) + (1 - lam) v(b) of every coarse split of g:
+        the first least value and its (dyad, t, lambda), or None when
+        every split is infinite."""
         ga = np.array(g.flat).reshape(1, n, n)
         va = evaluate_batch(v, ga - step_a)
         first = np.flatnonzero(va != math.inf)
@@ -271,35 +277,28 @@ def qinv_laminate_upper(v, f, rho_tilde: float, depth: int = 2,
         return float(vals[i]), (dyad,) + splits[i % len(splits)]
 
     def node(g: Mat, d: int):
-        base = ev(g)
+        evals[0] += 1
+        base = v.evaluate(g)
         if d == 0:
             return base, [(g, 1.0)]
-        best = scan(g)
-        if best[1] is None:
+        coarse, best = scan(g)
+        if best is None:
             return base, [(g, 1.0)]
-        # a coarse best no better than base is still refined below, in
-        # case the grid just missed a better split
-        dyad, t0, lam0 = best[1]
-
-        def over_t(t: float) -> float:
-            _, val = golden_min(lambda lam: split_value(g, dyad, t, lam),
-                                1e-6, 1.0 - 1e-6, iters=24, coarse=7)
-            return val
-
-        t_ref, _ = golden_min(over_t, max(1e-9, t0 - tmax / 13.0),
-                              min(tmax, t0 + tmax / 13.0), iters=24, coarse=7)
-        lam_ref, val_ref = golden_min(lambda lam: split_value(g, dyad, t_ref, lam),
-                                      1e-6, 1.0 - 1e-6, iters=32, coarse=9)
-        if val_ref > best[0]:
-            t_ref, lam_ref = t0, lam0
-        a = g - ((1.0 - lam_ref) * t_ref) * dyad
-        b = g + (lam_ref * t_ref) * dyad
-        va, wa = node(a, d - 1)
-        vb, wb = node(b, d - 1)
-        cand = lam_ref * va + (1.0 - lam_ref) * vb
+        # a coarse best no better than base still splits, in case the
+        # children find better
+        dyad, t, lam = best
+        sa, sb = -(1.0 - lam) * t, lam * t
+        value, ra, rb, _, count = _line_hull(v, g, dyad, 0.0, ((-tmax, tmax),),
+                                             _LINE_POINTS)
+        evals[0] += count
+        if value <= coarse and ra < 0.0 < rb:
+            sa, sb, lam = ra, rb, rb / (rb - ra)
+        va, wa = node(g + sa * dyad, d - 1)
+        vb, wb = node(g + sb * dyad, d - 1)
+        cand = lam * va + (1.0 - lam) * vb
         if cand < base:
-            leaves = [(m, lam_ref * wgt) for m, wgt in wa]
-            leaves += [(m, (1.0 - lam_ref) * wgt) for m, wgt in wb]
+            leaves = [(m, lam * wgt) for m, wgt in wa]
+            leaves += [(m, (1.0 - lam) * wgt) for m, wgt in wb]
             return cand, leaves
         return base, [(g, 1.0)]
 

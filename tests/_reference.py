@@ -3,7 +3,8 @@
 The sequential golden-section search and multistart pricing loop, as
 they stood before the starts moved in lockstep; the lamination bound
 with its coarse scan one split at a time, as it stood before the scan
-became one batch; classify one atom at a time, and GradientField
+became one batch, refining each node's split by the shared line hull
+of ymrelax.envelope; classify one atom at a time, and GradientField
 chaining and checking its interfaces one Mat at a time, as they stood
 before both ran on stacks.  Tests hold the batched versions in
 ymrelax._search, ymrelax.relax, ymrelax.envelope, ymrelax.measure and
@@ -11,8 +12,8 @@ ymrelax.laminate to these bit for bit, errors included."""
 
 import math
 
-from ymrelax.envelope import (_LAMBDA_COARSE, EnvelopeEstimate, _angular_dyads,
-                              _checked)
+from ymrelax.envelope import (_LAMBDA_COARSE, _LINE_POINTS, EnvelopeEstimate,
+                              _angular_dyads, _checked, _line_hull)
 from ymrelax.errors import NoAdmissibleSplit, NotRankOne
 from ymrelax.laminate import JUMP_TOL, GradientField, _dot, _slab_point
 from ymrelax.matcore import (Mat, det, frob_norm, in_rho_ball, inv_norm,
@@ -134,27 +135,21 @@ def qinv_laminate_upper(v, f, rho_tilde, depth=2, angles=32):
                         best = (val, (dyad, t, lam))
         if best[1] is None:
             return base, [(g, 1.0)]
-        dyad, t0, lam0 = best[1]
-
-        def over_t(t):
-            _, val = golden_min(lambda lam: split_value(g, dyad, t, lam),
-                                1e-6, 1.0 - 1e-6, iters=24, coarse=7)
-            return val
-
-        t_ref, _ = golden_min(over_t, max(1e-9, t0 - tmax / 13.0),
-                              min(tmax, t0 + tmax / 13.0), iters=24, coarse=7)
-        lam_ref, val_ref = golden_min(lambda lam: split_value(g, dyad, t_ref, lam),
-                                      1e-6, 1.0 - 1e-6, iters=32, coarse=9)
-        if val_ref > best[0]:
-            t_ref, lam_ref = t0, lam0
-        a = g - ((1.0 - lam_ref) * t_ref) * dyad
-        b = g + (lam_ref * t_ref) * dyad
+        dyad, t, lam = best[1]
+        sa, sb = -(1.0 - lam) * t, lam * t
+        value, ra, rb, _, count = _line_hull(v, g, dyad, 0.0, ((-tmax, tmax),),
+                                             _LINE_POINTS)
+        evals[0] += count
+        if value <= best[0] and ra < 0.0 < rb:
+            sa, sb, lam = ra, rb, rb / (rb - ra)
+        a = g + sa * dyad
+        b = g + sb * dyad
         va, wa = node(a, d - 1)
         vb, wb = node(b, d - 1)
-        cand = lam_ref * va + (1.0 - lam_ref) * vb
+        cand = lam * va + (1.0 - lam) * vb
         if cand < base:
-            leaves = [(m, lam_ref * wgt) for m, wgt in wa]
-            leaves += [(m, (1.0 - lam_ref) * wgt) for m, wgt in wb]
+            leaves = [(m, lam * wgt) for m, wgt in wa]
+            leaves += [(m, (1.0 - lam) * wgt) for m, wgt in wb]
             return cand, leaves
         return base, [(g, 1.0)]
 

@@ -122,6 +122,19 @@ class TestSupportSequence:
         assert cert.verdict == INCONCLUSIVE
         assert cert.details["q_integrals"] == [math.inf]
 
+    def test_negative_and_zero_determinants(self):
+        # |det| per piece: 0.25 and 2 (1D), 0.5 and 2, then 0.5 and 0 (2D)
+        normal = (1.0, 0.0)
+        fields = [GradientField.from_slopes_1d([-0.25, 2.0], [0.5, 0.5])] + [
+            GradientField.from_pieces(2, normal, [0.5, 0.5],
+                                      [Mat.diag(1.0, -0.5), Mat.diag(x, -0.5)])
+            for x in (4.0, 0.0)]
+        cert = check_support_from_sequence(fields, [0.1, 0.6], 2.0)
+        assert cert.details["q_integrals"] == [8.125, 2.125, math.inf]
+        assert cert.details["masses"] == {"0.1": [0.0, 0.0, 0.5],
+                                          "0.6": [0.5, 0.5, 1.0]}
+        assert cert.verdict == INCONCLUSIVE
+
     def test_affine_unit_det(self):
         fields = [GradientField.affine(Mat.scalar(1.0))]
         cert = check_support_from_sequence(fields, [0.5, 0.9], 1.0)

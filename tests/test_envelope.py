@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 
+import numpy as np
 import pytest
 
 import _reference
@@ -212,7 +213,67 @@ class TestLaminateBatch:
 
     def test_benchmark_scenario_evaluations(self):
         est = qinv_laminate_upper(_SHEAR, _MID, 3.0, depth=2, angles=8)
-        assert est.detail["evaluations"] == 28321
+        assert est.detail["evaluations"] == 25382
+
+
+def _banded(bands, floor=math.inf, floor_on=(-4.0, 4.0)):
+    """A 1D integrand worth bands[c] within 1e-9 of each slope c, floor
+    elsewhere on floor_on and +inf beyond; declared confined, so the
+    lamination takes it as it is."""
+
+    def evaluate(a):
+        s = a.flat[0]
+        for c, val in bands.items():
+            if abs(s - c) < 1e-9:
+                return val
+        return floor if floor_on[0] <= s <= floor_on[1] else math.inf
+
+    return MatrixFn(evaluate, Growth.o_rho(RHO_T), "banded")
+
+
+# the coarse split t = 16 / 13, lambda = 0.5 of the barycenter 0 at
+# rho_tilde 2: ends +-8/13, 78.8 steps of the line grid's 1/128 from 0
+_END = 0.5 * (2.0 * RHO_T * 4 / 13.0)
+
+
+class TestLaminateLineHull:
+    """Each node refines its best coarse split by the line hull along
+    its dyad, and keeps the coarse split when the hull does not help."""
+
+    @pytest.mark.parametrize("depth", [1, 2])
+    def test_equals_the_oracle_on_the_quartic_well(self, depth):
+        v = well()
+        for f in np.random.default_rng(55).uniform(-1.5, 1.5, 40):
+            lam = qinv_laminate_upper(v, Mat.scalar(f), RHO_T, depth=depth)
+            ora = qinv_oracle_1d(v, Mat.scalar(f), RHO_T)
+            assert lam.value_upper == pytest.approx(ora.value_exact, abs=1e-12)
+
+    def test_line_without_two_finite_grid_points_keeps_the_coarse_split(self):
+        # finite at the barycenter and at the coarse ends only: the line
+        # grid sees one finite point, s = 0
+        v = _banded({0.0: 5.0, -_END: 1.0, _END: 3.0})
+        est = qinv_laminate_upper(v, Mat.scalar(0.0), RHO_T, depth=1)
+        assert est.value_upper == 2.0
+        assert sorted((a.flat[0], w) for a, w in est.witness.atoms) == [
+            (-_END, 0.5), (_END, 0.5)]
+
+    def test_one_sided_line_keeps_the_coarse_split(self):
+        # the grid sees [-1, -0.5] and the barycenter, not the band at
+        # +8/13: the hull ends at s = 0, so its supporting pair is that
+        # one point, worth 1 against the coarse split's 5; the node keeps
+        # the coarse split, and then the Dirac
+        v = _banded({0.0: 1.0, _END: 5.0}, floor=5.0, floor_on=(-1.0, -0.5))
+        est = qinv_laminate_upper(v, Mat.scalar(0.0), RHO_T, depth=1)
+        assert est.value_upper == 1.0
+        assert [(a.flat[0], w) for a, w in est.witness.atoms] == [(0.0, 1.0)]
+
+    def test_worse_refined_pair_is_not_taken(self):
+        # the line hull is the constant 10 and misses the dips at the
+        # coarse ends, where the split is worth 0
+        v = _banded({-_END: 0.0, _END: 0.0}, floor=10.0)
+        est = qinv_laminate_upper(v, Mat.scalar(0.0), RHO_T, depth=1)
+        assert est.value_upper == 0.0
+        assert sorted(a.flat[0] for a, _ in est.witness.atoms) == [-_END, _END]
 
 
 class TestFeUpper:
