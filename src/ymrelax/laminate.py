@@ -17,12 +17,11 @@ layer.
 
 from __future__ import annotations
 
-import errno
 import math
-import os
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Callable, Sequence
 
 import numpy as np
@@ -39,6 +38,7 @@ from .matcore import (
     quiet,
     rank_one_difference,
     stack,
+    sum_rows,
 )
 
 JUMP_TOL = 1e-10
@@ -77,45 +77,6 @@ def _dot(u: Sequence[float], v: Sequence[float]) -> float:
     return math.fsum(a * b for a, b in zip(u, v))
 
 
-# -- the interface checks on arrays ----------------------------------------
-#
-# A fault is (mask over interfaces, exception factory): the interfaces
-# at which one step of the checks raises, and what it raises there.
-
-
-def _raising(exc_type, *args) -> Callable:
-    return lambda i: exc_type(*args)
-
-
-_DIMENSION = _raising(ValueError, "dimension mismatch")
-_NONFINITE = _raising(ValueError, "matrix entries must be finite")
-_VECTOR_LENGTH = _raising(ValueError, "vector length does not match dimension")
-_POW_OVERFLOW = _raising(OverflowError, errno.ERANGE, os.strerror(errno.ERANGE))
-
-
-def _fsum_rows(parts: np.ndarray) -> tuple:
-    """math.fsum over the last axis of parts[m, r, k], k <= 2 terms, a
-    row r at a time: the IEEE sum, a zero sum as +0.0, and the faults
-    where fsum raises instead, in row order."""
-    total = parts[..., 0] if parts.shape[2] == 1 else parts[..., 0] + parts[..., 1]
-    total = total + 0.0
-    faults = []
-    for r in range(parts.shape[1]):
-        p = parts[:, r]
-        faults += [((p == math.inf).any(axis=1) & (p == -math.inf).any(axis=1),
-                    _raising(ValueError, "-inf + inf in fsum")),
-                   (np.isfinite(p).all(axis=1) & ~np.isfinite(total[:, r]),
-                    _raising(OverflowError, "intermediate overflow in fsum"))]
-    return total, faults
-
-
-def _first_fault(faults: list):
-    """(interface, index into faults) of the first fault: the earliest
-    interface, and there the step that runs first; None without one."""
-    return min(((int(np.argmax(mask)), k) for k, (mask, _) in enumerate(faults)
-                if mask.any()), default=None)
-
-
 @dataclass(frozen=True, eq=False)
 class GradientField:
     """Continuous deformation, affine on parallel slabs of the domain.
@@ -123,6 +84,11 @@ class GradientField:
     breaks are slab coordinates 0 = t_0 < ... < t_M = 1 along the unit
     normal; piece i carries y(x) = grads[i] x + offsets[i] on the slab
     breaks[i] <= normal . x < breaks[i+1].
+
+    Its scale, the largest of 1, its gradient norms and its |offsets|,
+    must be a finite float, so gradient entries stay below about 1.3e154
+    and every jump between them is finite.  Continuity is judged against
+    JUMP_TOL * scale.
     """
 
     n: int
@@ -161,40 +127,36 @@ class GradientField:
         return stack(self.grads, self.n)
 
     def _check_interfaces(self):
-        """Each interface in order: finite gradient jump, then (2D) a
-        Hadamard jump rank one along the normal, then continuity at the
-        stations.  The jumps are decided on arrays; the faults are those
-        the same float arithmetic meets one interface at a time, the
-        first one in that order raised."""
+        """The scale, then each interface in order: (2D) a Hadamard jump
+        rank one along the normal, then continuity at the stations, where
+        each value jump err must satisfy err <= JUMP_TOL * scale.  The
+        jumps are taken on arrays, each sum left to right; an overflowing
+        one reads inf and fails."""
+        n = self.n
         g = self.grad_stack
+        b = np.fromiter(chain.from_iterable(self.offsets), float,
+                        count=len(self.offsets) * n).reshape(-1, n)
         with quiet():
-            b = np.array(self.offsets, dtype=float)
-            # as max() from 1.0 over a list, skipping a NaN offset
-            scale = float(np.fmax.reduce(np.abs(b), axis=None,
-                                         initial=np.max(frob_norms(g), initial=1.0)))
+            scale = float(np.max(np.concatenate(([1.0], frob_norms(g), np.abs(b).ravel()))))
+            if not math.isfinite(scale):
+                raise ValueError(f"the field's scale {scale} leaves the float range: "
+                                 "gradient norms and offsets must be finite")
             dg = g[1:] - g[:-1]
             db = b[1:] - b[:-1]
             t = np.array(self.breaks[1:-1])
-            faults = [(~np.isfinite(dg).all(axis=(1, 2)), _NONFINITE)]
-            for s in (0.0, 0.5, 1.0) if self.n == 2 else (0.0,):
+            errs = []
+            for s in (0.0, 0.5, 1.0) if n == 2 else (0.0,):
                 x = _slab_points(self.normal, t, s)
-                jump, jump_faults = _fsum_rows(dg * x[:, None, :])
-                e = jump + db
+                e = sum_rows((dg * x[:, None, :]).reshape(-1, n)).reshape(-1, n) + db
                 # squares as products: ** 2 (libm's pow) may round an ulp apart
-                sq = e * e
-                err2, err_faults = _fsum_rows(sq[:, None, :])
-                err = np.sqrt(err2[:, 0])
-                faults += jump_faults + [
-                    ((np.isfinite(e) & ~np.isfinite(sq)).any(axis=1), _POW_OVERFLOW)
-                ] + err_faults + [(err > JUMP_TOL * scale, lambda i, err=err: ValueError(
-                    f"deformation jumps by {err[i]:.3e} at interface {i}"))]
-        hit = _first_fault(faults)
-        # the Hadamard condition runs after the finite check and before
-        # continuity: a jump that is not rank one along the normal can
-        # never be continuous, and the classified error is the more
-        # informative one
-        stop = len(dg) if hit is None else hit[0] + (hit[1] > 0)
-        if self.n == 2:
+                errs.append(np.sqrt(sum_rows(e * e)))
+            bad = ~(np.stack(errs, axis=1) <= JUMP_TOL * scale)
+        hit = np.flatnonzero(bad.any(axis=1))
+        # the Hadamard condition runs before continuity: a jump that is
+        # not rank one along the normal can never be continuous, and the
+        # classified error is the more informative one
+        stop = hit[0] + 1 if len(hit) else len(dg)
+        if n == 2:
             with quiet():
                 big = frob_norms(dg[:stop]) > 1e-13 * scale
             for i in np.flatnonzero(big).tolist():
@@ -205,8 +167,10 @@ class GradientField:
                 if abs(_dot(mvec, self.normal)) < 1.0 - 1e-8:
                     raise NotRankOne(f"gradient jump at interface {i} is rank one "
                                      "along the wrong direction")
-        if hit is not None:
-            raise faults[hit[1]][1](hit[0])
+        if len(hit):
+            i = int(hit[0])
+            err = errs[int(np.argmax(bad[i]))][i]
+            raise ValueError(f"deformation jumps by {err:.3e} at interface {i}")
 
     # -- construction helpers ------------------------------------------
 
@@ -232,32 +196,19 @@ class GradientField:
             raise ValueError(f"piece widths sum to {total!r}, not 1")
         breaks[-1] = 1.0
         out_grads = tuple(g for _, g in kept)
-        dim = out_grads[0].n
-        # the gradients before the first one of another size, whose
-        # difference with it is a fault at that interface
-        same = next((i for i, g in enumerate(out_grads) if g.n != dim), len(out_grads))
-        g = stack(out_grads[:same], dim)
+        if len(normal) != n:
+            raise ValueError("vector length does not match dimension")
+        if any(g.n != n for g in out_grads):
+            raise ValueError("dimension mismatch")
+        if len(b) != n:
+            raise ValueError("offset dimension mismatch")
+        g = stack(out_grads, n)
         with quiet():
-            dg = g[1:] - g[:-1]
-            faults = [(np.arange(len(out_grads) - 1) == same - 1, _DIMENSION),
-                      (~np.isfinite(dg).all(axis=(1, 2)), _NONFINITE)]
-            if len(normal) != dim:
-                faults.append((np.arange(len(dg)) == 0, _VECTOR_LENGTH))
-            else:
-                a, sum_faults = _fsum_rows(dg * np.array(normal))
-                faults += sum_faults
-            hit = _first_fault(faults)
-            if hit is not None:
-                raise faults[hit[1]][1](hit[0])
-            offsets = [b]
-            if len(dg):
-                # offset i+1 = offset i - t_{i+1} (g_{i+1} - g_i) normal, on
-                # as many entries as the start value and the jump both have
-                k = min(len(b), dim)
-                steps = -(np.array(breaks[1:-1])[:, None] * a[:, :k])
-                chain = np.cumsum(np.vstack([b[:k], steps]), axis=0)
-                offsets += zip(*chain[1:].T.tolist())
-        return cls(n, normal, tuple(breaks), out_grads, tuple(offsets))
+            # offset i+1 = offset i - t_{i+1} (g_{i+1} - g_i) normal
+            a = sum_rows(((g[1:] - g[:-1]) * np.array(normal)).reshape(-1, n))
+            steps = -(np.array(breaks[1:-1])[:, None] * a.reshape(-1, n))
+            offsets = np.cumsum(np.vstack([b, steps]), axis=0)
+        return cls(n, normal, tuple(breaks), out_grads, tuple(zip(*offsets.T.tolist())))
 
     @classmethod
     def from_slopes_1d(cls, slopes: Sequence[float], widths: Sequence[float],
@@ -443,21 +394,15 @@ def empirical_pairing(field: GradientField, v, g: Callable) -> float:
 
 
 def integrate_weight(g: Callable, n: int, normal: Sequence[float]) -> float:
-    """Midpoint quadrature of the spatial weight over the domain."""
-    if n == 1:
-        h = 1.0 / WEIGHT_GRID_1D
-        return math.fsum(g(((i + 0.5) * h,)) for i in range(WEIGHT_GRID_1D)) * h
-    side = WEIGHT_GRID_2D
-    perp = _perp(tuple(normal))
+    """Midpoint quadrature of the spatial weight over the domain, a row of
+    points at a time; fsum's sum does not depend on their order."""
+    side = WEIGHT_GRID_1D if n == 1 else WEIGHT_GRID_2D
     h = 1.0 / side
+    mids = (np.arange(side) + 0.5) * h
     acc = []
-    for i in range(side):
-        t = (i + 0.5) * h
-        for j in range(side):
-            s = (j + 0.5) * h
-            x = tuple(t * normal[k] + s * perp[k] for k in range(2))
-            acc.append(g(x))
-    return math.fsum(acc) * h * h
+    for s in (0.0,) if n == 1 else mids.tolist():
+        acc += map(g, zip(*_slab_points(normal, mids, s).T.tolist()))
+    return math.fsum(acc) * h * (1.0 if n == 1 else h)
 
 
 @dataclass(frozen=True)

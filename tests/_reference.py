@@ -8,7 +8,11 @@ of ymrelax.envelope; classify one atom at a time, and GradientField
 chaining and checking its interfaces one Mat at a time, as they stood
 before both ran on stacks.  Tests hold the batched versions in
 ymrelax._search, ymrelax.relax, ymrelax.envelope, ymrelax.measure and
-ymrelax.laminate to these bit for bit, errors included."""
+ymrelax.laminate to these bit for bit, errors included, with one
+exception: where ScalarGradientField's arithmetic leaves the float range
+(an OverflowError, an inf - inf in fsum) or the field's scale is not
+finite, GradientField raises ValueError instead, by its float-range
+contract."""
 
 import math
 

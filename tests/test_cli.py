@@ -464,6 +464,16 @@ class TestGenerateCommand:
         assert code == 1
         assert not out.exists()
 
+    def test_atoms_beyond_the_float_range_exit_1_one_line(self, tmp_path, capsys):
+        # |1e200|^2 overflows, so the laminate's scale is not a finite float
+        cfg = {"atoms": [1e200, -1e200], "weights": [0.5, 0.5], "k_ladder": [3, 5]}
+        code, out = run(tmp_path, "generate", cfg)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert not out.exists()
+        assert err.startswith("ValueError: ") and err.count("\n") == 1
+        assert "float range" in err and "InternalError" not in err
+
     def test_unknown_weight_name(self, tmp_path):
         cfg = {"atoms": [-1.0, 1.0], "weights": [0.5, 0.5],
                "k_ladder": [2], "g_battery": ["x9"]}

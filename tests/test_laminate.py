@@ -114,26 +114,63 @@ class TestGradientField:
         assert len(rows) == f.pieces + 1  # header plus one row per piece
 
 
-def outcome(make, *args):
-    """What make(*args) gives, to compare two builds of one field: the
-    breaks, gradients and offsets by repr (so -0.0 and 0.0 differ), or
-    the type and message of its error.  numpy may warn nothing."""
+def build(make, *args):
+    """make(*args), or the error it raises; numpy may warn nothing."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
-            f = make(*args)
+            return make(*args)
         except Exception as exc:
-            return type(exc), str(exc)
-    return repr((f.breaks, f.grads, f.offsets))
+            return exc
+
+
+def outcome(built):
+    """A build, to compare two builds of one field: the breaks,
+    gradients and offsets by repr (so -0.0 and 0.0 differ), or the type
+    and message of its error."""
+    if isinstance(built, Exception):
+        return type(built), str(built)
+    return repr((built.breaks, built.grads, built.offsets))
+
+
+# what the scalar form's arithmetic raises where it leaves the float range
+SCALAR_OVERFLOWS = ("-inf + inf in fsum", "matrix entries must be finite")
+FLOAT_RANGE = ("the field's scale {} leaves the float range: gradient norms "
+               "and offsets must be finite")
 
 
 def same_as_scalar(method, *args):
     """outcome of GradientField.method, or of the constructor when
-    method is None, against the scalar form's."""
-    got, want = (outcome(getattr(cls, method) if method else cls, *args)
-                 for cls in (GradientField, ScalarGradientField))
-    assert got == want
+    method is None, against the scalar form's.  Where the scalar form
+    builds a field of finite scale, or raises NotRankOne, a finite jump
+    error or a dimension error, both are the same.  Where its arithmetic
+    overflows or the scale is not finite, GradientField raises
+    ValueError."""
+    built, scalar = (build(getattr(cls, method) if method else cls, *args)
+                     for cls in (GradientField, ScalarGradientField))
+    got, want = outcome(built), outcome(scalar)
+    # the gradients and the offsets, or start value, the build starts from
+    if method is None:
+        grads, values = args[3], [x for b in args[4] for x in b]
+    elif method == "from_pieces":
+        grads, values = args[3], list(args[4] or ()) if len(args) > 4 else []
+    else:
+        grads, values = [Mat.scalar(s) for s in args[0]], list(args[2:])
+    finite = all(map(math.isfinite, [frob_norm(g) for g in grads] + values))
+    overflowed = isinstance(scalar, OverflowError) or (
+        isinstance(scalar, ValueError) and str(scalar) in SCALAR_OVERFLOWS)
+    if finite and not overflowed:
+        assert got == want
+    else:
+        assert got[0] is ValueError
     return got
+
+
+def error_id(value):
+    """A table's expected (type, message) by the type's name."""
+    if isinstance(value, tuple) and isinstance(value[0], type):
+        return value[0].__name__
+    return None
 
 
 S = math.sqrt(0.5)
@@ -145,11 +182,12 @@ class TestInterfacesOnStacks:
     """from_pieces chains breaks and offsets, and the interface checks
     decide, on stacks of the gradients; the one-Mat-at-a-time forms in
     _reference build the same fields bit for bit and raise the same
-    errors, in the same order."""
+    errors, in the same order, wherever the field's scale is finite and
+    their arithmetic stays in the float range."""
 
     def test_overflowing_jump_is_not_finite(self):
         assert same_as_scalar("from_slopes_1d", [1.7e308, -1.7e308], [0.5, 0.5]) == (
-            ValueError, "matrix entries must be finite")
+            ValueError, FLOAT_RANGE.format("inf"))
 
     def test_1d_station_is_the_slab_coordinate(self):
         # the normal -1 chains the offset as if x were -t, but the check
@@ -177,48 +215,62 @@ class TestInterfacesOnStacks:
             "wrong direction")
 
     @pytest.mark.parametrize("args, error", [
-        # the two products of a chain step sum beyond the float range
-        ((2, (S, S), [0.5, 0.5], [ZERO2, HUGE]), OverflowError),
-        # a normal that is not a unit vector makes inf - inf
+        # a gradient norm beyond the float range; the scalar chain step
+        # sums two products beyond it
+        ((2, (S, S), [0.5, 0.5], [ZERO2, HUGE]), (ValueError, FLOAT_RANGE.format("inf"))),
+        # a normal that is not a unit vector, where the scalar chain
+        # meets inf - inf first
         ((2, (2.0, 2.0), [0.5, 0.5],
-          [ZERO2, Mat.from_rows([[1e308, -1e308], [0.0, 0.0]])]), ValueError),
-        ((2, (2.0, 0.0), [0.5, 0.5], [ZERO2, SHEAR]), ValueError),
-        ((2, (1.0,), [0.5, 0.5], [Mat.identity(2), SHEAR]), ValueError),
-        ((2, (0.0, 1.0), [0.5, 0.5], [Mat.identity(2), Mat.scalar(1.0)]), ValueError),
-        # a gradient of another size after a jump beyond the float range
+          [ZERO2, Mat.from_rows([[1e308, -1e308], [0.0, 0.0]])]),
+         (ValueError, "normal must be a unit vector")),
+        ((2, (2.0, 0.0), [0.5, 0.5], [ZERO2, SHEAR]),
+         (ValueError, "normal must be a unit vector")),
+        ((2, (1.0,), [0.5, 0.5], [Mat.identity(2), SHEAR]),
+         (ValueError, "vector length does not match dimension")),
+        ((2, (0.0, 1.0), [0.5, 0.5], [Mat.identity(2), Mat.scalar(1.0)]),
+         (ValueError, "dimension mismatch")),
+        # a gradient of another size, checked before the chain meets a
+        # jump beyond the float range
         ((2, (0.0, 1.0), [0.25, 0.25, 0.5], [HUGE, HUGE * -1.0, Mat.scalar(1.0)]),
-         ValueError),
-        ((2, (1.0,), [0.25, 0.25, 0.5], [ZERO2, SHEAR, Mat.scalar(1.0)]), ValueError),
-        ((1, (1.0,), [0.5, 0.5], [Mat.scalar(1.0)] * 2, (0.0, 0.0)), ValueError),
+         (ValueError, "dimension mismatch")),
+        ((2, (1.0,), [0.25, 0.25, 0.5], [ZERO2, SHEAR, Mat.scalar(1.0)]),
+         (ValueError, "vector length does not match dimension")),
+        ((1, (1.0,), [0.5, 0.5], [Mat.scalar(1.0)] * 2, (0.0, 0.0)),
+         (ValueError, "offset dimension mismatch")),
         ((1, (1.0,), [0.5, 0.0, 0.5], [Mat.scalar(x) for x in (1.0, 9.0, -1.0)],
           (-0.0,)), None),
         # a zero jump met by a negative normal: fsum's zero is +0.0
         ((1, (-1.0,), [0.5, 0.5], [Mat.scalar(1.0)] * 2, (-0.0,)), None),
-    ])
+    ], ids=error_id)
     def test_from_pieces_edge_cases(self, args, error):
         got = same_as_scalar("from_pieces", *args)
-        assert (got[0] if isinstance(got, tuple) else None) is error
+        assert (got if isinstance(got, tuple) else None) == error
 
     @pytest.mark.parametrize("n, normal, grads, offsets, error", [
-        # a gradient jump beyond the float range
-        (1, (1.0,), (1.7e308, -1.7e308), ((0.0,), (0.0,)), ValueError),
-        # (j + d) ** 2 beyond the float range
-        (1, (1.0,), (1.0, 1.0), ((0.0,), (1.6e154,)), OverflowError),
-        # an infinite or NaN offset: no finite error to report
-        (1, (1.0,), (1.0, 1.0), ((0.0,), (math.inf,)), None),
-        (1, (1.0,), (1.0, 1.0), ((math.nan,), (0.0,)), None),
+        # gradient norms beyond the float range
+        (1, (1.0,), (1.7e308, -1.7e308), ((0.0,), (0.0,)),
+         (ValueError, FLOAT_RANGE.format("inf"))),
+        # (j + d) ** 2 beyond the float range: an infinite jump
+        (1, (1.0,), (1.0, 1.0), ((0.0,), (1.6e154,)),
+         (ValueError, "deformation jumps by inf at interface 0")),
+        # an infinite or NaN offset
+        (1, (1.0,), (1.0, 1.0), ((0.0,), (math.inf,)),
+         (ValueError, FLOAT_RANGE.format("inf"))),
+        (1, (1.0,), (1.0, 1.0), ((math.nan,), (0.0,)),
+         (ValueError, FLOAT_RANGE.format("nan"))),
         # two finite squares that sum beyond the float range
         (2, (1.0, 0.0), (1.0, 0.0, 0.0, 1.0) * 2, ((0.0, 0.0), (1e154, 1e154)),
-         OverflowError),
-        # a jump whose two products sum beyond the float range
+         (ValueError, "deformation jumps by inf at interface 0")),
+        # gradient norms beyond the float range; the scalar jump's two
+        # products sum beyond it
         (2, (S, S), (0.0,) * 4 + (1.5e308, -1.5e308, 0.0, 0.0),
-         ((0.0, 0.0), (0.0, 0.0)), OverflowError),
-    ])
+         ((0.0, 0.0), (0.0, 0.0)), (ValueError, FLOAT_RANGE.format("inf"))),
+    ], ids=error_id)
     def test_check_edge_cases(self, n, normal, grads, offsets, error):
         grads = [Mat.from_flat(grads[i:i + n * n]) for i in range(0, len(grads), n * n)]
         got = same_as_scalar(None, n, normal, (0.0, 0.5, 1.0), tuple(grads),
                              offsets)
-        assert (got[0] if isinstance(got, tuple) else None) is error
+        assert got == error
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(st.lists(st.sampled_from([0.0, -0.0, 1.0, -2.5, 0.3, 1e-300, 1e154,
@@ -261,11 +313,7 @@ class TestInterfacesOnStacks:
                                               (0.5, 0.5), 4)), True),
         (build_laminate_sequence(SequenceSpec((Mat.diag(1.0, -2.0), Mat.diag(1.0, 3.0)),
                                               (0.5, 0.5), 3)), False),
-        # det inf, then det inf - inf = NaN: min() keeps the inf it met first
-        (GradientField.from_pieces(2, (1.0, 0.0), [0.5, 0.5], [
-            Mat.from_rows([[1e200, 1e200], [0.0, 1e200]]),
-            Mat.from_rows([[1e200, 1e200], [1e200, 1e200]])]), True),
-    ], ids=["1d_singular", "2d_singular", "2d_negative", "2d_nan_det"])
+    ], ids=["1d_singular", "2d_singular", "2d_negative"])
     def test_summaries_equal_scalar(self, field, singular):
         assert field.sup_norm() == max(frob_norm(g) for g in field.grads)
         assert field.sup_inv_norm() == max(inv_norm(g) for g in field.grads)
