@@ -42,7 +42,6 @@ from .matcore import (
     max_norm_pair,
     rank_one_difference,
     singular_threshold,
-    singular_values,
 )
 from .testfn import (
     Growth,
@@ -116,8 +115,8 @@ __all__ = [
     "UnknownEnergy", "HypothesisViolated", "ConfigError",
     # matrices
     "Mat", "RhoBall", "mat_close", "frob_norm", "det", "singular_threshold",
-    "is_invertible", "inverse", "invert", "inv_norm", "singular_values",
-    "rank_one_difference", "in_rho_ball",
+    "is_invertible", "inverse", "invert", "inv_norm", "rank_one_difference",
+    "in_rho_ball",
     "max_norm_pair",
     "iter_coordinate_dyads",
     # test functions

@@ -1,10 +1,10 @@
 """Small dense matrix kernel for dimensions 1, 2 and 3.
 
 Everything the measure algebra needs from linear algebra lives here:
-Frobenius norms, determinants, inverses, singular values, rho-ball
-membership and rank-one decompositions.  The dimension is capped at 3
-so every quantity has a deterministic closed form; no iterative
-factorization is involved anywhere.  Invertibility, |A^-1| and rho-ball
+Frobenius norms, determinants, inverses, rho-ball membership and
+rank-one decompositions.  The dimension is capped at 3 so every
+quantity has a deterministic closed form; no iterative factorization
+is involved anywhere.  Invertibility, |A^-1| and rho-ball
 membership are decided here only, through the one inverse().
 
 The same kernels run on stacks a[N, n, n] of N matrices (frob_norms,
@@ -39,8 +39,8 @@ from .errors import SingularError
 # A matrix counts as singular when |det A| < SINGULAR_RTOL * max(1, |A|^n).
 SINGULAR_RTOL = 1e-12
 
-# B - A counts as rank one when the second singular value is below
-# RANK_ONE_RTOL times the first.
+# B - A counts as rank one when its rows' parts off its longest row's
+# direction have a root-sum-square below RANK_ONE_RTOL times that row's norm.
 RANK_ONE_RTOL = 1e-9
 
 _SUPPORTED_DIMS = (1, 2, 3)
@@ -279,52 +279,6 @@ def inv_norm(a: Mat) -> float:
     return math.inf if inv is None else frob_norm(inv)
 
 
-# -- singular values ---------------------------------------------------
-
-
-def _sym_eigvals_desc(b00, b01, b02, b11, b12, b22) -> tuple:
-    """Eigenvalues of a symmetric 3x3 matrix, descending, by the
-    trigonometric closed form."""
-    p1 = b01 * b01 + b02 * b02 + b12 * b12
-    if p1 == 0.0:
-        return tuple(sorted((b00, b11, b22), reverse=True))
-    q = (b00 + b11 + b22) / 3.0
-    p2 = (b00 - q) ** 2 + (b11 - q) ** 2 + (b22 - q) ** 2 + 2.0 * p1
-    p = math.sqrt(p2 / 6.0)
-    # r = det((B - q I) / p) / 2, clamped against rounding
-    m00, m11, m22 = (b00 - q) / p, (b11 - q) / p, (b22 - q) / p
-    m01, m02, m12 = b01 / p, b02 / p, b12 / p
-    r = 0.5 * (m00 * (m11 * m22 - m12 * m12)
-               - m01 * (m01 * m22 - m12 * m02)
-               + m02 * (m01 * m12 - m11 * m02))
-    r = min(1.0, max(-1.0, r))
-    phi = math.acos(r) / 3.0
-    e1 = q + 2.0 * p * math.cos(phi)
-    e3 = q + 2.0 * p * math.cos(phi + 2.0 * math.pi / 3.0)
-    e2 = 3.0 * q - e1 - e3
-    return (e1, e2, e3)
-
-
-def singular_values(a: Mat) -> tuple:
-    """All singular values, descending, via closed-form spectra of A^T A."""
-    f = a.flat
-    if a.n == 1:
-        return (abs(f[0]),)
-    if a.n == 2:
-        # eigenvalues of A^T A from trace and determinant
-        t = math.fsum(x * x for x in f)
-        d = det(a)
-        disc = max(t * t - 4.0 * d * d, 0.0)
-        root = math.sqrt(disc)
-        lam1 = 0.5 * (t + root)
-        lam2 = 0.5 * (t - root)
-        return (math.sqrt(max(lam1, 0.0)), math.sqrt(max(lam2, 0.0)))
-    b = a.transpose() @ a
-    g = b.flat
-    eig = _sym_eigvals_desc(g[0], g[1], g[2], g[4], g[5], g[8])
-    return tuple(math.sqrt(max(e, 0.0)) for e in eig)
-
-
 # -- rank-one decomposition --------------------------------------------
 
 
@@ -335,27 +289,31 @@ def rank_one_difference(a: Mat, b: Mat):
     or None when the difference is not rank one within tolerance (this
     includes the rank-zero case A = B).  The sign of vec_m is normalized
     so its largest-magnitude entry is positive.
+
+    Rank is scale-free, so the rows are first multiplied by the power of
+    two that puts the largest |entry| in [1, 2), which is exact and keeps
+    every square in range.  vec_m is the longest row's direction, and the
+    difference is rank one when the rows' parts off vec_m have a
+    root-sum-square of at most RANK_ONE_RTOL times that row's norm.
+    vec_a is scaled back by a product, so an entry beyond the float
+    range reads inf.
     """
     d = b - a
-    sv = singular_values(d)
-    s1 = sv[0]
-    if s1 == 0.0:
+    big = max(abs(x) for x in d.flat)
+    if big == 0.0:
         return None
-    if len(sv) > 1 and sv[1] > RANK_ONE_RTOL * s1:
-        return None
-    # every row of a rank-one matrix is a multiple of m; take the largest
-    n = d.n
-    rows = [d.row(i) for i in range(n)]
+    k = 1 - math.frexp(big)[1]
+    rows = [[math.ldexp(x, k) for x in d.row(i)] for i in range(d.n)]
     norms = [math.sqrt(math.fsum(x * x for x in r)) for r in rows]
-    i_best = max(range(n), key=lambda i: norms[i])
-    r = rows[i_best]
-    nr = norms[i_best]
-    m = [x / nr for x in r]
-    j_big = max(range(n), key=lambda j: abs(m[j]))
-    if m[j_big] < 0.0:
+    nr = max(norms)
+    m = [x / nr for x in rows[norms.index(nr)]]
+    if max(m, key=abs) < 0.0:
         m = [-x for x in m]
-    vec_a = d.mul_vec(m)
-    return (tuple(vec_a), tuple(m))
+    vec_a = [math.fsum(x * y for x, y in zip(r, m)) for r in rows]
+    off = [x - c * y for r, c in zip(rows, vec_a) for x, y in zip(r, m)]
+    if math.sqrt(math.fsum(x * x for x in off)) > RANK_ONE_RTOL * nr:
+        return None
+    return (tuple(c * 2.0 ** -k for c in vec_a), tuple(m))
 
 
 # -- rho balls ----------------------------------------------------------

@@ -474,6 +474,14 @@ class TestGenerateCommand:
         assert err.startswith("ValueError: ") and err.count("\n") == 1
         assert "float range" in err and "InternalError" not in err
 
+    def test_2d_atoms_whose_jump_squares_overflow(self, tmp_path):
+        # |diag(2e154, 0)|^2 overflows, but the field's scale is finite
+        cfg = {"atoms": [[[1e154, 0], [0, 1]], [[-1e154, 0], [0, 1]]],
+               "weights": [0.5, 0.5], "k_ladder": [2, 3]}
+        code, out = run(tmp_path, "generate", cfg)
+        assert code == 0
+        assert (out / "field.csv").exists()
+
     def test_unknown_weight_name(self, tmp_path):
         cfg = {"atoms": [-1.0, 1.0], "weights": [0.5, 0.5],
                "k_ladder": [2], "g_battery": ["x9"]}

@@ -207,12 +207,21 @@ class TestInterfacesOnStacks:
         offsets = GradientField.from_pieces(2, (0.0, 1.0), [0.25, 0.75],
                                             grads[:2]).offsets + ((5.0, 5.0),)
         assert same_as_scalar(None, 2, (0.0, 1.0), breaks, grads, offsets) == (
-            NotRankOne, "gradient jump at interface 1 is not rank one")
+            NotRankOne, "gradient jump at interface 1 is not rank one along the normal")
         # a rank-one jump along the wrong normal, discontinuous as well
         assert same_as_scalar(None, 2, (1.0, 0.0), (0.0, 0.5, 1.0),
                               grads[:2], ((0.0, 0.0), (0.0, 0.0))) == (
-            NotRankOne, "gradient jump at interface 0 is rank one along the "
-            "wrong direction")
+            NotRankOne, "gradient jump at interface 0 is not rank one along the normal")
+
+    def test_rank_one_jump_with_squares_beyond_the_float_range(self):
+        # the jump's squared norm overflows while the field's scale is finite
+        grads = [Mat.from_rows([[6e153, 6e153], [0.0, 1.0]]),
+                 Mat.from_rows([[-6e153, -6e153], [0.0, 1.0]])]
+        got = same_as_scalar("from_pieces", 2, (S, S), [0.5, 0.5], grads)
+        assert not isinstance(got, tuple)
+        f = build_laminate_sequence(SequenceSpec(
+            (Mat.diag(1e154, 1.0), Mat.diag(-1e154, 1.0)), (0.5, 0.5), 3))
+        assert f.normal == (1.0, 0.0) and f.pieces == 6
 
     @pytest.mark.parametrize("args, error", [
         # a gradient norm beyond the float range; the scalar chain step

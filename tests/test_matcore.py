@@ -28,7 +28,6 @@ from ymrelax.matcore import (
     inv_norms,
     inverses,
     singular_threshold,
-    singular_values,
     sum_rows,
 )
 from ymrelax.testfn import builtin_energy, evaluate_batch
@@ -131,22 +130,50 @@ class TestDetInvert:
         assert abs(lhs - rhs) <= 1e-9 * scale
 
 
-class TestSingularValues:
-    @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_match_numpy_svd(self, n, make_matrix):
-        for _ in range(20):
-            a = make_matrix(n)
-            mine = singular_values(a)
-            ref = np.linalg.svd(np_of(a), compute_uv=False)
-            assert np.allclose(sorted(mine, reverse=True), ref, atol=1e-9)
-
-    def test_largest_is_operator_norm(self, make_matrix):
-        a = make_matrix(2)
-        assert singular_values(a)[0] == pytest.approx(
-            np.linalg.norm(np_of(a), 2), abs=1e-9)
+def planted_rank_one(rng, n):
+    """A and B = A + vec (x) m for random A, vec and a unit m, with vec
+    scaled by 10^-3 to 10^3."""
+    a = Mat.from_rows(rng.normal(size=(n, n)).tolist())
+    vec = rng.normal(size=n) * 10.0 ** rng.uniform(-3.0, 3.0)
+    m = rng.normal(size=n)
+    m = m / np.linalg.norm(m)
+    return a, a + Mat.outer(vec.tolist(), m.tolist())
 
 
 class TestRankOne:
+    """numpy's SVD is the independent oracle: B - A is rank one when its
+    second singular value is negligible against its first."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_planted_rank_one_accepted(self, n, rng):
+        for _ in range(30):
+            a, b = planted_rank_one(rng, n)
+            diff = np_of(b - a)
+            sv = np.linalg.svd(diff, compute_uv=False)
+            assert n == 1 or sv[1] <= 1e-12 * sv[0]
+            got = rank_one_difference(a, b)
+            assert got is not None
+            ga, gm = got
+            assert np.allclose(np.outer(ga, gm), diff, rtol=0.0, atol=1e-12 * sv[0])
+            assert np.linalg.norm(gm) == pytest.approx(1.0, abs=1e-12)
+            # vec_m is the longest row over its norm, bit for bit, up to sign
+            row = max((b - a).rows(), key=lambda r: math.fsum(x * x for x in r))
+            nr = math.sqrt(math.fsum(x * x for x in row))
+            assert [abs(x) for x in gm] == [abs(x / nr) for x in row]
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_higher_rank_rejected(self, n, rng):
+        seen = 0
+        for _ in range(60):
+            a, b = planted_rank_one(rng, n)
+            noise = rng.normal(size=(n, n)) * 10.0 ** rng.uniform(-6.0, 0.0)
+            b = b + Mat.from_rows((noise * frob_norm(b - a)).tolist())
+            sv = np.linalg.svd(np_of(b - a), compute_uv=False)
+            if sv[1] >= 1e-6 * sv[0]:
+                seen += 1
+                assert rank_one_difference(a, b) is None
+        assert seen >= 40
+
     def test_recovers_planted_direction(self, rng):
         for _ in range(30):
             a = Mat.from_rows(rng.normal(size=(2, 2)).tolist())
@@ -160,6 +187,24 @@ class TestRankOne:
             diff = np_of(b - a)
             assert np.allclose(np.outer(ga, gm), diff, atol=1e-8)
             assert np.linalg.norm(gm) == pytest.approx(1.0, abs=1e-12)
+
+    def test_planted_3x3(self):
+        a = Mat.identity(3)
+        b = a + Mat.outer((1.0, 2.0, 3.0), (0.6, 0.0, -0.8))
+        ga, gm = rank_one_difference(a, b)
+        # the sign puts vec_m's largest-magnitude entry positive
+        assert gm == pytest.approx((-0.6, 0.0, 0.8), abs=1e-15)
+        assert ga == pytest.approx((-1.0, -2.0, -3.0), abs=1e-15)
+
+    @pytest.mark.parametrize("a, b, want", [
+        # the difference's squared norm overflows; rank is scale-free
+        (Mat.diag(-1e154, 1.0), Mat.diag(1e154, 1.0), ((2e154, 0.0), (1.0, 0.0))),
+        # a row norm beyond the float range, and so vec_a's entry
+        (Mat.zero(2), Mat.from_rows([[1.5e308, 1.5e308], [0.0, 0.0]]),
+         ((math.inf, 0.0), (math.sqrt(0.5), math.sqrt(0.5)))),
+    ], ids=["squares", "rows"])
+    def test_beyond_the_float_range(self, a, b, want):
+        assert rank_one_difference(a, b) == want
 
     def test_full_rank_difference_rejected(self):
         a = Mat.identity(2)
