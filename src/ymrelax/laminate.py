@@ -142,6 +142,8 @@ class GradientField:
         with quiet():
             scale = float(np.max(np.concatenate(([1.0], frob_norms(g), np.abs(b).ravel()))))
             if not math.isfinite(scale):
+                # gradient norms beyond the float range, not the NaN offsets chained from them
+                scale = max(scale, float(np.max(frob_norms(g), initial=1.0)), key=math.isinf)
                 raise ValueError(f"the field's scale {scale} leaves the float range: "
                                  "gradient norms and offsets must be finite")
             dg = g[1:] - g[:-1]

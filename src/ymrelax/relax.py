@@ -5,9 +5,9 @@ The discrete relaxation alternates two blocks:
 * measures: per mesh cell, the cheapest atomic measure with barycenter
   equal to the cell gradient of the deformation, solved as a small LP
   over the cell's working atom set and enriched by column generation
-  (new atoms enter when their dual reduced cost is negative; pricing
-  runs its multistart golden searches in lockstep and prices each
-  step's points in one batch of the energy);
+  (new atoms enter when their dual reduced cost is negative; each round
+  prices every cell still enriching at once, its multistart golden
+  searches in lockstep, each step's points in one batch of the energy);
 * deformation: coordinate descent of the node values against the
   cellwise relaxed cost induced by the working atoms.
 
@@ -35,7 +35,7 @@ REDUCED_COST_TOL = 1e-8
 MOMENT_TOL = 1e-8
 PIVOT_TOL = 1e-10
 MAX_PIVOTS = 20000  # simplex pivots per phase before Stalled
-PRICING_STARTS = 16  # multistart seeds per refine_atoms call
+PRICING_STARTS = 16  # multistart seeds per refine_atoms job
 
 
 # -- dense two-phase simplex -------------------------------------------------
@@ -156,46 +156,52 @@ def lp_weights(atoms, target: Mat, costs) -> LpSolution:
 # -- column generation -------------------------------------------------------
 
 
-def refine_atoms(atoms, dual_moment, dual_mass: float, w, rng):
-    """Search for a matrix of finite energy w with negative reduced cost
-    against the duals.
+def refine_atoms(jobs, w):
+    """Search, for each job (atoms, dual_moment, dual_mass, rng), for a
+    matrix of finite energy w with negative reduced cost against its duals.
 
-    Multistart local descent: the identity, the current atoms, and
-    random perturbations of the atoms, each polished entrywise by
-    golden section at shrinking radii.  The starts move in lockstep:
-    each (radius, entry) step is one golden_min_rows call, so every
-    start takes the steps it would take alone, and its points are
-    priced at once through the batch of w (evaluate_batch), in any
-    dimension.  Returns (matrix or None, best reduced cost found), the
-    best being the first start that reaches the least cost.
-    """
-    pi_row = np.array(dual_moment, dtype=float)
-    n = math.isqrt(len(pi_row))
+    Multistart local descent: the identity, the job's atoms, and random
+    perturbations of them, each polished entrywise by golden section at
+    shrinking radii.  The starts of all jobs move in lockstep: each
+    (radius, entry) step is one golden_min_rows call, so every start
+    takes the steps it would take alone, and its points are priced at
+    once through the batch of w (evaluate_batch), in any dimension.
+    Returns (matrix or None, best reduced cost found) per job, in order,
+    the best being the job's first start that reaches its least cost."""
+    n = math.isqrt(len(jobs[0][1]))
+    seeds, pi, mass, counts = [], [], [], []
+    for atoms, dual_moment, dual_mass, rng in jobs:
+        job = [Mat.identity(n).flat] + [a.flat for a in atoms]
+        k = 0
+        while len(job) < PRICING_STARTS and atoms:
+            base = atoms[k % len(atoms)].flat
+            job.append(tuple(b + d for b, d in zip(base, rng.normal(0.0, 0.3, n * n))))
+            k += 1
+        counts.append(min(len(job), PRICING_STARTS))
+        seeds += job[:PRICING_STARTS]
+        pi += [dual_moment] * counts[-1]
+        mass += [dual_mass] * counts[-1]
+    pi, mass = np.array(pi, dtype=float), np.array(mass, dtype=float)  # a row a start
 
-    def reduced(x: np.ndarray) -> list:
-        """w(s) - pi . s - dual_mass at each row s of x[N, n*n], the dot
-        product summed left to right where w(s) is finite."""
+    def reduced(rows, x: np.ndarray) -> list:
+        """w(s) - pi . s - dual_mass at each row s = x[i] against the duals
+        of start rows[i], the dot product summed left to right where finite."""
         out = evaluate_batch(w, x.reshape(-1, n, n))
         finite = np.isfinite(out)
+        own = np.asarray(rows)[finite]
         with quiet():
-            out[finite] = out[finite] - sum_rows(x[finite] * pi_row) - dual_mass
+            out[finite] = out[finite] - sum_rows(x[finite] * pi[own]) - mass[own]
         return out.tolist()
 
-    seeds = [Mat.identity(n).flat] + [a.flat for a in atoms]
-    k = 0
-    while len(seeds) < PRICING_STARTS and atoms:
-        base = atoms[k % len(atoms)].flat
-        seeds.append(tuple(b + d for b, d in zip(base, rng.normal(0.0, 0.3, n * n))))
-        k += 1
-    curs = np.array(seeds[:PRICING_STARTS], dtype=float)  # one start a row
-    vals = reduced(curs)
+    curs = np.array(seeds, dtype=float)  # one start a row
+    vals = reduced(range(len(curs)), curs)
 
     for radius in (0.6, 0.2, 0.05):
         for idx in range(n * n):
             def entry_obj(rows, xs):
                 trials = curs[rows]
                 trials[:, idx] = xs
-                return reduced(trials)
+                return reduced(rows, trials)
 
             x0s = curs[:, idx].tolist()
             xns, fns = golden_min_rows(entry_obj, [x - radius for x in x0s],
@@ -206,14 +212,17 @@ def refine_atoms(atoms, dual_moment, dual_mass: float, w, rng):
                     curs[r, idx] = xn
                     vals[r] = fn
 
-    best_flat, best_val = None, math.inf
-    for cur, val in zip(curs.tolist(), vals):
-        if val < best_val:
-            best_val, best_flat = val, tuple(cur)
-
-    if best_flat is not None and best_val < -REDUCED_COST_TOL:
-        return Mat.from_flat(best_flat), best_val
-    return None, best_val
+    found, lo = [], 0
+    for count in counts:
+        best_flat, best_val = None, math.inf
+        for cur, val in zip(curs[lo:lo + count].tolist(), vals[lo:lo + count]):
+            if val < best_val:
+                best_val, best_flat = val, tuple(cur)
+        found.append((Mat.from_flat(best_flat), best_val)
+                     if best_flat is not None and best_val < -REDUCED_COST_TOL
+                     else (None, best_val))
+        lo += count
+    return found
 
 
 # -- the alternating solver --------------------------------------------------
@@ -370,15 +379,19 @@ def relax_solve(problem: RelaxProblem) -> RelaxSolution:
     for it in range(1, problem.max_outer + 1):
         outer = it
         # (a) enrich the measures by column generation
-        for c in range(ncells):
-            for rnd in range(8):
-                sol = sols[c]
-                rng = np.random.default_rng([problem.seed, it, rnd, c])
-                cand, _ = refine_atoms(atoms[c], sol.dual_moment,
-                                       sol.dual_mass, w, rng)
-                if cand is None or not add_atom(c, cand, sol):
-                    break
-                sols[c] = lp_weights(atoms[c], grads[c], costs[c])
+        live = list(range(ncells))  # the cells still enriching, priced together
+        for rnd in range(8):
+            if not live:
+                break
+            priced = refine_atoms([(atoms[c], sols[c].dual_moment, sols[c].dual_mass,
+                                    np.random.default_rng([problem.seed, it, rnd, c]))
+                                   for c in live], w)
+            still = []
+            for c, (cand, _) in zip(live, priced):
+                if cand is not None and add_atom(c, cand, sols[c]):
+                    sols[c] = lp_weights(atoms[c], grads[c], costs[c])
+                    still.append(c)
+            live = still
         energy_a = vol * math.fsum(s.value for s in sols)
         trace.append(energy_a)
 
@@ -395,12 +408,10 @@ def relax_solve(problem: RelaxProblem) -> RelaxSolution:
         energy = energy_b
 
     # the pricing residual against the final deformation
-    last_reduced = []
-    for c in range(ncells):
-        rng = np.random.default_rng([problem.seed, problem.max_outer + 1, 0, c])
-        _, red = refine_atoms(atoms[c], sols[c].dual_moment, sols[c].dual_mass,
-                              w, rng)
-        last_reduced.append(red)
+    last_reduced = [red for _, red in refine_atoms(
+        [(atoms[c], sols[c].dual_moment, sols[c].dual_mass,
+          np.random.default_rng([problem.seed, problem.max_outer + 1, 0, c]))
+         for c in range(ncells)], w)]
 
     measures = []
     for c in range(ncells):

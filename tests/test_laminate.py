@@ -250,6 +250,13 @@ class TestInterfacesOnStacks:
           (-0.0,)), None),
         # a zero jump met by a negative normal: fsum's zero is +0.0
         ((1, (-1.0,), [0.5, 0.5], [Mat.scalar(1.0)] * 2, (-0.0,)), None),
+        # gradient norms beyond the float range, whose jumps chain NaN
+        # offsets: the scale named is the norms' inf
+        ((2, (S, -S), [0.25, 0.5, 0.25],
+          [Mat.from_rows([[1.5e308, 0.0], [0.0, 1.0]]),
+           Mat.from_rows([[0.0, 1.5e308], [0.0, 1.0]]),
+           Mat.from_rows([[1.5e308, 0.0], [0.0, 1.0]])]),
+         (ValueError, FLOAT_RANGE.format("inf"))),
     ], ids=error_id)
     def test_from_pieces_edge_cases(self, args, error):
         got = same_as_scalar("from_pieces", *args)

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import struct
 
@@ -116,7 +117,7 @@ class TestRefineAtoms:
         v = orho_extend(named_testfn("quartic_well_1d"), 3.0)
         # duals make the wells strictly attractive
         atom, reduced = refine_atoms(
-            [Mat.scalar(0.2)], np.zeros(1), 0.5, v, rng)
+            [([Mat.scalar(0.2)], np.zeros(1), 0.5, rng)], v)[0]
         assert reduced == pytest.approx(-0.5, abs=1e-6)
         assert atom is not None
         assert abs(atom.flat[0]) == pytest.approx(1.0, abs=1e-3)
@@ -124,7 +125,7 @@ class TestRefineAtoms:
     def test_none_when_everything_nonnegative(self, rng):
         v = orho_extend(named_testfn("quartic_well_1d"), 3.0)
         atom, reduced = refine_atoms(
-            [Mat.scalar(1.0)], np.zeros(1), -0.1, v, rng)
+            [([Mat.scalar(1.0)], np.zeros(1), -0.1, rng)], v)[0]
         assert atom is None
         assert reduced >= -1e-8
 
@@ -178,17 +179,38 @@ class TestLockstepPricing:
         n = atoms[0].n
         pi = np.full(n * n, duals[0])
         for seed in (1, 2):
-            got = refine_atoms(atoms, tuple(pi), duals[1], _confined(w, ball),
-                               np.random.default_rng(seed))
+            got = refine_atoms([(atoms, tuple(pi), duals[1],
+                                 np.random.default_rng(seed))], _confined(w, ball))[0]
             ref = _reference.refine_atoms(atoms, tuple(pi), duals[1], w, ball,
                                           np.random.default_rng(seed))
             assert _priced(got) == _priced(ref)
 
     def test_found_and_not_found_both_covered(self):
         w, atoms, _ = _PRICING_CASES["1d_slope_batch"]
-        found, _ = refine_atoms(atoms, (0.0,), 0.4, w, np.random.default_rng(1))
-        none, _ = refine_atoms(atoms, (0.0,), -0.1, w, np.random.default_rng(1))
+        found, _ = refine_atoms([(atoms, (0.0,), 0.4, np.random.default_rng(1))], w)[0]
+        none, _ = refine_atoms([(atoms, (0.0,), -0.1, np.random.default_rng(1))], w)[0]
         assert found is not None and none is None
+
+    @pytest.mark.parametrize("case", ["1d_slope_batch", "2d"])
+    def test_jobs_priced_together_match_each_alone(self, case):
+        # one call prices jobs of different duals and atom counts: one
+        # with a single atom, one with none (the identity start alone)
+        w, atoms, ball = _PRICING_CASES[case]
+        n = atoms[0].n
+        specs = [(atoms, 0.3, 0.05), (atoms[:1], -0.7, 0.4), ([], 0.2, -0.3),
+                 (atoms[1:], 0.0, 0.0)]
+
+        def jobs():
+            return [(a, tuple(np.full(n * n, p)), m, np.random.default_rng(j + 1))
+                    for j, (a, p, m) in enumerate(specs)]
+
+        got = [_priced(out) for out in refine_atoms(jobs(), _confined(w, ball))]
+        ref = [_priced(_reference.refine_atoms(a, pi, m, w, ball, rng))
+               for a, pi, m, rng in jobs()]
+        assert got == ref
+        assert {flat is None for flat, _ in got} == {False, True}
+        back = refine_atoms(jobs()[::-1], _confined(w, ball))
+        assert [_priced(out) for out in back] == got[::-1]
 
 
 class TestAdmissibleSet:
@@ -318,9 +340,10 @@ class TestRelaxSolve:
         sizes = {}
         priced = relax.refine_atoms
 
-        def recording(atoms, *args):
-            sizes.setdefault(id(atoms), []).append(len(atoms))
-            return priced(atoms, *args)
+        def recording(jobs, w):
+            for atoms, *_ in jobs:
+                sizes.setdefault(id(atoms), []).append(len(atoms))
+            return priced(jobs, w)
 
         monkeypatch.setattr(relax, "refine_atoms", recording)
         w = builtin_energy("shear_well_2d", {"kappa": 1.0, "gamma": 0.0})
@@ -329,6 +352,23 @@ class TestRelaxSolve:
                                  max_outer=1, seed=1))
         assert sizes and all(seq[0] == 9 for seq in sizes.values())
         assert all(max(seq[1:]) <= 8 for seq in sizes.values())
+
+    @pytest.mark.parametrize("problem", [
+        RelaxProblem(builtin_energy("double_well_inv", {"gamma": 1e-3, "p": 2.0}),
+                     Mesh.interval(4), Mat.scalar(0.0), seed=1),
+        RelaxProblem(builtin_energy("shear_well_2d", {"kappa": 1.0, "gamma": 0.0}),
+                     Mesh.square(2, 2), Mat.from_rows([[1.0, 0.5], [0.0, 1.0]]),
+                     atom_budget=8, max_outer=1, seed=1),
+    ], ids=["1d_double_well", "2d_shear"])
+    def test_pricing_all_cells_at_once_is_exact(self, monkeypatch, problem):
+        # a cell's pricing reads only its own atoms, duals and generator,
+        # so one call a round over every cell solves as a call a cell
+        together = relax_solve(problem).to_json_dict()
+        priced = relax.refine_atoms
+        monkeypatch.setattr(relax, "refine_atoms",
+                            lambda jobs, w: [priced([job], w)[0] for job in jobs])
+        alone = relax_solve(problem).to_json_dict()
+        assert json.dumps(alone) == json.dumps(together)
 
     def test_json_dict(self):
         w = builtin_energy("double_well_inv", {"gamma": 0.0})
