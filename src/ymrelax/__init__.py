@@ -85,6 +85,7 @@ from .laminate import (
 from .meshdef import MeshDeformation
 from .envelope import (
     EnvelopeEstimate,
+    Oracle1D,
     qinv_fe_upper,
     qinv_laminate_upper,
     qinv_oracle_1d,
@@ -135,7 +136,7 @@ __all__ = [
     # deformations
     "MeshDeformation",
     # envelopes
-    "EnvelopeEstimate", "qinv_oracle_1d", "qinv_laminate_upper",
+    "EnvelopeEstimate", "Oracle1D", "qinv_oracle_1d", "qinv_laminate_upper",
     "qinv_fe_upper",
     # relaxation
     "LpSolution", "lp_weights", "refine_atoms",

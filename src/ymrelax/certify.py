@@ -331,9 +331,13 @@ def check_thm3(field: YoungMeasureField, u_h, rho: float, v_battery,
     orho_extend.  In 1D the Jensen check is conclusive through the
     exact envelope; in 2D only a lamination upper bound U is available,
     so pairing >= U certifies a pass while pairing < U is reported as
-    inconclusive (U overestimates the true envelope).  Any finite
-    battery is a sound but incomplete filter; its size is recorded."""
-    from .envelope import qinv_laminate_upper, qinv_oracle_1d
+    inconclusive (U overestimates the true envelope).  In 1D each member
+    has one Oracle1D, so one hull per (member, rho_tilde); in either
+    dimension, cells with equal barycenters share one reading of the
+    envelope per member, and each distinct reading checks its witness.
+    Any finite battery is a sound but incomplete filter; its size is
+    recorded."""
+    from .envelope import Oracle1D, qinv_laminate_upper
     from .errors import InfeasibleBarycenter, NoAdmissibleSplit
 
     v_battery = [orho_extend(v, rho_tilde) for v in v_battery]
@@ -369,20 +373,29 @@ def check_thm3(field: YoungMeasureField, u_h, rho: float, v_battery,
     exact = field.mesh.dim == 1
     miss = FAIL if exact else INCONCLUSIVE
     unbounded = InfeasibleBarycenter if exact else NoAdmissibleSplit
+    oracles = [Oracle1D(v, rho_tilde) for v in v_battery] if exact else None
+
+    def envelope_at(k: int, g) -> float:
+        if exact:
+            return oracles[k].read(g).value_exact
+        return qinv_laminate_upper(v_battery[k], g, rho_tilde,
+                                   depth=jensen_depth,
+                                   angles=jensen_angles).value_upper
+
+    readings = {}  # (member, barycenter) -> envelope value, None if unbounded
     missed = False
     worst_gap = 0.0
     rows = []
     for ci, (nu, g) in enumerate(zip(field.measures, grads)):
-        for v in v_battery:
+        for k, v in enumerate(v_battery):
             lhs = pair_fn(nu, v)
-            try:
-                if exact:
-                    rhs = qinv_oracle_1d(v, g, rho_tilde).value_exact
-                else:
-                    rhs = qinv_laminate_upper(v, g, rho_tilde,
-                                              depth=jensen_depth,
-                                              angles=jensen_angles).value_upper
-            except unbounded:
+            if (k, g) not in readings:
+                try:
+                    readings[k, g] = envelope_at(k, g)
+                except unbounded:
+                    readings[k, g] = None
+            rhs = readings[k, g]
+            if rhs is None:
                 missed = True
                 rows.append([ci, v.description, lhs, None,
                              "barycenter not reachable" if exact

@@ -5,11 +5,14 @@ Three routes, in decreasing exactness:
 
 * qinv_oracle_1d: exact on the interval, by lower convex hull of the
   function over the admissible slope set (two components separated by
-  the singular gap): _line_hull with g = 0 and d = 1.
+  the singular gap): a _LineHull with g = 0 and d = 1.  Oracle1D holds
+  one hull per (v, rho_tilde, grid) and reads it at any barycenter, so
+  a caller with many barycenters scans each function once.
 * qinv_laminate_upper: greedy recursive rank-one splitting; sound upper
   bound in any supported dimension, witnessed by an atomic measure.
-  Each node's coarse scan of dyads is one evaluate_batch call, and
-  _line_hull along the best dyad refines its split.
+  Each node's coarse scan of dyads is one evaluate_batch call, and a
+  _LineHull along the best dyad, read once at the node, refines its
+  split.
 * qinv_fe_upper: coordinate descent over mesh deformations with the
   affine boundary condition; witnessed by the final deformation.
 
@@ -90,114 +93,145 @@ def _scalar_eval(v, s: float) -> float:
     return v.evaluate(Mat.scalar(s))
 
 
-def _line_hull(v, g: Mat, d: Mat, s0: float, intervals, points: int):
+class _LineHull:
     """The lower convex hull of s -> v(g + s d) over sorted disjoint
-    intervals, read at s0: the hull of a batched scan of `points` s per
-    interval, then a golden polish of each end of the supporting pair,
-    the other end held fixed, against the grid bias.  Returns (value, sa,
-    sb, hull_size, evaluations), sa <= s0 <= sb; value is +inf and sa =
-    sb = s0 when fewer than two grid points are finite."""
-    n = g.n
-    gf, df = np.array(g.flat), np.array(d.flat)
-    evals = 0
-    pts = []
-    for lo, hi in intervals:
-        for start in range(0, points, _SCAN_BLOCK):
-            i = np.arange(start, min(start + _SCAN_BLOCK, points))
-            s = lo + (hi - lo) * (i / (points - 1))
-            vals = evaluate_batch(v, (gf + s[:, None] * df).reshape(-1, n, n))
-            evals += len(s)
-            keep = vals < math.inf
-            pts.extend(zip(s[keep].tolist(), vals[keep].tolist()))
-    if len(pts) < 2:
-        return math.inf, s0, s0, len(pts), evals
-    hull = lower_hull(pts)
+    intervals: the hull of a batched scan of `points` s per interval,
+    made once on construction; read(s0) is the only work per point.
+    `size` is the hull's size (the count of finite grid points when
+    under two), `evaluations` the evaluations of v so far, scan and
+    reads."""
 
-    # supporting segment at s0
-    ib = min(bisect_left(hull, s0, key=lambda p: p[0]), len(hull) - 1)
-    ia = ib - 1 if hull[0][0] < s0 < hull[-1][0] else ib
-    sa, sb = hull[ia][0], hull[ib][0]
-    comp_a, comp_b = (next(iv for iv in reversed(intervals) if iv[0] <= s)
-                      for s in (sa, sb))
+    def __init__(self, v, g: Mat, d: Mat, intervals, points: int):
+        self.v, self.g, self.d, self.intervals = v, g, d, intervals
+        n = g.n
+        gf, df = np.array(g.flat), np.array(d.flat)
+        self.evaluations = 0
+        pts = []
+        for lo, hi in intervals:
+            for start in range(0, points, _SCAN_BLOCK):
+                i = np.arange(start, min(start + _SCAN_BLOCK, points))
+                s = lo + (hi - lo) * (i / (points - 1))
+                vals = evaluate_batch(v, (gf + s[:, None] * df).reshape(-1, n, n))
+                self.evaluations += len(s)
+                keep = vals < math.inf
+                pts.extend(zip(s[keep].tolist(), vals[keep].tolist()))
+        self.hull = lower_hull(pts) if len(pts) >= 2 else pts
+        self.size = len(self.hull)
 
-    def ev(s: float) -> float:
-        nonlocal evals
-        evals += 1
-        return v.evaluate(Mat(n, tuple(x + s * y for x, y in zip(g.flat, d.flat))))
+    def read(self, s0: float):
+        """The hull at s0: its supporting pair, then a golden polish of
+        each end of the pair, the other end held fixed, against the grid
+        bias.  Returns (value, sa, sb), sa <= s0 <= sb; value is +inf and
+        sa = sb = s0 when fewer than two grid points are finite."""
+        if self.size < 2:
+            return math.inf, s0, s0
+        hull, intervals, v, g, d = self.hull, self.intervals, self.v, self.g, self.d
+        n = g.n
 
-    def lever(a: float, b: float, va=None, vb=None) -> float:
-        """la v(a) + (1 - la) v(b) at the lever rule weight la; an end
-        whose value is given is not evaluated again."""
-        if b - a < 1e-15:
-            if abs(a - s0) >= 1e-12:
+        # supporting segment at s0
+        ib = min(bisect_left(hull, s0, key=lambda p: p[0]), len(hull) - 1)
+        ia = ib - 1 if hull[0][0] < s0 < hull[-1][0] else ib
+        sa, sb = hull[ia][0], hull[ib][0]
+        comp_a, comp_b = (next(iv for iv in reversed(intervals) if iv[0] <= s)
+                          for s in (sa, sb))
+
+        def ev(s: float) -> float:
+            self.evaluations += 1
+            return v.evaluate(Mat(n, tuple(x + s * y for x, y in zip(g.flat, d.flat))))
+
+        def lever(a: float, b: float, va=None, vb=None) -> float:
+            """la v(a) + (1 - la) v(b) at the lever rule weight la; an end
+            whose value is given is not evaluated again."""
+            if b - a < 1e-15:
+                if abs(a - s0) >= 1e-12:
+                    return math.inf
+                return ev(a) if va is None else va
+            la = (b - s0) / (b - a)
+            if la < -1e-12 or la > 1.0 + 1e-12:
                 return math.inf
-            return ev(a) if va is None else va
-        la = (b - s0) / (b - a)
-        if la < -1e-12 or la > 1.0 + 1e-12:
-            return math.inf
-        la = min(1.0, max(0.0, la))
-        va = ev(a) if va is None else va
-        vb = ev(b) if vb is None else vb
-        return la * va + (1.0 - la) * vb
+            la = min(1.0, max(0.0, la))
+            va = ev(a) if va is None else va
+            vb = ev(b) if vb is None else vb
+            return la * va + (1.0 - la) * vb
 
-    best_val = lever(sa, sb)
-    for _ in range(2):
-        lo, hi = comp_a[0], min(comp_a[1], s0)
-        if hi > lo:
-            vb = ev(sb)
-            sa_new, val = golden_min(lambda a: lever(a, sb, vb=vb), lo, hi,
-                                     iters=48)
-            if val < best_val:
-                sa, best_val = sa_new, val
-        lo, hi = max(comp_b[0], s0), comp_b[1]
-        if hi > lo:
-            va = ev(sa)
-            sb_new, val = golden_min(lambda b: lever(sa, b, va=va), lo, hi,
-                                     iters=48)
-            if val < best_val:
-                sb, best_val = sb_new, val
-    return best_val, sa, sb, len(hull), evals
+        best_val = lever(sa, sb)
+        for _ in range(2):
+            lo, hi = comp_a[0], min(comp_a[1], s0)
+            if hi > lo:
+                vb = ev(sb)
+                sa_new, val = golden_min(lambda a: lever(a, sb, vb=vb), lo, hi,
+                                         iters=48)
+                if val < best_val:
+                    sa, best_val = sa_new, val
+            lo, hi = max(comp_b[0], s0), comp_b[1]
+            if hi > lo:
+                va = ev(sa)
+                sb_new, val = golden_min(lambda b: lever(sa, b, va=va), lo, hi,
+                                         iters=48)
+                if val < best_val:
+                    sb, best_val = sb_new, val
+        return best_val, sa, sb
 
 
 # -- 1D exact oracle ---------------------------------------------------------
 
 
-def qinv_oracle_1d(v, f, rho_tilde: float, grid: int = 10000) -> EnvelopeEstimate:
-    """Exact envelope value on the interval.
+class Oracle1D:
+    """The exact envelope of v on the interval, at any barycenter.
 
     The admissible slope set is K = [-rt, -1/rt] u [1/rt, rt]; the
     envelope at f in conv(K) = [-rt, rt] is the lower convex hull of v
-    restricted to K, evaluated at f: _line_hull along the slopes
-    themselves, grid // 2 of them on each component of K.
+    restricted to K, evaluated at f: one _LineHull along the slopes
+    themselves, grid // 2 of them on each component of K, scanned at the
+    first read of a barycenter in [-rt, rt] and read at each.  A reading
+    raises what qinv_oracle_1d raises, in the same order.
     """
-    fmat = Mat.coerce(f, 1)
-    fs = fmat.flat[0]
-    if grid < 100:
-        raise ValueError("grid must be at least 100")
-    if rho_tilde < 1.0:
-        raise ValueError("rho_tilde below 1 leaves no admissible slopes")
-    if abs(fs) > rho_tilde * (1.0 + 1e-12):
-        raise InfeasibleBarycenter(f"barycenter {fs:.6g} outside "
-                                   f"[-{rho_tilde:.6g}, {rho_tilde:.6g}]")
-    v = orho_extend(v, rho_tilde)
-    comps = ((-rho_tilde, -1.0 / rho_tilde), (1.0 / rho_tilde, rho_tilde))
-    best_val, sa, sb, hull_size, _ = _line_hull(
-        v, Mat.scalar(0.0), Mat.scalar(1.0), fs, comps, grid // 2)
-    if hull_size < 2:
-        raise NoAdmissibleSplit("the function is infinite on the admissible set")
-    dirac_val = _scalar_eval(v, fs)  # infinite off K
-    if dirac_val <= best_val or sb - sa < 1e-12:
-        value = min(dirac_val, best_val)
-        witness = AtomicMeasure.dirac(fmat)
-    else:
-        value = best_val
-        la = (sb - fs) / (sb - sa)
-        pairs = [(Mat.scalar(sa), la), (Mat.scalar(sb), 1.0 - la)]
-        witness = AtomicMeasure((m, wgt) for m, wgt in pairs if wgt > 1e-15)
-    est = EnvelopeEstimate(value, value, witness, rho_tilde, "oracle_1d",
-                           {"grid": grid, "hull_size": hull_size,
-                            "support": [sa, sb]})
-    return _checked(est, v)
+
+    def __init__(self, v, rho_tilde: float, grid: int = 10000):
+        if grid < 100:
+            raise ValueError("grid must be at least 100")
+        if rho_tilde < 1.0:
+            raise ValueError("rho_tilde below 1 leaves no admissible slopes")
+        self.rho_tilde, self.grid = rho_tilde, grid
+        self._v, self._line = v, None
+
+    def read(self, f) -> EnvelopeEstimate:
+        """The envelope at f, with its Dirac or two-atom witness."""
+        rho_tilde = self.rho_tilde
+        fmat = Mat.coerce(f, 1)
+        fs = fmat.flat[0]
+        if abs(fs) > rho_tilde * (1.0 + 1e-12):
+            raise InfeasibleBarycenter(f"barycenter {fs:.6g} outside "
+                                       f"[-{rho_tilde:.6g}, {rho_tilde:.6g}]")
+        if self._line is None:
+            comps = ((-rho_tilde, -1.0 / rho_tilde), (1.0 / rho_tilde, rho_tilde))
+            self._line = _LineHull(orho_extend(self._v, rho_tilde), Mat.scalar(0.0),
+                                   Mat.scalar(1.0), comps, self.grid // 2)
+        line = self._line
+        if line.size < 2:
+            raise NoAdmissibleSplit("the function is infinite on the admissible set")
+        v = line.v
+        best_val, sa, sb = line.read(fs)
+        dirac_val = _scalar_eval(v, fs)  # infinite off K
+        if dirac_val <= best_val or sb - sa < 1e-12:
+            value = min(dirac_val, best_val)
+            witness = AtomicMeasure.dirac(fmat)
+        else:
+            value = best_val
+            la = (sb - fs) / (sb - sa)
+            pairs = [(Mat.scalar(sa), la), (Mat.scalar(sb), 1.0 - la)]
+            witness = AtomicMeasure((m, wgt) for m, wgt in pairs if wgt > 1e-15)
+        est = EnvelopeEstimate(value, value, witness, rho_tilde, "oracle_1d",
+                               {"grid": self.grid, "hull_size": line.size,
+                                "support": [sa, sb]})
+        return _checked(est, v)
+
+
+def qinv_oracle_1d(v, f, rho_tilde: float, grid: int = 10000) -> EnvelopeEstimate:
+    """Exact envelope value on the interval at f: Oracle1D(v, rho_tilde,
+    grid) read once."""
+    fmat = Mat.coerce(f, 1)  # a malformed f is reported before grid or rho_tilde
+    return Oracle1D(v, rho_tilde, grid).read(fmat)
 
 
 # -- greedy lamination upper bound -------------------------------------------
@@ -288,9 +322,9 @@ def qinv_laminate_upper(v, f, rho_tilde: float, depth: int = 2,
         # children find better
         dyad, t, lam = best
         sa, sb = -(1.0 - lam) * t, lam * t
-        value, ra, rb, _, count = _line_hull(v, g, dyad, 0.0, ((-tmax, tmax),),
-                                             _LINE_POINTS)
-        evals[0] += count
+        line = _LineHull(v, g, dyad, ((-tmax, tmax),), _LINE_POINTS)
+        value, ra, rb = line.read(0.0)
+        evals[0] += line.evaluations
         if value <= coarse and ra < 0.0 < rb:
             sa, sb, lam = ra, rb, rb / (rb - ra)
         va, wa = node(g + sa * dyad, d - 1)

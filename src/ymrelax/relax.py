@@ -169,9 +169,10 @@ def refine_atoms(jobs, w):
     Returns (matrix or None, best reduced cost found) per job, in order,
     the best being the job's first start that reaches its least cost."""
     n = math.isqrt(len(jobs[0][1]))
+    identity = tuple(1.0 if i == j else 0.0 for i in range(n) for j in range(n))
     seeds, pi, mass, counts = [], [], [], []
     for atoms, dual_moment, dual_mass, rng in jobs:
-        job = [Mat.identity(n).flat] + [a.flat for a in atoms]
+        job = [identity] + [a.flat for a in atoms]
         k = 0
         while len(job) < PRICING_STARTS and atoms:
             base = atoms[k % len(atoms)].flat

@@ -4,10 +4,13 @@ The sequential golden-section search and multistart pricing loop, as
 they stood before the starts moved in lockstep; the lamination bound
 with its coarse scan one split at a time, as it stood before the scan
 became one batch, refining each node's split by the shared line hull
-of ymrelax.envelope; classify one atom at a time, and GradientField
-chaining and checking its interfaces one Mat at a time, as they stood
-before both ran on stacks.  Tests hold the batched versions in
-ymrelax._search, ymrelax.relax, ymrelax.envelope, ymrelax.measure and
+of ymrelax.envelope; check_thm3's 1D Jensen rows with one
+qinv_oracle_1d call a row, as they stood before each battery member
+got one Oracle1D and equal barycenters one reading; classify one atom
+at a time, and GradientField chaining and checking its interfaces one
+Mat at a time, as they stood before both ran on stacks.  Tests hold
+the batched versions in ymrelax._search, ymrelax.relax,
+ymrelax.envelope, ymrelax.certify, ymrelax.measure and
 ymrelax.laminate to these bit for bit, errors included, with one
 exception: where ScalarGradientField's arithmetic leaves the float range
 (an OverflowError, an inf - inf in fsum) or the field's scale is not
@@ -17,11 +20,12 @@ contract."""
 import math
 
 from ymrelax.envelope import (_LAMBDA_COARSE, _LINE_POINTS, EnvelopeEstimate,
-                              _angular_dyads, _checked, _line_hull)
-from ymrelax.errors import NoAdmissibleSplit, NotRankOne
+                              _LineHull, _angular_dyads, _checked,
+                              qinv_oracle_1d)
+from ymrelax.errors import InfeasibleBarycenter, NoAdmissibleSplit, NotRankOne
 from ymrelax.laminate import JUMP_TOL, GradientField, _perp, _slab_point
 from ymrelax.matcore import Mat, det, frob_norm, in_rho_ball, inv_norm
-from ymrelax.measure import AtomicMeasure, ClassReport, power_or_inf
+from ymrelax.measure import AtomicMeasure, ClassReport, pair, power_or_inf
 from ymrelax.relax import PRICING_STARTS, REDUCED_COST_TOL
 from ymrelax.testfn import orho_extend
 
@@ -140,9 +144,9 @@ def qinv_laminate_upper(v, f, rho_tilde, depth=2, angles=32):
             return base, [(g, 1.0)]
         dyad, t, lam = best[1]
         sa, sb = -(1.0 - lam) * t, lam * t
-        value, ra, rb, _, count = _line_hull(v, g, dyad, 0.0, ((-tmax, tmax),),
-                                             _LINE_POINTS)
-        evals[0] += count
+        line = _LineHull(v, g, dyad, ((-tmax, tmax),), _LINE_POINTS)
+        value, ra, rb = line.read(0.0)
+        evals[0] += line.evaluations
         if value <= best[0] and ra < 0.0 < rb:
             sa, sb, lam = ra, rb, rb / (rb - ra)
         a = g + sa * dyad
@@ -166,6 +170,23 @@ def qinv_laminate_upper(v, f, rho_tilde, depth=2, angles=32):
                             "evaluations": evals[0],
                             "atoms": len(witness.atoms)})
     return _checked(est, v)
+
+
+def jensen_rows_1d(field, grads, battery, rho_tilde):
+    """check_thm3's Jensen rows on a 1D field, for a battery already
+    confined to the rho_tilde ball."""
+    rows = []
+    for ci, (nu, g) in enumerate(zip(field.measures, grads)):
+        for v in battery:
+            lhs = pair(nu, v)
+            try:
+                rhs = qinv_oracle_1d(v, g, rho_tilde).value_exact
+            except InfeasibleBarycenter:
+                rows.append([ci, v.description, lhs, None,
+                             "barycenter not reachable"])
+                continue
+            rows.append([ci, v.description, lhs, rhs, "exact"])
+    return rows
 
 
 def classify(field, p, q):

@@ -1,8 +1,10 @@
+import dataclasses
 import json
 import math
 
 import pytest
 
+import _reference
 from ymrelax.certify import (
     Check,
     FAIL,
@@ -19,7 +21,7 @@ from ymrelax.laminate import GradientField, SequenceSpec, build_laminate_sequenc
 from ymrelax.matcore import Mat
 from ymrelax.measure import AtomicMeasure, Mesh, YoungMeasureField, classify
 from ymrelax.meshdef import MeshDeformation
-from ymrelax.testfn import named_testfn, orho_extend
+from ymrelax.testfn import builtin_energy, named_testfn, orho_extend
 
 
 SHEAR = Mat.from_rows([[1.0, 1.0], [0.0, 1.0]])
@@ -348,3 +350,54 @@ class TestThm3:
         assert d["theorem"] == "thm3"
         assert d["verdict"] == PASS
         assert d["details"]["battery_size"] == 1
+
+
+def slope_field(values):
+    """A 4-cell deformation with these node values and, on each cell, a
+    two-atom measure whose barycenter is the cell gradient."""
+    mesh = Mesh.interval(4)
+    u = MeshDeformation(mesh, values)
+    grads = u.cell_gradients()
+    measures = tuple(AtomicMeasure([(g - Mat.scalar(0.25), 0.5),
+                                    (g + Mat.scalar(0.25), 0.5)])
+                     for g in grads)
+    return YoungMeasureField(mesh, measures), u, grads
+
+
+def battery_1d(rho_t):
+    return [orho_extend(named_testfn("quartic_well_1d"), rho_t),
+            orho_extend(builtin_energy("double_well_inv",
+                                       {"gamma": 1e-3, "p": 2.0}), rho_t)]
+
+
+class TestThm3Readings:
+    """check_thm3 reads one hull per battery member, and one reading per
+    distinct barycenter, with the per-row oracle's rows."""
+
+    def test_rows_match_one_oracle_call_a_row(self):
+        # gradients 0.5, 0.5 (equal), -1.0 and 4.0 (outside [-3, 3])
+        field, u, grads = slope_field([0.0, 0.125, 0.25, 0.0, 1.0])
+        assert [g.flat[0] for g in grads] == [0.5, 0.5, -1.0, 4.0]
+        battery = battery_1d(3.0)
+        cert = check_thm3(field, u, 2.0, battery, 3.0)
+        rows = cert.details["jensen_rows"]
+        assert [r[4] for r in rows[-2:]] == ["barycenter not reachable"] * 2
+        want = _reference.jensen_rows_1d(field, grads, battery, 3.0)
+        assert json.dumps(rows) == json.dumps(want)
+
+    def test_each_member_scanned_once(self):
+        # four distinct barycenters, two members: two scans of the grid
+        field, u, grads = slope_field([0.0, 0.125, 0.0625, 0.3125, 0.0])
+        assert len({g.flat for g in grads}) == 4
+        rows = [0]
+
+        def counted(v):
+            def batch(a):
+                rows[0] += len(a)
+                return v.batch(a)
+            return dataclasses.replace(v, batch=batch)
+
+        battery = [counted(v) for v in battery_1d(3.0)]
+        cert = check_thm3(field, u, 2.0, battery, 3.0)
+        assert len(cert.details["jensen_rows"]) == 8
+        assert rows[0] == 2 * 10000

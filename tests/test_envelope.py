@@ -7,6 +7,7 @@ import pytest
 
 import _reference
 from ymrelax.envelope import (
+    Oracle1D,
     qinv_fe_upper,
     qinv_laminate_upper,
     qinv_oracle_1d,
@@ -139,6 +140,53 @@ class TestOracleBatch:
             qinv_oracle_1d(dataclasses.replace(v, evaluate=counted),
                            Mat.scalar(f), RHO_T, grid=10000)
             assert 0 < calls[0] <= 300
+
+
+class TestOracleReader:
+    """One Oracle1D read at many barycenters gives what qinv_oracle_1d
+    gives at each, and raises what it raises."""
+
+    @pytest.mark.parametrize("name", ["quartic", "double_well"])
+    def test_readings_match_one_call_each(self, name):
+        v = BATCHED_ENERGIES[name]
+        oracle = Oracle1D(v, RHO_T)
+        for f in (0.0, 0.3, 1.5, 0.3):
+            read = oracle.read(Mat.scalar(f)).to_json_dict()
+            once = qinv_oracle_1d(v, Mat.scalar(f), RHO_T).to_json_dict()
+            assert json.dumps(read) == json.dumps(once)
+
+    @staticmethod
+    def raised(fn):
+        with pytest.raises(Exception) as info:
+            fn()
+        return type(info.value), str(info.value)
+
+    @pytest.mark.parametrize("rho_t, grid", [(RHO_T, 50), (0.5, 10000)])
+    def test_bad_inputs_rejected_alike(self, rho_t, grid):
+        got = self.raised(lambda: Oracle1D(well(), rho_t, grid))
+        want = self.raised(lambda: qinv_oracle_1d(well(), Mat.scalar(0.0),
+                                                  rho_t, grid))
+        assert got == want and got[0] is ValueError
+
+    def test_errors_match_in_order(self):
+        rows = [0]
+
+        def batch(a):
+            rows[0] += len(a)
+            return np.full(len(a), math.inf)
+
+        v = MatrixFn(lambda a: math.inf, Growth.o_rho(RHO_T), "inf everywhere",
+                     batch)
+        oracle = Oracle1D(v, RHO_T)
+        for f, error in ((3.0, InfeasibleBarycenter), (1.0, NoAdmissibleSplit),
+                         (-2.5, InfeasibleBarycenter), (0.0, NoAdmissibleSplit)):
+            got = self.raised(lambda: oracle.read(Mat.scalar(f)))
+            want = self.raised(lambda: qinv_oracle_1d(v, Mat.scalar(f), RHO_T))
+            assert got == want and got[0] is error
+            if f == 3.0:
+                assert rows[0] == 0
+        # the reader scanned once; each qinv_oracle_1d call scans again
+        assert rows[0] == 10000 * 3
 
 
 class TestLaminateUpper:
