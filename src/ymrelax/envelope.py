@@ -266,7 +266,7 @@ def qinv_laminate_upper(v, f, rho_tilde: float, depth: int = 2,
     lambda) is one batch of its first ends and one of the second ends
     whose first end is finite; it keeps the first least split in scan
     order, as a sequential scan with a strict < would.  The node then
-    takes the supporting pair of _line_hull along that dyad instead,
+    takes the supporting pair of a _LineHull along that dyad instead,
     unless the pair does not straddle the node or is worse.
     """
     if depth < 0:

@@ -237,7 +237,9 @@ class Mesh:
 
     def cell_vertices(self, c: int) -> tuple:
         """Vertex indices of cell c: (c, c + 1) on the interval, the
-        triangle corners counterclockwise from the lower left in 2D."""
+        triangle corners counterclockwise from the lower left in 2D.  With
+        h the grid steps, a lower triangle's edges from its first corner
+        are (h, 0) and (h, h), an upper triangle's (h, h) and (0, h)."""
         if self.dim == 1:
             return (c, c + 1)
         nx = self.shape[0]

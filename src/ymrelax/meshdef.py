@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -56,7 +55,7 @@ class MeshDeformation:
         return p1_gradient(self.mesh, _as_nodes(self.values), c)
 
     def cell_gradients(self) -> list:
-        nodes = _as_nodes(self.values)
+        nodes = _as_nodes(self.values).tolist()
         return [p1_gradient(self.mesh, nodes, c) for c in range(self.mesh.n_cells)]
 
     def energy(self, v) -> float:
@@ -85,8 +84,8 @@ class MeshDeformation:
             rows = [["node", "x", "y"]]
         else:
             rows = [["node", "x1", "x2", "y1", "y2"]]
-        for k, y in enumerate(_as_nodes(self.values)):
-            rows.append([k, *self.mesh.vertex_point(k), *(float(e) for e in y)])
+        for k, y in enumerate(_as_nodes(self.values).tolist()):
+            rows.append([k, *self.mesh.vertex_point(k), *y])
         return rows
 
     def to_json_dict(self) -> dict:
@@ -103,25 +102,23 @@ def _as_nodes(values: np.ndarray) -> np.ndarray:
     return values.reshape(values.shape[0], -1)
 
 
-@lru_cache(maxsize=32)
-def _inverse_edges(mesh: Mesh) -> tuple:
-    """Inverse edge matrices (x1 - x0, x2 - x0) of the lower and the upper
-    triangle (cells 0 and 1); vertex coordinates are dyadic, so every
-    cell's edge matrix equals one of the two bit for bit."""
-    corners = (np.array(mesh.triangle_vertices(c)) for c in (0, 1))
-    return tuple(np.linalg.inv(np.column_stack((x1 - x0, x2 - x0)))
-                 for x0, x1, x2 in corners)
-
-
-def p1_gradient(mesh: Mesh, nodes: np.ndarray, c: int) -> Mat:
+def p1_gradient(mesh: Mesh, nodes, c: int) -> Mat:
     """Gradient on cell c of the piecewise-affine interpolant of nodes,
-    an array with one row per mesh vertex."""
+    one row of floats per mesh vertex.  With d, e the differences of the
+    two components from corner 0 to corners 1 and 2, a lower triangle's
+    edges (h, 0), (h, h) give G = [[d1, d2 - d1], [e1, e2 - e1]] and an
+    upper triangle's (h, h), (0, h) give [[d1 - d2, d2], [e1 - e2, e2]],
+    columns scaled by the counts nx, ny.  The counts are powers of two,
+    so each scaling is exact."""
     idx = mesh.cell_vertices(c)
     if mesh.dim == 1:
-        return Mat.scalar((nodes[idx[1], 0] - nodes[idx[0], 0]) * mesh.shape[0])
-    y = nodes[list(idx)]  # (3, 2)
-    dy = np.column_stack((y[1] - y[0], y[2] - y[0]))
-    return Mat.from_flat((dy @ _inverse_edges(mesh)[c % 2]).reshape(-1))
+        return Mat.scalar((nodes[idx[1]][0] - nodes[idx[0]][0]) * mesh.shape[0])
+    (y0, z0), (y1, z1), (y2, z2) = (nodes[k] for k in idx)
+    d1, d2, e1, e2 = y1 - y0, y2 - y0, z1 - z0, z2 - z0
+    nx, ny = mesh.shape
+    if c % 2:
+        return Mat(2, ((d1 - d2) * nx, d2 * ny, (e1 - e2) * nx, e2 * ny))
+    return Mat(2, (d1 * nx, (d2 - d1) * ny, e1 * nx, (e2 - e1) * ny))
 
 
 def descend_nodes(u: MeshDeformation, cell_cost, radius: float, sweeps: int,
@@ -139,8 +136,7 @@ def descend_nodes(u: MeshDeformation, cell_cost, radius: float, sweeps: int,
     """
     mesh = u.mesh
     vol = mesh.cell_volume
-    vals = np.array(u.values)
-    nodes = _as_nodes(vals)
+    nodes = _as_nodes(u.values).tolist()
 
     def local(cells) -> float:
         return vol * math.fsum(cell_cost(c, p1_gradient(mesh, nodes, c))
@@ -152,21 +148,21 @@ def descend_nodes(u: MeshDeformation, cell_cost, radius: float, sweeps: int,
         improved = 0.0
         for k in mesh.interior_vertices():
             cells = mesh.vertex_cells[k]
-            for axis in range(nodes.shape[1]):
-                y0 = nodes[k, axis]
+            row = nodes[k]
+            for axis, y0 in enumerate(row):
                 cur = local(cells)
 
                 def obj(y):
-                    nodes[k, axis] = y
+                    row[axis] = y
                     out = local(cells)
-                    nodes[k, axis] = y0
+                    row[axis] = y0
                     return out
 
                 ynew, fnew = golden_min(obj, y0 - radius, y0 + radius,
                                         iters=iters, coarse=coarse)
                 if fnew < cur - 1e-15:
                     improved += cur - fnew
-                    nodes[k, axis] = ynew
+                    row[axis] = ynew
         if improved < stop:
             break
-    return MeshDeformation(mesh, vals), done
+    return MeshDeformation(mesh, np.reshape(nodes, u.values.shape)), done

@@ -8,16 +8,23 @@ of ymrelax.envelope; check_thm3's 1D Jensen rows with one
 qinv_oracle_1d call a row, as they stood before each battery member
 got one Oracle1D and equal barycenters one reading; classify one atom
 at a time, and GradientField chaining and checking its interfaces one
-Mat at a time, as they stood before both ran on stacks.  Tests hold
-the batched versions in ymrelax._search, ymrelax.relax,
-ymrelax.envelope, ymrelax.certify, ymrelax.measure and
-ymrelax.laminate to these bit for bit, errors included, with one
-exception: where ScalarGradientField's arithmetic leaves the float range
-(an OverflowError, an inf - inf in fsum) or the field's scale is not
+Mat at a time, as they stood before both ran on stacks; and the P1
+gradient as a numpy solve against the triangle's edge matrix, as it
+stood before ymrelax.meshdef took the closed form.  Tests hold the
+batched versions in ymrelax._search, ymrelax.relax, ymrelax.envelope,
+ymrelax.certify, ymrelax.measure and ymrelax.laminate, and the closed
+form, to these bit for bit, errors included, with these exceptions:
+where ScalarGradientField's arithmetic leaves the float range (an
+OverflowError, an inf - inf in fsum) or the field's scale is not
 finite, GradientField raises ValueError instead, by its float-range
-contract."""
+contract; where the solve's products overflow to inf - inf, the closed
+form still returns its finite gradient; and where nodes carry -0.0,
+the closed form may return a zero entry as -0.0 where the solve, its
+sums started from +0.0, returns +0.0."""
 
 import math
+
+import numpy as np
 
 from ymrelax.envelope import (_LAMBDA_COARSE, _LINE_POINTS, EnvelopeEstimate,
                               _LineHull, _angular_dyads, _checked,
@@ -187,6 +194,16 @@ def jensen_rows_1d(field, grads, battery, rho_tilde):
                 continue
             rows.append([ci, v.description, lhs, rhs, "exact"])
     return rows
+
+
+def p1_gradient(mesh, nodes, c):
+    """The gradient G on triangle c with G (x1 - x0, x2 - x0) =
+    (y1 - y0, y2 - y0), through the inverse edge matrix."""
+    x0, x1, x2 = (np.array(p) for p in mesh.triangle_vertices(c))
+    inv = np.linalg.inv(np.column_stack((x1 - x0, x2 - x0)))
+    y0, y1, y2 = (np.array(nodes[k], dtype=float) for k in mesh.cell_vertices(c))
+    dy = np.column_stack((y1 - y0, y2 - y0))
+    return Mat.from_flat((dy @ inv).reshape(-1))
 
 
 def classify(field, p, q):

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
+import _reference
 from ymrelax.errors import DomainError
 from ymrelax.matcore import Mat, frob_norm
 from ymrelax.measure import Mesh
-from ymrelax.meshdef import MeshDeformation, descend_nodes
+from ymrelax.meshdef import MeshDeformation, descend_nodes, p1_gradient
 from ymrelax.testfn import named_testfn
 
 
@@ -38,6 +39,45 @@ class TestP1Gradient:
                 want = np.linalg.solve(dx.T, dy.T).T
                 got = np.array(u.cell_gradient(c).rows())
                 assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+
+    @pytest.mark.parametrize("shape", [(2, 2), (4, 2), (1, 8), (32, 32)])
+    def test_closed_form_matches_the_inverse_edge_solve(self, rng, shape):
+        mesh = Mesh.square(*shape)
+        for scale in (1e-8, 1e-3, 1.0, 1e3, 1e8):
+            nodes = (scale * rng.normal(size=(mesh.n_vertices, 2))).tolist()
+            for c in range(mesh.n_cells):  # both parities
+                got = p1_gradient(mesh, nodes, c).flat
+                want = _reference.p1_gradient(mesh, nodes, c).flat
+                assert [x.hex() for x in got] == [x.hex() for x in want]
+
+    def test_no_overflow_where_the_solve_overflowed(self):
+        # corner differences 1.5e308 on a lower triangle with ny = 2:
+        # the solve's -2 d1 + 2 d2 is -inf + inf
+        mesh = Mesh.square(1, 2)
+        nodes = [[0.0, 0.0] for _ in range(mesh.n_vertices)]
+        i1, i2 = mesh.cell_vertices(0)[1:]
+        nodes[i1][0] = nodes[i2][0] = 1.5e308
+        assert p1_gradient(mesh, nodes, 0).flat == (1.5e308, 0.0, 0.0, 0.0)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(ValueError, match="matrix entries must be finite"):
+            _reference.p1_gradient(mesh, nodes, 0)
+
+    def test_signed_zero_nodes_give_equal_gradients(self):
+        # a +0.0 centre among -0.0 nodes makes differences -0.0; the
+        # closed form keeps that sign where the solve's sums, started
+        # from +0.0, drop it
+        mesh = Mesh.square(2, 2)
+        for zero in (0.0, -0.0):
+            nodes = [[zero, -zero] for _ in range(mesh.n_vertices)]
+            nodes[4] = [0.0, 0.0]
+            for c in range(mesh.n_cells):
+                assert p1_gradient(mesh, nodes, c) == _reference.p1_gradient(mesh, nodes, c)
+        # the last pass's nodes are -0.0 but for node 4; cell 6 has
+        # corners (4, 5, 8), so d1 = -0.0 - 0.0 is -0.0
+        assert mesh.cell_vertices(6) == (4, 5, 8)
+        got = p1_gradient(mesh, nodes, 6).flat
+        want = _reference.p1_gradient(mesh, nodes, 6).flat
+        assert (got[0].hex(), want[0].hex()) == ("-0x0.0p+0", "0x0.0p+0")
 
 
 class TestIncidence:
