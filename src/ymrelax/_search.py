@@ -5,6 +5,8 @@ for fixed inputs."""
 from __future__ import annotations
 
 import math
+from functools import reduce
+from operator import add
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -112,10 +114,11 @@ def fit_loglog_slope(pairs):
     pts = [(math.log(k), math.log(e)) for k, e in pairs if e > 0.0]
     if len(pts) < 2:
         return None
-    mx = sum(x for x, _ in pts) / len(pts)
-    my = sum(y for _, y in pts) / len(pts)
-    sxx = sum((x - mx) ** 2 for x, _ in pts)
+    # sums left to right from 0.0: built-in sum is compensated from Python 3.12
+    mx = reduce(add, (x for x, _ in pts), 0.0) / len(pts)
+    my = reduce(add, (y for _, y in pts), 0.0) / len(pts)
+    sxx = reduce(add, ((x - mx) ** 2 for x, _ in pts), 0.0)
     if sxx == 0.0:
         return None
-    sxy = sum((x - mx) * (y - my) for x, y in pts)
+    sxy = reduce(add, ((x - mx) * (y - my) for x, y in pts), 0.0)
     return sxy / sxx

@@ -115,10 +115,10 @@ def check_thm12(field: YoungMeasureField, p: float, q: float,
 
 
 def _det_q_integral(widths, abs_dets, q: float) -> float:
+    """Sum of w |det|^-q; widths are positive, so a zero determinant,
+    whose power reads inf, makes it inf."""
     total = 0.0
     for w, d in zip(widths, abs_dets):
-        if d == 0.0:
-            return math.inf
         total += w * power_or_inf(d, -q)
     return total
 

@@ -363,10 +363,7 @@ def _fe_start_1d(v, fs: float, cells: int, rho_tilde: float):
                               "is infinite")
     oracle = qinv_oracle_1d(v, fs, rho_tilde, grid=2000)
     atoms = [(m.flat[0], w) for m, w in oracle.witness.atoms]
-    if len(atoms) == 1:
-        s = atoms[0][0]
-        if abs(s - fs) < 1e-12 and _scalar_eval(v, s) < math.inf:
-            return fs * xs
+    if len(atoms) == 1:  # the lone atom is the barycenter fs, ruled out above
         raise NoFeasibleStart("no finite-energy deformation with this "
                               "boundary slope was found")
     (s1, w1), (s2, w2) = atoms[:2]

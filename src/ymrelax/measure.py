@@ -51,19 +51,24 @@ class AtomicMeasure:
                 raise ValueError("atoms must share one dimension")
             if not w > 0.0:
                 raise ValueError("weights must be positive")
-        # one pass: each atom joins every group it is close to; a group
-        # lists its members' indices in input order
+        # exact copies first: a location keeps its first copy and every
+        # copy's weight; then one pass over the distinct locations, each
+        # joining every group it is close to
+        copies = {}
+        for a, w in items:
+            copies.setdefault(a.flat, (a, []))[1].append(w)
+        locs = list(copies.values())
         groups = []
-        for i, (a, _) in enumerate(items):
+        for i, (a, _) in enumerate(locs):
             joined, rest = [i], []
             for g in groups:
-                if any(mat_close(items[j][0], a, MERGE_TOL) for j in g):
+                if any(mat_close(locs[j][0], a, MERGE_TOL) for j in g):
                     joined.extend(g)
                 else:
                     rest.append(g)
-            groups = rest + [sorted(joined)]
-        merged = sorted([(min((items[j][0] for j in g), key=lambda m: m.flat),
-                          math.fsum(items[j][1] for j in g)) for g in groups],
+            groups = rest + [joined]
+        merged = sorted([(min((locs[j][0] for j in g), key=lambda m: m.flat),
+                          math.fsum(w for j in g for w in locs[j][1])) for g in groups],
                         key=lambda aw: aw[0].flat)
         total = math.fsum(w for _, w in merged)
         if abs(total - 1.0) > WEIGHT_TOL:
@@ -351,10 +356,10 @@ class ClassReport:
 
 def power_or_inf(x: float, e: float) -> float:
     """x ** e for x >= 0, math.inf where that is beyond the float range,
-    as frob_norm takes an overflowing sum."""
+    as frob_norm takes an overflowing sum, and where x is 0 and e < 0."""
     try:
         return x ** e
-    except OverflowError:
+    except (OverflowError, ZeroDivisionError):
         return math.inf
 
 
@@ -379,16 +384,15 @@ def classify(field: YoungMeasureField, p: float, q: float) -> ClassReport:
         with quiet():
             cols = zip(frob_norms(a).tolist(), inv_norms(a).tolist(),
                        dets(a).tolist())
+        # a singular atom's inv is inf, and a sum of terms >= 0 that
+        # meets inf stays inf
         for (_, w), (norm, inv, d) in zip(block, cols):
             m1 += vol * w * power_or_inf(norm, p)
+            m2 += vol * w * power_or_inf(inv, q)
             if inv == math.inf:
                 inv_deficit += vol * w
                 pos_deficit += vol * w
-                m2 = math.inf
-                continue
-            if m2 != math.inf:
-                m2 += vol * w * power_or_inf(inv, q)
-            if d <= 0.0:
+            elif d <= 0.0:
                 pos_deficit += vol * w
     return ClassReport(p, q, m1, m2, inv_deficit, pos_deficit)
 

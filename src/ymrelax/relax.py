@@ -58,18 +58,18 @@ def _pivot(tab: np.ndarray, row: int, col: int):
 
 
 def _bland(tab: np.ndarray, basis: list, costs: np.ndarray, ncols: int):
-    """Minimize costs over the tableau with Bland's anticycling rule."""
+    """Minimize costs over the tableau with Bland's anticycling rule.
+
+    _pivot keeps every basic column an exact unit column (x / x = 1,
+    t - t * 1 = 0, t - t * 0 = t), so a basic column's reduced cost is
+    exactly 0 and the first column below -PIVOT_TOL is never basic."""
     m = tab.shape[0]
-    in_basis = set(basis)
     for _ in range(MAX_PIVOTS):
-        cb = costs[basis]
-        red = costs[:ncols] - cb @ tab[:, :ncols]
-        enter = -1
-        for j in range(ncols):
-            if j not in in_basis and red[j] < -PIVOT_TOL:
-                enter = j
+        red = (costs[:ncols] - costs[basis] @ tab[:, :ncols]).tolist()
+        for enter, r in enumerate(red):
+            if r < -PIVOT_TOL:
                 break
-        if enter < 0:
+        else:
             return
         leave = -1
         best = None
@@ -83,8 +83,6 @@ def _bland(tab: np.ndarray, basis: list, costs: np.ndarray, ncols: int):
                     leave = i
         if leave < 0:
             raise Infeasible("restricted problem is unbounded")
-        in_basis.discard(basis[leave])
-        in_basis.add(enter)
         _pivot(tab, leave, enter)
         basis[leave] = enter
     raise Stalled("simplex pivot budget exhausted")
@@ -122,20 +120,16 @@ def lp_weights(atoms, target: Mat, costs) -> LpSolution:
     if infeas > 1e-9:
         raise Infeasible(f"barycenter outside the atom hull "
                          f"(phase-1 residual {infeas:.3e})")
-    # drive leftover artificials out of the basis
-    drop_rows = []
+    # drive leftover artificials out of the basis; a row with no atom
+    # entry to pivot on is redundant and goes
     for i, bi in enumerate(basis):
         if bi >= nk:
             col = next((j for j in range(nk) if abs(tab[i, j]) > 1e-9), None)
-            if col is None:
-                drop_rows.append(i)
-            else:
+            if col is not None:
                 _pivot(tab, i, col)
                 basis[i] = col
-    if drop_rows:
-        keep_rows = [i for i in range(m) if i not in drop_rows]
-        tab = tab[keep_rows]
-        basis = [basis[i] for i in keep_rows]
+    rows = [i for i, bi in enumerate(basis) if bi < nk]
+    tab, basis = tab[rows], [basis[i] for i in rows]
 
     atom_costs = np.array([cost_arr[i] for i in keep])
     _bland(tab, basis, atom_costs, nk)

@@ -235,9 +235,9 @@ def _double_well(well_a: Mat, well_b: Mat, p: float, gamma: float) -> tuple:
             ok = inv < math.inf
         if a.shape[1] != n and ok.any():
             raise ValueError("dimension mismatch")  # as Mat subtraction
+        # an admitted row has a finite |a|^n, so entries below 1.35e154,
+        # and its difference with any finite well is finite
         diff = a[ok][:, None] - both
-        if not _all_finite(diff):
-            raise ValueError("matrix entries must be finite")
         d = frob_norms(diff.reshape(-1, n, n))  # a - A, a - B for each a
         d *= d
         val = np.minimum(d[0::2], d[1::2])

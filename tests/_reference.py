@@ -10,7 +10,10 @@ got one Oracle1D and equal barycenters one reading; classify one atom
 at a time, and GradientField chaining and checking its interfaces one
 Mat at a time, as they stood before both ran on stacks; and the P1
 gradient as a numpy solve against the triangle's edge matrix, as it
-stood before ymrelax.meshdef took the closed form.  Tests hold the
+stood before ymrelax.meshdef took the closed form; and lp_weights with
+Bland's rule skipping an in-basis set and a drive-out listing its
+dropped rows, as they stood before ymrelax.relax let the basic columns'
+zero reduced costs and the basis itself decide both.  Tests hold the
 batched versions in ymrelax._search, ymrelax.relax, ymrelax.envelope,
 ymrelax.certify, ymrelax.measure and ymrelax.laminate, and the closed
 form, to these bit for bit, errors included, with these exceptions:
@@ -29,11 +32,13 @@ import numpy as np
 from ymrelax.envelope import (_LAMBDA_COARSE, _LINE_POINTS, EnvelopeEstimate,
                               _LineHull, _angular_dyads, _checked,
                               qinv_oracle_1d)
-from ymrelax.errors import InfeasibleBarycenter, NoAdmissibleSplit, NotRankOne
+from ymrelax.errors import (Infeasible, InfeasibleBarycenter, NoAdmissibleSplit,
+                            NotRankOne, Stalled)
 from ymrelax.laminate import JUMP_TOL, GradientField, _perp, _slab_point
 from ymrelax.matcore import Mat, det, frob_norm, in_rho_ball, inv_norm
 from ymrelax.measure import AtomicMeasure, ClassReport, pair, power_or_inf
-from ymrelax.relax import PRICING_STARTS, REDUCED_COST_TOL
+from ymrelax.relax import (MAX_PIVOTS, PIVOT_TOL, PRICING_STARTS,
+                           REDUCED_COST_TOL, LpSolution, _pivot)
 from ymrelax.testfn import orho_extend
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -64,6 +69,90 @@ def golden_min(fn, lo, hi, iters, coarse=13):
         if v < best_v:
             best_x, best_v = x, v
     return best_x, best_v
+
+
+def _bland(tab, basis, costs, ncols):
+    m = tab.shape[0]
+    in_basis = set(basis)
+    for _ in range(MAX_PIVOTS):
+        cb = costs[basis]
+        red = costs[:ncols] - cb @ tab[:, :ncols]
+        enter = -1
+        for j in range(ncols):
+            if j not in in_basis and red[j] < -PIVOT_TOL:
+                enter = j
+                break
+        if enter < 0:
+            return
+        leave = -1
+        best = None
+        for i in range(m):
+            a = tab[i, enter]
+            if a > PIVOT_TOL:
+                ratio = tab[i, -1] / a
+                if best is None or ratio < best - 1e-12 or \
+                        (abs(ratio - best) <= 1e-12 and basis[i] < basis[leave]):
+                    best = ratio
+                    leave = i
+        if leave < 0:
+            raise Infeasible("restricted problem is unbounded")
+        in_basis.discard(basis[leave])
+        in_basis.add(enter)
+        _pivot(tab, leave, enter)
+        basis[leave] = enter
+    raise Stalled("simplex pivot budget exhausted")
+
+
+def lp_weights(atoms, target, costs):
+    atoms = list(atoms)
+    cost_arr = [float(c) for c in costs]
+    n = target.n
+    keep = [i for i, c in enumerate(cost_arr) if c < math.inf]
+    if not keep:
+        raise Infeasible("no finite-cost atoms")
+    m = n * n + 1
+    nk = len(keep)
+    a_mat = np.empty((m, nk))
+    for col, i in enumerate(keep):
+        a_mat[:-1, col] = atoms[i].flat
+        a_mat[-1, col] = 1.0
+    b = np.array(list(target.flat) + [1.0])
+
+    sign = np.where(b < 0.0, -1.0, 1.0)
+    tab = np.hstack([a_mat * sign[:, None], np.eye(m), (b * sign)[:, None]])
+    basis = list(range(nk, nk + m))
+    phase1costs = np.concatenate([np.zeros(nk), np.ones(m)])
+    _bland(tab, basis, phase1costs, nk + m)
+    infeas = float(phase1costs[basis] @ tab[:, -1])
+    if infeas > 1e-9:
+        raise Infeasible(f"barycenter outside the atom hull "
+                         f"(phase-1 residual {infeas:.3e})")
+    drop_rows = []
+    for i, bi in enumerate(basis):
+        if bi >= nk:
+            col = next((j for j in range(nk) if abs(tab[i, j]) > 1e-9), None)
+            if col is None:
+                drop_rows.append(i)
+            else:
+                _pivot(tab, i, col)
+                basis[i] = col
+    if drop_rows:
+        keep_rows = [i for i in range(m) if i not in drop_rows]
+        tab = tab[keep_rows]
+        basis = [basis[i] for i in keep_rows]
+
+    atom_costs = np.array([cost_arr[i] for i in keep])
+    _bland(tab, basis, atom_costs, nk)
+
+    weights = [0.0] * len(atoms)
+    for i, bi in enumerate(basis):
+        weights[keep[bi]] = max(0.0, float(tab[i, -1]))
+    value = math.fsum(w * c for w, c in zip(weights, cost_arr) if w > 0.0)
+
+    y, *_ = np.linalg.lstsq(a_mat[:, basis].T, atom_costs[basis], rcond=None)
+    resid = a_mat @ np.array([weights[i] for i in keep]) - b
+    return LpSolution(tuple(weights), value, tuple(y[:-1]), float(y[-1]),
+                      float(np.max(np.abs(resid))))
 
 
 def refine_atoms(atoms, dual_moment, dual_mass, w, ball, rng):

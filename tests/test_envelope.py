@@ -350,6 +350,14 @@ class TestFeUpper:
         with pytest.raises(NoFeasibleStart, match="one cell"):
             qinv_fe_upper(v, Mat.scalar(0.0), 1, 2.0)
 
+    def test_1d_one_atom_support_no_start(self):
+        # finite only for s > 0: the oracle at the barycenter 0 keeps one
+        # atom, the affine start, whose energy is infinite
+        v = MatrixFn(lambda a: (a.flat[0] - 1.0) ** 2 if a.flat[0] > 0.0 else math.inf,
+                     Growth.o_rho(RHO_T), "(s - 1)^2 for s > 0")
+        with pytest.raises(NoFeasibleStart, match="no finite-energy deformation"):
+            qinv_fe_upper(v, 0.0, 8, 2.0)
+
     def test_2d_singular_barycenter_no_start(self):
         v = orho_extend(builtin_energy("inv_penalty", {"p": 2.0}), 4.0)
         with pytest.raises(NoFeasibleStart):

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 import _reference
+import ymrelax.measure as measure
 from ymrelax.errors import SingularAtom
 from ymrelax.matcore import (Mat, RhoBall, frob_norm, inv_norm, invert,
-                             max_norm_pair)
+                             mat_close, max_norm_pair)
 from ymrelax.measure import (
     CLASSIFY_BLOCK,
     MERGE_TOL,
@@ -103,6 +104,21 @@ class TestAtomicMeasure:
         for perm in itertools.permutations(pts):
             nu = assert_canonical([(Mat.scalar(x), w) for x, w in perm])
             assert [w for _, w in nu.atoms] == [0.25, 0.375, 0.375]
+
+    def test_repeated_atoms_compared_once(self, monkeypatch):
+        # exact copies collapse before the chain merge: two locations
+        # make one distance test however many cells repeat them
+        nu = AtomicMeasure([(Mat.scalar(-1.0), 0.5), (Mat.scalar(1.0), 0.5)])
+        field = YoungMeasureField.constant(Mesh.interval(256), nu)
+        calls = []
+
+        def counted(a, b, tol):
+            calls.append(1)
+            return mat_close(a, b, tol)
+        monkeypatch.setattr(measure, "mat_close", counted)
+        mu = homogenize(field)
+        assert len(calls) == 1
+        assert mu.atoms == nu.atoms
 
     def test_mix(self):
         a = AtomicMeasure.dirac(Mat.scalar(1.0))

@@ -112,6 +112,63 @@ class TestLpWeights:
             assert reduced >= -1e-9
 
 
+def random_lp(rng, n):
+    """Atoms, target and costs of a random LP: repeated atoms, atoms on a
+    line (the 2D moment rows are then redundant), a target at an atom or
+    outside the hull, and infinite costs all occur."""
+    k = int(rng.integers(1, 8))
+    line = n == 2 and rng.random() < 0.3
+    flats = []
+    for _ in range(k):
+        if flats and rng.random() < 0.25:
+            flats.append(flats[int(rng.integers(len(flats)))])
+        elif line:
+            t = float(rng.normal())
+            flats.append((t, 0.0, 0.0, t))
+        else:
+            flats.append(tuple(rng.normal(0.0, 1.0, n * n).tolist()))
+    atoms = [Mat.from_flat(f) for f in flats]
+    draw = rng.random()
+    if draw < 0.2:
+        target = atoms[int(rng.integers(k))]
+    elif draw < 0.3:
+        target = Mat.from_flat(tuple(x + 5.0 for x in flats[0]))
+    else:
+        w = rng.dirichlet(np.ones(k))
+        target = Mat.from_flat(tuple((w @ np.array(flats)).tolist()))
+    costs = [math.inf if rng.random() < 0.15 else float(rng.uniform(-1.0, 3.0))
+             for _ in range(k)]
+    return atoms, target, costs
+
+
+def lp_bits(solve, atoms, target, costs):
+    """The solution as hex floats, or the exception's type and message."""
+    try:
+        s = solve(atoms, target, costs)
+    except (Infeasible, Stalled) as e:
+        return type(e), str(e)
+    return ([x.hex() for x in s.weights], s.value.hex(),
+            [float(x).hex() for x in s.dual_moment],
+            float(s.dual_mass).hex(), s.residual.hex())
+
+
+class TestLpWeightsAgainstReference:
+    """Bland's rule prices each basic column at exactly 0 and the drive-out
+    keeps the rows whose basic variable is an atom; the in-basis set and
+    dropped-row list of _reference.lp_weights give the same bits."""
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_bit_for_bit(self, n):
+        rng = np.random.default_rng(100 + n)
+        outcomes = set()
+        for _ in range(400):
+            case = random_lp(rng, n)
+            got = lp_bits(lp_weights, *case)
+            assert got == lp_bits(_reference.lp_weights, *case)
+            outcomes.add(got[0] if isinstance(got[0], type) else "solved")
+        assert outcomes == {"solved", Infeasible}
+
+
 class TestRefineAtoms:
     def test_finds_negative_reduced_cost(self, rng):
         v = orho_extend(named_testfn("quartic_well_1d"), 3.0)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import _reference
-from ymrelax._search import golden_min, golden_min_rows
+from ymrelax._search import fit_loglog_slope, golden_min, golden_min_rows
 
 
 def bits(x):
@@ -104,3 +104,38 @@ class TestGoldenMinRows:
 
     def test_no_rows(self):
         assert golden_min_rows(lambda rows, xs: [], [], [], 10) == ([], [])
+
+
+def left_to_right(xs):
+    s = 0.0
+    for x in xs:
+        s += x
+    return s
+
+
+def compensated(xs):
+    """Neumaier's sum, which the built-in sum uses from Python 3.12."""
+    s = c = 0.0
+    for x in xs:
+        t = s + x
+        c += (s - t) + x if abs(s) >= abs(x) else (x - t) + s
+        s = t
+    return s + c
+
+
+def loglog_slope(pairs, total):
+    pts = [(math.log(k), math.log(e)) for k, e in pairs]
+    mx = total(x for x, _ in pts) / len(pts)
+    my = total(y for _, y in pts) / len(pts)
+    return (total((x - mx) * (y - my) for x, y in pts)
+            / total((x - mx) ** 2 for x, _ in pts))
+
+
+class TestFitLoglogSlope:
+    # on these points the compensated sums move the slope by two ulps
+    PAIRS = [(2 ** k, 3.0 ** -k * (1.0 + 0.1 * k)) for k in range(1, 8)]
+
+    def test_sums_left_to_right(self):
+        want = loglog_slope(self.PAIRS, left_to_right)
+        assert loglog_slope(self.PAIRS, compensated) != want
+        assert bits(fit_loglog_slope(self.PAIRS)) == bits(want)

@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -8,7 +9,8 @@ from hypothesis import strategies as st
 
 from _growth import growth_check
 from ymrelax.errors import DomainError, UnknownEnergy
-from ymrelax.matcore import Mat, det, frob_norm, invert
+from ymrelax.matcore import (Mat, RhoBall, det, frob_norm, in_rho_balls, invert,
+                             inv_norms, quiet)
 from ymrelax.testfn import (
     Growth,
     TestFn as MatrixFn,
@@ -509,3 +511,31 @@ class TestMatrixBatch:
             evaluate_batch(MATRIX_CORES["det"], np.zeros((3, 2, 3)))
         with pytest.raises(ValueError):
             evaluate_batch(MATRIX_CORES["det"], np.zeros((3, 4)))
+
+
+# entries across the float range, many near the 1.34e154 square-root bound
+near_bound = st.floats(min_value=1e150, max_value=1.4e154)
+wide_entries = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                         near_bound, near_bound.map(float.__neg__))
+wide_wells = st.one_of(st.sampled_from([sys.float_info.max, -sys.float_info.max]),
+                       st.floats(allow_nan=False, allow_infinity=False))
+
+
+class TestDoubleWellAdmittedRows:
+    """The double-well batch subtracts the wells only on the rows its
+    invertibility mask admits, and takes the differences as finite: an
+    admitted row has a finite |a|^n, so entries below 1.35e154, and its
+    difference with a finite well rounds to a finite float."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.integers(1, 2).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(st.lists(wide_entries, min_size=n * n, max_size=n * n),
+                             min_size=1, max_size=8),
+        st.lists(wide_wells, min_size=n * n, max_size=n * n))))
+    def test_differences_are_finite(self, case):
+        n, rows, well = case
+        a = np.array(rows).reshape(-1, n, n)
+        with quiet():
+            for ok in (in_rho_balls(a, RhoBall(math.inf)), inv_norms(a) < math.inf):
+                diff = a[ok] - np.array(well).reshape(n, n)
+                assert np.isfinite(diff).all()
