@@ -384,16 +384,20 @@ def classify(field: YoungMeasureField, p: float, q: float) -> ClassReport:
         with quiet():
             cols = zip(frob_norms(a).tolist(), inv_norms(a).tolist(),
                        dets(a).tolist())
-        # a singular atom's inv is inf, and a sum of terms >= 0 that
-        # meets inf stays inf
+        # a singular atom's inv is inf; its weight is positive, so its
+        # mass counts as at least the least subnormal where vol * w
+        # underflows to 0
         for (_, w), (norm, inv, d) in zip(block, cols):
             m1 += vol * w * power_or_inf(norm, p)
-            m2 += vol * w * power_or_inf(inv, q)
             if inv == math.inf:
-                inv_deficit += vol * w
-                pos_deficit += vol * w
-            elif d <= 0.0:
-                pos_deficit += vol * w
+                m2 = math.inf
+                mass = vol * w or math.ulp(0.0)
+                inv_deficit += mass
+                pos_deficit += mass
+            else:
+                m2 += vol * w * power_or_inf(inv, q)
+                if d <= 0.0:
+                    pos_deficit += vol * w
     return ClassReport(p, q, m1, m2, inv_deficit, pos_deficit)
 
 

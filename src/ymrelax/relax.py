@@ -183,13 +183,13 @@ def refine_atoms(jobs, w):
         of start rows[i], the dot product summed left to right where finite."""
         out = evaluate_batch(w, x.reshape(-1, n, n))
         finite = np.isfinite(out)
-        own = np.asarray(rows)[finite]
+        own = rows[finite]
         with quiet():
             out[finite] = out[finite] - sum_rows(x[finite] * pi[own]) - mass[own]
-        return out.tolist()
+        return out
 
     curs = np.array(seeds, dtype=float)  # one start a row
-    vals = reduced(range(len(curs)), curs)
+    vals = reduced(np.arange(len(curs)), curs).tolist()
 
     for radius in (0.6, 0.2, 0.05):
         for idx in range(n * n):

@@ -218,12 +218,18 @@ def _inv_penalty(p: float) -> tuple:
 
 def _double_well(well_a: Mat, well_b: Mat, p: float, gamma: float) -> tuple:
     """evaluate and batch of the two-well energy."""
+    n = well_a.n
+
     def wells(a: Mat) -> float:
-        da = frob_norm(a - well_a)
-        db = frob_norm(a - well_b)
+        if a.n != n:
+            raise ValueError("dimension mismatch")  # as Mat subtraction
+        sa = sb = 0.0  # frob_norm(a - well) of each, summed in its order
+        for x, xa, xb in zip(a.flat, well_a.flat, well_b.flat):
+            sa += (x - xa) * (x - xa)
+            sb += (x - xb) * (x - xb)
+        da, db = math.sqrt(sa), math.sqrt(sb)
         return min(da * da, db * db)
 
-    n = well_a.n
     k_inf = RhoBall(math.inf)
     both = np.array([well_a.flat, well_b.flat]).reshape(1, 2, n, n)
 

@@ -1,29 +1,34 @@
-"""Earlier scalar forms of batched code, kept as oracles.
+"""Earlier forms of batched or rewritten code, kept as oracles.
 
 The sequential golden-section search and multistart pricing loop, as
-they stood before the starts moved in lockstep; the lamination bound
-with its coarse scan one split at a time, as it stood before the scan
-became one batch, refining each node's split by the shared line hull
-of ymrelax.envelope; check_thm3's 1D Jensen rows with one
-qinv_oracle_1d call a row, as they stood before each battery member
-got one Oracle1D and equal barycenters one reading; classify one atom
-at a time, and GradientField chaining and checking its interfaces one
-Mat at a time, as they stood before both ran on stacks; and the P1
-gradient as a numpy solve against the triangle's edge matrix, as it
-stood before ymrelax.meshdef took the closed form; and lp_weights with
-Bland's rule skipping an in-basis set and a drive-out listing its
-dropped rows, as they stood before ymrelax.relax let the basic columns'
-zero reduced costs and the basis itself decide both.  Tests hold the
-batched versions in ymrelax._search, ymrelax.relax, ymrelax.envelope,
-ymrelax.certify, ymrelax.measure and ymrelax.laminate, and the closed
-form, to these bit for bit, errors included, with these exceptions:
-where ScalarGradientField's arithmetic leaves the float range (an
+they stood before the starts moved in lockstep; the golden-section
+search as a coroutine with its send driver, as it stood before
+golden_min_rows stepped its rows as arrays and golden_min became a
+loop of floats; the lamination bound with its coarse scan one split at
+a time, as it stood before the scan became one batch, refining each
+node's split by the shared line hull of ymrelax.envelope; check_thm3's
+1D Jensen rows with one qinv_oracle_1d call a row, as they stood
+before each battery member got one Oracle1D and equal barycenters one
+reading; classify one atom at a time, and GradientField chaining and
+checking its interfaces one Mat at a time, as they stood before both
+ran on stacks; and the P1 gradient as a numpy solve against the
+triangle's edge matrix, as it stood before ymrelax.meshdef took the
+closed form; and lp_weights with Bland's rule skipping an in-basis set
+and a drive-out listing its dropped rows, as they stood before
+ymrelax.relax let the basic columns' zero reduced costs and the basis
+itself decide both.  Tests hold the batched and rewritten versions in
+ymrelax._search, ymrelax.relax, ymrelax.envelope, ymrelax.certify,
+ymrelax.measure and ymrelax.laminate, and the closed form, to these
+bit for bit, errors included, with these exceptions: where
+ScalarGradientField's arithmetic leaves the float range (an
 OverflowError, an inf - inf in fsum) or the field's scale is not
 finite, GradientField raises ValueError instead, by its float-range
 contract; where the solve's products overflow to inf - inf, the closed
-form still returns its finite gradient; and where nodes carry -0.0,
-the closed form may return a zero entry as -0.0 where the solve, its
-sums started from +0.0, returns +0.0."""
+form still returns its finite gradient; where nodes carry -0.0, the
+closed form may return a zero entry as -0.0 where the solve, its sums
+started from +0.0, returns +0.0; and where a singular atom's vol * w
+underflows to 0, classify counts that mass as the least subnormal,
+where the reference here counts 0."""
 
 import math
 
@@ -69,6 +74,49 @@ def golden_min(fn, lo, hi, iters, coarse=13):
         if v < best_v:
             best_x, best_v = x, v
     return best_x, best_v
+
+
+def _golden(lo, hi, iters, coarse):
+    """The golden-section search as a coroutine.  It yields the coarse
+    grid, then the pair (c, d), as lists, and after that one point per
+    step; each is sent back its value, a list of values for a list.  It
+    returns (x, v)."""
+    xs = [lo + (hi - lo) * i / (coarse - 1) for i in range(coarse)]
+    vals = yield xs
+    i_best = min(range(coarse), key=lambda i: vals[i])
+    best_x, best_v = xs[i_best], vals[i_best]
+    a = xs[max(i_best - 1, 0)]
+    b = xs[min(i_best + 1, coarse - 1)]
+    c = b - _INVPHI * (b - a)
+    d = a + _INVPHI * (b - a)
+    fc, fd = yield [c, d]
+    for _ in range(iters):
+        if fc <= fd:
+            b, d, fd = d, c, fc
+            c = b - _INVPHI * (b - a)
+            fc = yield c
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INVPHI * (b - a)
+            fd = yield d
+        if b - a < 1e-14 * max(1.0, abs(a) + abs(b)):
+            break
+    for x, v in ((c, fc), (d, fd)):
+        if v < best_v:
+            best_x, best_v = x, v
+    return best_x, best_v
+
+
+def golden_min_sent(fn, lo, hi, iters, coarse=13):
+    """golden_min driving the _golden coroutine by send."""
+    search = _golden(lo, hi, iters, coarse)
+    try:
+        ask = search.send([fn(x) for x in next(search)])
+        ask = search.send([fn(x) for x in ask])
+        while True:
+            ask = search.send(fn(ask))
+    except StopIteration as done:
+        return done.value
 
 
 def _bland(tab, basis, costs, ncols):

@@ -324,6 +324,15 @@ class TestClassify:
         assert rep.inv_mass_deficit == pytest.approx(0.25)
         assert rep.moment_negq == math.inf
 
+    def test_underflowing_singular_mass_in_neither(self):
+        # each cell's vol * w is 5e-324 / 64, which rounds to 0
+        nu = AtomicMeasure([(Mat.scalar(0.0), 5e-324), (Mat.scalar(1.0), 1.0)])
+        field = YoungMeasureField.constant(Mesh.interval(64), nu)
+        rep = classify(field, 2.0, 2.0)
+        assert not rep.in_ypq and not rep.in_ypq_plus
+        assert rep.inv_mass_deficit > 0.0
+        assert rep.moment_negq == math.inf
+
 
 def mixed_atoms(rng, n, count):
     """count n x n atoms: invertible ones of either det sign, singular

@@ -14,41 +14,56 @@ def bits(x):
 
 def traced_rows(fns, lo, hi, iters, coarse):
     """golden_min_rows over one function per row, recording every point
-    each row asked for and how many rows each call held."""
+    each row asked for and the rows of each call."""
     seen = [[] for _ in fns]
-    sizes = []
+    calls = []
 
     def fn(rows, xs):
-        sizes.append(len(set(rows)))
+        calls.append([int(r) for r in rows])
         for r, x in zip(rows, xs):
             seen[r].append(x)
         return [fns[r](x) for r, x in zip(rows, xs)]
 
     xs, vs = golden_min_rows(fn, lo, hi, iters, coarse)
-    return xs, vs, seen, sizes
+    return xs, vs, seen, calls
 
 
-def traced_reference(f, lo, hi, iters, coarse):
+def traced(search, f, lo, hi, iters, coarse):
+    """search(f) on one row, with every point it asked for."""
     seen = []
 
     def g(x):
         seen.append(x)
         return f(x)
 
-    x, v = _reference.golden_min(g, lo, hi, iters, coarse)
+    x, v = search(g, lo, hi, iters, coarse)
     return x, v, seen
 
 
 def assert_rows_match(fns, lo, hi, iters, coarse):
-    xs, vs, seen, sizes = traced_rows(fns, lo, hi, iters, coarse)
+    """golden_min_rows and golden_min against the loop and the coroutine
+    references, bit for bit: each row's result and every point it asks
+    for, in order; golden_min_rows evaluates the coarse grids, then the
+    (c, d) pairs, then one point of every live row a call, the rows in
+    increasing order."""
+    xs, vs, seen, calls = traced_rows(fns, lo, hi, iters, coarse)
     assert len(xs) == len(vs) == len(fns)
+    steps = []
     for i, f in enumerate(fns):
-        rx, rv, rseen = traced_reference(f, lo[i], hi[i], iters, coarse)
-        assert (bits(xs[i]), bits(vs[i])) == (bits(rx), bits(rv))
-        assert [bits(x) for x in seen[i]] == [bits(x) for x in rseen]
-        one_row = golden_min(f, lo[i], hi[i], iters, coarse)
-        assert tuple(map(bits, one_row)) == (bits(rx), bits(rv))
-    return seen, sizes
+        want = traced(_reference.golden_min, f, lo[i], hi[i], iters, coarse)
+        for search in (_reference.golden_min_sent, golden_min):
+            got = traced(search, f, lo[i], hi[i], iters, coarse)
+            assert [bits(x) for x in got[2]] == [bits(x) for x in want[2]]
+            assert tuple(map(bits, got[:2])) == tuple(map(bits, want[:2]))
+        assert [bits(x) for x in seen[i]] == [bits(x) for x in want[2]]
+        assert (bits(xs[i]), bits(vs[i])) == (bits(want[0]), bits(want[1]))
+        steps.append(len(want[2]) - coarse - 2)
+    rows = range(len(fns))
+    assert calls == ([[i for i in rows for _ in range(coarse)],
+                      [i for i in rows for _ in range(2)]]
+                     + [[i for i in rows if steps[i] >= k]
+                        for k in range(1, max(steps, default=0) + 1)])
+    return seen, [len(set(c)) for c in calls]
 
 
 def quadratic(c, k):
@@ -58,6 +73,11 @@ def quadratic(c, k):
 def plateau(c, r):
     """(x - c)^2 on |x - c| <= r, +inf outside."""
     return lambda x: (x - c) ** 2 if abs(x - c) <= r else math.inf
+
+
+def nan_where(f, at):
+    """f, but NaN at the points where at(x) holds."""
+    return lambda x: math.nan if at(x) else f(x)
 
 
 def wiggle(c):
@@ -101,6 +121,27 @@ class TestGoldenMinRows:
         # once a row stops, later calls hold fewer rows
         assert sizes[0] == len(fns) and sizes[-1] < len(fns)
         assert sizes == sorted(sizes, reverse=True)
+
+    def test_nan_values(self):
+        """NaN follows golden_min's comparisons: np.argmin stops at the
+        first NaN, min(key=...) only at index 0."""
+        coarse = 9
+        grid = [-1.0 + 2.0 * i / (coarse - 1) for i in range(coarse)]
+        off_grid = [lambda x: x not in grid and abs(x - 0.3) < 0.05,
+                    lambda x: x not in grid and x > 0.3]
+        fns = [nan_where(quadratic(0.3, 1.0), lambda x: x == grid[0]),
+               nan_where(lambda x: math.inf, lambda x: x == grid[0]),
+               nan_where(quadratic(grid[5], 1.0), lambda x: x == grid[5]),
+               nan_where(lambda x: math.inf, lambda x: x == grid[3]),
+               nan_where(quadratic(grid[5], 1.0), lambda x: x in grid[4:]),
+               lambda x: math.nan]
+        fns += [nan_where(quadratic(0.3, 1.0), at) for at in off_grid]
+        m = len(fns)
+        seen, _ = assert_rows_match(fns, [-1.0] * m, [1.0] * m, iters=40,
+                                    coarse=coarse)
+        # the last rows meet NaN at golden steps, not on the grid
+        for i in (m - 2, m - 1):
+            assert any(math.isnan(fns[i](x)) for x in seen[i][coarse + 2:])
 
     def test_no_rows(self):
         assert golden_min_rows(lambda rows, xs: [], [], [], 10) == ([], [])

@@ -1,16 +1,17 @@
 import math
+import struct
 import sys
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _growth import growth_check
 from ymrelax.errors import DomainError, UnknownEnergy
 from ymrelax.matcore import (Mat, RhoBall, det, frob_norm, in_rho_balls, invert,
-                             inv_norms, quiet)
+                             inv_norm, inv_norms, is_invertible, quiet)
 from ymrelax.testfn import (
     Growth,
     TestFn as MatrixFn,
@@ -517,6 +518,7 @@ class TestMatrixBatch:
 near_bound = st.floats(min_value=1e150, max_value=1.4e154)
 wide_entries = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
                          near_bound, near_bound.map(float.__neg__))
+unit_entries = st.floats(min_value=-4.0, max_value=4.0)
 wide_wells = st.one_of(st.sampled_from([sys.float_info.max, -sys.float_info.max]),
                        st.floats(allow_nan=False, allow_infinity=False))
 
@@ -539,3 +541,48 @@ class TestDoubleWellAdmittedRows:
             for ok in (in_rho_balls(a, RhoBall(math.inf)), inv_norms(a) < math.inf):
                 diff = a[ok] - np.array(well).reshape(n, n)
                 assert np.isfinite(diff).all()
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.integers(1, 2).flatmap(lambda n: st.tuples(
+        st.lists(st.lists(st.one_of(unit_entries, wide_entries),
+                          min_size=n * n, max_size=n * n), min_size=1, max_size=8),
+        st.lists(st.lists(st.one_of(unit_entries, wide_wells),
+                          min_size=n * n, max_size=n * n), min_size=2, max_size=2))),
+        st.sampled_from([0.0, 1e-3]))
+    # a sum whose order moves the last bit of the distance
+    @example(([[-1.925, -2.125, 3.965, -0.238]],
+              [[2.692, -0.189, 1.113, -2.795], [10.0, 10.0, 10.0, 10.0]]), 0.0)
+    def test_scalar_wells_match_mat_differences(self, case, gamma):
+        """The scalar energy squares and sums each entry difference in
+        frob_norm's order, as frob_norm(a - well) does on the Mat.  Entries
+        of one scale make the sum's order and sqrt round; wide ones reach
+        the 1.34e154 bound."""
+        rows, (wa, wb) = case
+        v = builtin_energy("double_well_inv",
+                           {"wells": [wa, wb], "p": 2.0, "gamma": gamma})
+        for row in rows:
+            a = Mat.from_flat(row)
+            assert outcome(v.evaluate, a) == outcome(
+                mat_difference_energy, a, Mat.from_flat(wa), Mat.from_flat(wb),
+                gamma)
+
+
+def outcome(fn, *args):
+    """The bytes of fn's value, or the (type, message) it raised."""
+    try:
+        return struct.pack("<d", fn(*args))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def mat_difference_energy(a, wa, wb, gamma, p=2.0):
+    """The double-well energy with its wells' distances taken as
+    frob_norm of Mat differences."""
+    def wells(a):
+        da, db = frob_norm(a - wa), frob_norm(a - wb)
+        return min(da * da, db * db)
+
+    if gamma == 0.0:
+        return wells(a) if is_invertible(a) else math.inf
+    inv = inv_norm(a)
+    return math.inf if inv == math.inf else wells(a) + gamma * inv ** p
