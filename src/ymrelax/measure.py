@@ -15,8 +15,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice
-from typing import Callable, Sequence
+from typing import Sequence
+
+import numpy as np
 
 from .errors import SingularAtom
 from .matcore import (Mat, RhoBall, dets, frob_norms, in_rho_ball, inv_norms,
@@ -27,7 +28,7 @@ MERGE_TOL = 1e-10
 WEIGHT_TOL = 1e-12
 PAIRING_TOL = 1e-12
 
-# classify stacks at most this many atoms at a time, so its arrays stay
+# classify reads at most this many cells at a time, so its arrays stay
 # small however many cells a field has
 CLASSIFY_BLOCK = 1024
 
@@ -81,35 +82,11 @@ class AtomicMeasure:
     def dirac(cls, a: Mat) -> "AtomicMeasure":
         return cls(((a, 1.0),))
 
-    @classmethod
-    def mix(cls, measures: Sequence["AtomicMeasure"],
-            weights: Sequence[float]) -> "AtomicMeasure":
-        """Convex combination of measures."""
-        if len(measures) != len(weights):
-            raise ValueError("one weight per measure")
-        total = math.fsum(weights)
-        if abs(total - 1.0) > WEIGHT_TOL:
-            raise ValueError("mixture weights must sum to 1")
-        pairs = []
-        for nu, lam in zip(measures, weights):
-            if lam == 0.0:
-                continue
-            if lam < 0.0:
-                raise ValueError("mixture weights must be nonnegative")
-            pairs.extend((a, lam * w) for a, w in nu.atoms)
-        return cls(pairs)
-
     # -- basic queries -------------------------------------------------
 
     @property
     def n(self) -> int:
         return self.atoms[0][0].n
-
-    def total_mass(self) -> float:
-        return math.fsum(w for _, w in self.atoms)
-
-    def mass_where(self, predicate: Callable) -> float:
-        return math.fsum(w for a, w in self.atoms if predicate(a))
 
     def to_json_dict(self) -> dict:
         return {"atoms": [{"mat": list(a.flat), "w": w} for a, w in self.atoms]}
@@ -363,41 +340,59 @@ def power_or_inf(x: float, e: float) -> float:
         return math.inf
 
 
+def _moment_term(vw: float, x: float, e: float) -> float:
+    """vw * x ** e for an atom of volume-weighted mass vw > 0: math.inf
+    where the power is beyond the float range, even where vw underflows
+    to 0 and the product would read 0 * inf = NaN."""
+    power = power_or_inf(x, e)
+    return math.inf if power == math.inf else vw * power
+
+
 def classify(field: YoungMeasureField, p: float, q: float) -> ClassReport:
     """Decide membership in the invertible-support class (full mass on
     invertible matrices, finite (p, -q) moments) and its orientation-
     preserving refinement (additionally det > 0 almost everywhere).  A
-    moment is infinite when an atom's power is beyond the float range."""
+    moment is infinite when a positive-weight atom's power is beyond the
+    float range, and a mass on singular or det <= 0 matrices counts as
+    at least the least subnormal where vol * w underflows to 0."""
     if not (p > 0.0 and q > 0.0):
         raise ValueError("growth exponents must be positive")
     vol = field.mesh.cell_volume
-    inv_deficit = 0.0
-    pos_deficit = 0.0
-    m1 = 0.0
-    m2 = 0.0
-    # the kernels take a block of atoms at a time; the sums and powers
-    # stay Python floats, atom by atom in field order, because np.sum
-    # adds pairwise and numpy's power can round an ulp from **
-    atoms = (aw for nu in field.measures for aw in nu.atoms)
-    while block := list(islice(atoms, CLASSIFY_BLOCK)):
-        a = stack([x for x, _ in block], field.mesh.dim)
+    sums = np.zeros(4)  # the p moment, the -q moment, the two deficits
+    for c in range(0, len(field.measures), CLASSIFY_BLOCK):
+        part = field.measures[c:c + CLASSIFY_BLOCK]
+        # each distinct measure of the block once, as a constant field
+        # shares one across its cells: cell c + i reads distinct[slot[i]]
+        _, first, slot = np.unique(np.fromiter(map(id, part), np.uintp, len(part)),
+                                   return_index=True, return_inverse=True)
+        distinct = [part[i] for i in first.tolist()]
+        atoms = [aw for nu in distinct for aw in nu.atoms]
+        a = stack([x for x, _ in atoms], field.mesh.dim)
         with quiet():
             cols = zip(frob_norms(a).tolist(), inv_norms(a).tolist(),
                        dets(a).tolist())
-        # a singular atom's inv is inf; its weight is positive, so its
-        # mass counts as at least the least subnormal where vol * w
-        # underflows to 0
-        for (_, w), (norm, inv, d) in zip(block, cols):
-            m1 += vol * w * power_or_inf(norm, p)
+        # one row of terms a distinct atom: its shares of the two moments,
+        # of the singular mass and of the det <= 0 mass; the powers stay
+        # Python **, which numpy's power can miss by an ulp
+        terms = []
+        for (_, w), (norm, inv, d) in zip(atoms, cols):
+            vw = vol * w
+            mass = vw or math.ulp(0.0)
             if inv == math.inf:
-                m2 = math.inf
-                mass = vol * w or math.ulp(0.0)
-                inv_deficit += mass
-                pos_deficit += mass
+                terms.append((_moment_term(vw, norm, p), math.inf, mass, mass))
             else:
-                m2 += vol * w * power_or_inf(inv, q)
-                if d <= 0.0:
-                    pos_deficit += vol * w
+                terms.append((_moment_term(vw, norm, p), _moment_term(vw, inv, q),
+                              0.0, mass if d <= 0.0 else 0.0))
+        # the block's atoms in field order: a cell's atoms are the
+        # consecutive rows of its measure's
+        sizes = np.array([len(nu.atoms) for nu in distinct])
+        counts = sizes[slot]
+        rows = np.arange(counts.sum()) + np.repeat(
+            (np.cumsum(sizes) - sizes)[slot] - (np.cumsum(counts) - counts), counts)
+        # each sum left to right from the carried value, as cumsum is a
+        # sequential loop where np.sum adds pairwise
+        sums = np.cumsum(np.vstack((sums, np.array(terms)[rows])), axis=0)[-1]
+    m1, m2, inv_deficit, pos_deficit = sums.tolist()
     return ClassReport(p, q, m1, m2, inv_deficit, pos_deficit)
 
 

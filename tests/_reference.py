@@ -9,26 +9,29 @@ a time, as it stood before the scan became one batch, refining each
 node's split by the shared line hull of ymrelax.envelope; check_thm3's
 1D Jensen rows with one qinv_oracle_1d call a row, as they stood
 before each battery member got one Oracle1D and equal barycenters one
-reading; classify one atom at a time, and GradientField chaining and
-checking its interfaces one Mat at a time, as they stood before both
-ran on stacks; and the P1 gradient as a numpy solve against the
-triangle's edge matrix, as it stood before ymrelax.meshdef took the
-closed form; and lp_weights with Bland's rule skipping an in-basis set
-and a drive-out listing its dropped rows, as they stood before
-ymrelax.relax let the basic columns' zero reduced costs and the basis
-itself decide both.  Tests hold the batched and rewritten versions in
-ymrelax._search, ymrelax.relax, ymrelax.envelope, ymrelax.certify,
-ymrelax.measure and ymrelax.laminate, and the closed form, to these
-bit for bit, errors included, with these exceptions: where
+reading; classify one atom at a time, as it stood before it read each
+distinct cell measure once and summed their terms as arrays;
+GradientField chaining and checking its interfaces one Mat at a time,
+as it stood before it ran on stacks; and the P1 gradient as a numpy
+solve against the triangle's edge matrix, as it stood before
+ymrelax.meshdef took the closed form; and lp_weights with Bland's rule
+skipping an in-basis set and a drive-out listing its dropped rows, as
+they stood before ymrelax.relax let the basic columns' zero reduced
+costs and the basis itself decide both.  Tests hold the batched and
+rewritten versions in ymrelax._search, ymrelax.relax, ymrelax.envelope,
+ymrelax.certify, ymrelax.measure and ymrelax.laminate, and the closed
+form, to these bit for bit, errors included, with these exceptions: where
 ScalarGradientField's arithmetic leaves the float range (an
 OverflowError, an inf - inf in fsum) or the field's scale is not
 finite, GradientField raises ValueError instead, by its float-range
 contract; where the solve's products overflow to inf - inf, the closed
 form still returns its finite gradient; where nodes carry -0.0, the
 closed form may return a zero entry as -0.0 where the solve, its sums
-started from +0.0, returns +0.0; and where a singular atom's vol * w
-underflows to 0, classify counts that mass as the least subnormal,
-where the reference here counts 0."""
+started from +0.0, returns +0.0; and classify keeps two rules where an
+atom's vol * w underflows to 0: the mass of a singular or det <= 0 atom
+counts as at least the least subnormal, where the reference here counts
+0, and a power beyond the float range makes its moment inf, where the
+reference's reads 0 * inf = NaN."""
 
 import math
 

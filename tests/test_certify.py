@@ -76,6 +76,16 @@ class TestThm12:
         assert check_thm12(field, 2.0, 2.0,
                            require_positive_det=True).verdict == FAIL
 
+    def test_underflowing_negative_det_mass_fails_thm2(self):
+        # each cell's vol * w is 5e-324 / 64, which rounds to 0
+        nu = AtomicMeasure([(Mat.scalar(-1.0), 5e-324), (Mat.scalar(1.0), 1.0)])
+        field = const_field(nu, Mesh.interval(64))
+        assert check_thm12(field, 2.0, 2.0).verdict == PASS
+        cert = check_thm12(field, 2.0, 2.0, require_positive_det=True)
+        failing = [c.name for c in cert.checks if c.status == FAIL]
+        assert failing == ["positive_determinant_support"]
+        assert not classify(field, 2.0, 2.0).in_ypq_plus
+
     def test_non_positive_exponents_rejected(self):
         nu = AtomicMeasure([(Mat.scalar(0.0), 0.5),
                             (Mat.scalar(1.0), 0.5)])

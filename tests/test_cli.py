@@ -556,6 +556,21 @@ class TestCertifyCommand:
             "range); the last integral is infinite, so limiting support "
             "control is not certified")
 
+    def test_underflowing_mass_at_an_overflowing_power(self, tmp_path, capsys):
+        """An atom whose vol * w underflows to 0 at a power beyond the
+        float range makes its moment infinite, not 0 * inf = NaN."""
+        cfg = {"theorem": "thm1", "p": 2, "q": 2,
+               "field": {"mesh": {"dim": 1, "cells": 64}, "constant_measure": {
+                   "atoms": [{"mat": [1e160], "w": 5e-324},
+                             {"mat": [1.0], "w": 1.0}]}}}
+        code, out = run(tmp_path, "certify", cfg)
+        assert code == 0
+        assert "Traceback" not in capsys.readouterr().err
+        cert = load_result(out)["certificate"]
+        by_name = {c["name"]: c["status"] for c in cert["checks"]}
+        assert by_name["finite_p_moment"] == "fail"
+        assert cert["details"]["moment_p"] == "infinite"
+
     def test_discontinuous_fields_exit_2(self, tmp_path, capsys):
         field = {"n": 1, "normal": [1.0], "breaks": [0.0, 0.5, 1.0],
                  "grads": [[1.0], [2.0]], "offsets": [[0.0], [-0.5 + 1e-3]]}

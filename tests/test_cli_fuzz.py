@@ -3,7 +3,9 @@
 Each case starts from a valid config of one command and drops, adds or
 replaces one key, at the top level or inside energy_params, boundary,
 laminate or a battery entry.  Replacement values come from a fixed pool
-of wrong types, bad ranges and an integer beyond the float range.
+of wrong types, bad ranges and an integer beyond the float range.  A
+second family draws valid thm1 and thm2 certify configs at the edges of
+the float range: subnormal weights and entries past 1e154.
 """
 
 import contextlib
@@ -106,10 +108,14 @@ def test_builders_raise_only_config_errors(case):
         pass
 
 
-@settings(derandomize=True, deadline=None, max_examples=150)
-@given(mutated(CHEAP))
-def test_main_keeps_the_exit_contract(case):
-    command, cfg = case
+def _no_constant(name):
+    raise AssertionError(f"result.json holds {name}")
+
+
+def _keeps_the_exit_contract(command, cfg):
+    """Run main on cfg: an exit code of 0, 1 or 2, no traceback, no
+    artifacts on a nonzero exit, and a result.json of plain JSON
+    numbers, infinities spelled as strings."""
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "cfg.json")
         with open(path, "w") as fh:
@@ -122,3 +128,45 @@ def test_main_keeps_the_exit_contract(case):
         assert "Traceback" not in err.getvalue()
         if code != 0:
             assert not os.path.exists(out)
+        else:
+            with open(os.path.join(out, "result.json")) as fh:
+                json.load(fh, parse_constant=_no_constant)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(mutated(CHEAP))
+def test_main_keeps_the_exit_contract(case):
+    _keeps_the_exit_contract(*case)
+
+
+# subnormal weights underflow against a 64-cell volume; entries past
+# 1e154 overflow a square, and so a Frobenius norm
+EXTREME_ENTRIES = (0.0, 1e-160, 1e-9, 1.0, -1.0, 1e100, -1e154, 1.5e154, 1e160, -1e300)
+EXTREME_WEIGHTS = (5e-324, 1e-320, 0.25)
+
+
+@st.composite
+def extreme_certify(draw):
+    """A thm1 or thm2 config: a constant measure of 1-3 atoms, the first
+    of which may take a subnormal weight, on 64 cells."""
+    dim = draw(st.sampled_from((1, 2)))
+    k = draw(st.integers(1, 3))
+    mats = [draw(st.lists(st.sampled_from(EXTREME_ENTRIES), min_size=dim * dim,
+                          max_size=dim * dim)) for _ in range(k)]
+    weights = [1.0]
+    if k > 1:
+        w0 = draw(st.sampled_from(EXTREME_WEIGHTS))
+        weights = [w0] + [(1.0 - w0) / (k - 1)] * (k - 1)
+    mesh = {"dim": 1, "cells": 64} if dim == 1 else {"dim": 2, "cells": [4, 8]}
+    return "certify", {
+        "theorem": draw(st.sampled_from(("thm1", "thm2"))),
+        "p": draw(st.sampled_from((0.5, 2, 5))),
+        "q": draw(st.sampled_from((2, 40, 120))),
+        "field": {"mesh": mesh, "constant_measure": {
+            "atoms": [{"mat": m, "w": w} for m, w in zip(mats, weights)]}}}
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(extreme_certify())
+def test_extreme_certify_keeps_the_exit_contract(case):
+    _keeps_the_exit_contract(*case)

@@ -8,7 +8,7 @@ import pytest
 import _reference
 import ymrelax.measure as measure
 from ymrelax.errors import SingularAtom
-from ymrelax.matcore import (Mat, RhoBall, frob_norm, inv_norm, invert,
+from ymrelax.matcore import (Mat, RhoBall, det, frob_norm, inv_norm, invert,
                              mat_close, max_norm_pair)
 from ymrelax.measure import (
     CLASSIFY_BLOCK,
@@ -60,8 +60,7 @@ def assert_canonical(pairs) -> AtomicMeasure:
 class TestAtomicMeasure:
     def test_dirac(self):
         nu = AtomicMeasure.dirac(Mat.scalar(2.0))
-        assert nu.total_mass() == 1.0
-        assert len(nu.atoms) == 1
+        assert nu.atoms == ((Mat.scalar(2.0), 1.0),)
 
     def test_weights_validated(self):
         with pytest.raises(ValueError):
@@ -120,12 +119,6 @@ class TestAtomicMeasure:
         assert len(calls) == 1
         assert mu.atoms == nu.atoms
 
-    def test_mix(self):
-        a = AtomicMeasure.dirac(Mat.scalar(1.0))
-        b = AtomicMeasure.dirac(Mat.scalar(2.0))
-        m = AtomicMeasure.mix([a, b], [0.25, 0.75])
-        assert m.mass_where(lambda s: s.flat[0] > 1.5) == pytest.approx(0.75)
-
     def test_json_roundtrip(self, make_measure):
         nu = make_measure(2)
         back = AtomicMeasure.from_json_dict(nu.to_json_dict())
@@ -183,7 +176,7 @@ class TestTruncate:
         for _ in range(10):
             nu = make_measure(2, scale=2.0)
             out = truncate(nu, rho)
-            assert out.total_mass() == pytest.approx(1.0, abs=1e-12)
+            assert math.fsum(w for _, w in out.atoms) == pytest.approx(1.0, abs=1e-12)
             assert support_in_ball(out, ball)
 
     def test_exact_identity_once_rho_dominates(self, make_measure):
@@ -197,7 +190,7 @@ class TestTruncate:
         nu = AtomicMeasure([(Mat.scalar(10.0), 0.5),
                             (Mat.scalar(1.0), 0.5)])
         out = truncate(nu, 2.0)
-        assert out.mass_where(lambda a: a.flat[0] == 1.0) == pytest.approx(1.0)
+        assert [(a.flat, w) for a, w in out.atoms] == [((1.0,), pytest.approx(1.0))]
 
 
 def one_cell(nu):
@@ -334,6 +327,22 @@ class TestClassify:
         assert rep.moment_negq == math.inf
 
 
+    @pytest.mark.parametrize("x, p, q", [(1e100, 5.0, 2.0), (1e-9, 2.0, 40.0)])
+    def test_underflowing_mass_at_an_overflowing_power(self, x, p, q):
+        # |s|^5 overflows at 1e100, |s^-1|^40 at 1e-9; vol * w is 0
+        nu = AtomicMeasure([(Mat.scalar(x), 5e-324), (Mat.scalar(1.0), 1.0)])
+        rep = classify(YoungMeasureField.constant(Mesh.interval(64), nu), p, q)
+        assert (rep.moment_p if x > 1.0 else rep.moment_negq) == math.inf
+        assert rep.in_ypq_plus
+
+    def test_underflowing_mass_after_a_singular_atom(self):
+        nu = AtomicMeasure([(Mat.scalar(0.0), 0.5), (Mat.scalar(1e-9), 5e-324),
+                            (Mat.scalar(1.0), 0.5)])
+        assert len(nu.atoms) == 3
+        rep = classify(YoungMeasureField.constant(Mesh.interval(64), nu), 2.0, 40.0)
+        assert rep.moment_negq == math.inf
+        assert rep.inv_mass_deficit == pytest.approx(0.5)
+
 def mixed_atoms(rng, n, count):
     """count n x n atoms: invertible ones of either det sign, singular
     ones (rank n - 1) and zero matrices, in a seeded order."""
@@ -348,30 +357,78 @@ def mixed_atoms(rng, n, count):
     return out
 
 
+def field_of(dim, measures):
+    """measures on an interval or square mesh of their count, or on a
+    stand-in mesh for 3x3 atoms, which no Mesh carries."""
+    cells = len(measures)
+    if dim == 3:
+        return SimpleNamespace(mesh=SimpleNamespace(dim=3, cell_volume=1.0 / cells),
+                               measures=tuple(measures))
+    mesh = Mesh.interval(cells) if dim == 1 else Mesh.square(16, cells // 32)
+    return YoungMeasureField(mesh, tuple(measures))
+
+
 def mixed_field(rng, dim, extra=()):
     """A field of more than CLASSIFY_BLOCK atoms: two atoms a cell on
-    2048 intervals (1D) or 1024 triangles (2D); on 1024 cells of a
-    stand-in mesh for 3x3 atoms, which no Mesh carries.  extra atoms
-    join the first cell's measure."""
+    2048 intervals (1D), 1024 triangles (2D) or 1024 stand-in cells (3D).
+    extra atoms join the first cell's measure."""
     cells = {1: 2048, 2: 1024, 3: 1024}[dim]
     atoms = mixed_atoms(rng, dim, 2 * cells)
     measures = [AtomicMeasure(list(zip(atoms[2 * c:2 * c + 2], (0.375, 0.625))))
                 for c in range(cells)]
     if extra:
-        measures[0] = AtomicMeasure.mix(
-            [measures[0], AtomicMeasure([(a, 1.0 / len(extra)) for a in extra])],
-            [0.5, 0.5])
-    if dim == 3:
-        return SimpleNamespace(mesh=SimpleNamespace(dim=3, cell_volume=1.0 / cells),
-                               measures=tuple(measures))
-    mesh = Mesh.interval(cells) if dim == 1 else Mesh.square(16, 32)
-    return YoungMeasureField(mesh, tuple(measures))
+        measures[0] = AtomicMeasure([(a, 0.5 * w) for a, w in measures[0].atoms]
+                                    + [(a, 0.5 * (1.0 / len(extra))) for a in extra])
+    return field_of(dim, measures)
+
+
+def weighted(rng, atoms):
+    """A measure on atoms with weights drawn in (0, 1) and normalised."""
+    w = rng.uniform(0.05, 1.0, len(atoms))
+    return AtomicMeasure(list(zip(atoms, (w / w.sum()).tolist())))
+
+
+def pooled_field(rng, dim, cells, draw):
+    """cells measures of 1-4 atoms each from draw(k): a third of the
+    cells each take a fresh measure, the rest one of a pool of four, so
+    the field repeats measure objects and their atom counts vary."""
+    pool = [draw(k) for k in rng.integers(1, 5, 4)]
+    picks = rng.integers(0, 6, cells)
+    return field_of(dim, [pool[k] if k < 4 else draw(int(rng.integers(1, 5)))
+                          for k in picks])
+
+
+REPORT = ("moment_p", "moment_negq", "inv_mass_deficit", "positive_det_mass_deficit")
+
+
+def assert_matches_reference(field, p, q):
+    """classify against the atom-by-atom loop of _reference: float for
+    float, but for the two rules of its docstring, both of which bite
+    only where an atom's vol * w underflows to 0.  No field is NaN."""
+    got, ref = classify(field, p, q), _reference.classify(field, p, q)
+    assert not any(math.isnan(getattr(got, name)) for name in REPORT)
+    for g, r in ((got.moment_p, ref.moment_p), (got.moment_negq, ref.moment_negq)):
+        assert g == r or (math.isnan(r) and g == math.inf)
+    vol = field.mesh.cell_volume
+    lost = [a for nu in field.measures for a, w in nu.atoms if vol * w == 0.0]
+    singular = [a for a in lost if inv_norm(a) == math.inf]
+    nonpositive = singular + [a for a in lost if inv_norm(a) < math.inf and det(a) <= 0.0]
+    for g, r, hidden in ((got.inv_mass_deficit, ref.inv_mass_deficit, singular),
+                         (got.positive_det_mass_deficit, ref.positive_det_mass_deficit,
+                          nonpositive)):
+        if hidden:
+            assert g >= r and g > 0.0
+        else:
+            assert g == r
+    return got, ref
 
 
 class TestClassifyOnStacks:
-    """classify takes its norms, inverse norms and determinants from the
-    stack kernels, CLASSIFY_BLOCK atoms at a time; the atom-by-atom loop
-    in _reference gives the same report, float for float."""
+    """classify reads a field CLASSIFY_BLOCK cells at a time, each distinct
+    measure of a block once, takes its atoms' norms, inverse norms and
+    determinants from the stack kernels and sums their terms in field
+    order; the atom-by-atom loop in _reference gives the same report,
+    float for float."""
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     @pytest.mark.parametrize("p, q", [(2.0, 2.0), (5.0, 3.0), (0.5, 7.0)])
@@ -399,6 +456,59 @@ class TestClassifyOnStacks:
         assert got == _reference.classify(field, 3.0, 3.0)
         assert math.isfinite(got.moment_negq)
         assert got.positive_det_mass_deficit == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_constant_field_equals_scalar_loop(self, rng, dim):
+        nu = weighted(rng, mixed_atoms(rng, dim, 3))
+        field = field_of(dim, [nu] * 2048)
+        for p, q in ((2.0, 2.0), (0.5, 7.0)):
+            assert classify(field, p, q) == _reference.classify(field, p, q)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_shared_and_distinct_measures_equal_scalar_loop(self, rng, dim):
+        field = pooled_field(rng, dim, 2 * CLASSIFY_BLOCK,
+                             lambda k: weighted(rng, mixed_atoms(rng, dim, k)))
+        blocks = [{id(nu) for nu in field.measures[c:c + CLASSIFY_BLOCK]}
+                  for c in (0, CLASSIFY_BLOCK)]
+        # measures repeat within a block and across the two blocks
+        assert 4 < len(blocks[0]) < CLASSIFY_BLOCK and blocks[0] & blocks[1]
+        for p, q in ((2.0, 2.0), (5.0, 3.0), (0.5, 7.0)):
+            assert classify(field, p, q) == _reference.classify(field, p, q)
+
+    def test_extreme_fields_are_never_nan(self, rng):
+        """Subnormal weights on atoms near 1e160 (whose norms overflow),
+        near 0, with det < 0, or whose inverse norms overflow a 120th
+        power: the reports differ from the loop's only by the two rules,
+        and the sweep makes both bite on every report field."""
+        def extreme(dim, k, scale):
+            # scale None draws every atom's scale; otherwise the first of
+            # two or more atoms takes scale, the rest stay near I, det > 0
+            atoms = []
+            for i in range(k):
+                m = np.eye(dim) + 0.1 * rng.uniform(size=(dim, dim))
+                if scale is None or (i == 0 and k > 1):
+                    m *= rng.choice(scales(dim)) if scale is None else scale
+                    m[0] *= rng.choice([-1.0, 1.0])
+                atoms.append(Mat(dim, tuple(m.ravel().tolist())))
+            if k == 1:
+                return AtomicMeasure.dirac(atoms[0])
+            w0 = float(rng.choice([5e-324, 1e-320, 0.25][:3 if scale is None else 2]))
+            w = rng.uniform(0.05, 1.0, k - 1)
+            return AtomicMeasure(list(zip(atoms, [w0] + ((1.0 - w0) * w / w.sum()).tolist())))
+
+        def scales(dim):  # det of the small scale stays above SINGULAR_RTOL
+            return [1e160, 10.0 ** (-11 / dim), 0.0, 1.0]
+        bitten = set()
+        for _ in range(40):
+            dim = int(rng.integers(1, 4))
+            scale = [None, *scales(dim)][rng.integers(0, 5)]
+            field = pooled_field(rng, dim, int(rng.choice([64, 128])),
+                                 lambda k: extreme(dim, k, scale))
+            for p, q in ((2.0, 2.0), (5.0, 120.0)):
+                got, ref = assert_matches_reference(field, p, q)
+                bitten.update(name for name in REPORT
+                              if not getattr(got, name) == getattr(ref, name))
+        assert bitten == set(REPORT)
 
 
 class TestMeasuresEqual:
