@@ -4,9 +4,11 @@ Scenarios are JSON configs whose every key is checked for type and range
 before any artifact is written.  Each run emits result.json (schema 1,
 deterministic for a fixed seed: sorted keys, no timestamps, infinities
 as the string "infinite"), CSV dumps of witnesses/fields, and a
-manifest.json carrying versions, seed and timings.  Exit codes: 0 ok,
-1 domain error or internal error (one line; the traceback too at
-TOOL_LOG=debug), 2 config error.  TOOL_LOG selects error/info/debug.
+manifest.json carrying versions, seed and timings; nothing is written
+before result.json's text is made.  Exit codes: 0 ok, 1 domain error,
+internal error or failed write (one line; an internal error's traceback
+too at TOOL_LOG=debug), 2 config error.  TOOL_LOG selects
+error/info/debug.
 """
 
 from __future__ import annotations
@@ -246,18 +248,18 @@ def _sanitize(obj):
     return obj
 
 
-def _write_result(out_dir: str, payload: dict) -> str:
-    path = os.path.join(out_dir, "result.json")
-    text = json.dumps(_sanitize(payload), sort_keys=True, indent=2) + "\n"
-    with open(path, "w") as fh:
+def _json_text(obj) -> str:
+    return json.dumps(_sanitize(obj), sort_keys=True, indent=2) + "\n"
+
+
+def _write_text(out_dir: str, name: str, text: str):
+    with open(os.path.join(out_dir, name), "w") as fh:
         fh.write(text)
-    return "result.json"
 
 
-def _write_csv(out_dir: str, name: str, rows) -> str:
+def _write_csv(out_dir: str, name: str, rows):
     with open(os.path.join(out_dir, name), "w", newline="") as fh:
         csv.writer(fh).writerows(rows)
-    return name
 
 
 def _measure_rows(measures, cells: bool) -> list:
@@ -303,12 +305,11 @@ def _run_envelope(cfg: dict, seed: int):
         return qinv_fe_upper(v, f, args.get("mesh_cells", 32), rho_tilde,
                              **_pick(args, "iters"))
 
-    def write(out_dir, est):
+    def write(est):
         rows = (_measure_rows([est.witness], False)
                 if isinstance(est.witness, AtomicMeasure)
                 else est.witness.to_csv_rows())
-        return {"estimate": est.to_json_dict()}, [
-            _write_csv(out_dir, "witness.csv", rows)]
+        return {"estimate": est.to_json_dict()}, {"witness.csv": rows}
 
     return run, write
 
@@ -329,11 +330,10 @@ def _run_relax(cfg: dict, seed: int):
     def run():
         return relax_solve(problem)
 
-    def write(out_dir, sol):
-        rows = _measure_rows(sol.field.measures, True)
-        outputs = [_write_csv(out_dir, "u_h.csv", sol.u_h.to_csv_rows()),
-                   _write_csv(out_dir, "measures.csv", rows)]
-        return {"solution": sol.to_json_dict()}, outputs
+    def write(sol):
+        return {"solution": sol.to_json_dict()}, {
+            "u_h.csv": sol.u_h.to_csv_rows(),
+            "measures.csv": _measure_rows(sol.field.measures, True)}
 
     return run, write
 
@@ -377,13 +377,12 @@ def _run_generate(cfg: dict, seed: int):
                                                 boundary.epsilon)
         return report, finest, glue_report
 
-    def write(out_dir, result):
+    def write(result):
         report, finest, glue_report = result
-        outputs = [_write_csv(out_dir, "field.csv", finest.to_csv_rows())]
         payload = {"report": report.to_json_dict(),
                    "glue": None if glue_report is None
                    else glue_report.to_json_dict()}
-        return payload, outputs
+        return payload, {"field.csv": finest.to_csv_rows()}
 
     return run, write
 
@@ -422,8 +421,8 @@ def _run_certify(cfg: dict, seed: int):
                                  args["battery"], args["rho_tilde"],
                                  **_pick(args, "jensen_depth", "jensen_angles"))
 
-    def write(out_dir, cert):
-        return {"certificate": cert.to_json_dict()}, []
+    def write(cert):
+        return {"certificate": cert.to_json_dict()}, {}
 
     return run, write
 
@@ -469,7 +468,9 @@ def main(argv=None) -> int:
     out_dir = args.out or cfg.get("out") or os.path.join("runs", args.command)
     logger.info("running %s -> %s (seed %d)", args.command, out_dir, seed)
     try:
-        result = run()
+        payload, tables = write(run())
+        text = _json_text({"schema": 1, "command": args.command, "seed": seed,
+                           "config": cfg, **payload})
     except (ToolError, ValueError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
@@ -479,12 +480,6 @@ def main(argv=None) -> int:
             traceback.print_exc()
         print(f"InternalError: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-
-    os.makedirs(out_dir, exist_ok=True)
-    payload, outputs = write(out_dir, result)
-    payload = {"schema": 1, "command": args.command, "seed": seed,
-               "config": cfg, **payload}
-    outputs.append(_write_result(out_dir, payload))
 
     finished = time.time()
     manifest = {
@@ -500,11 +495,17 @@ def main(argv=None) -> int:
         "finished_utc": datetime.datetime.fromtimestamp(
             finished, datetime.timezone.utc).isoformat(),
         "duration_s": finished - started,
-        "outputs": sorted(outputs),
+        "outputs": sorted([*tables, "result.json"]),
     }
-    with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
-        json.dump(_sanitize(manifest), fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        for name, rows in tables.items():
+            _write_csv(out_dir, name, rows)
+        _write_text(out_dir, "result.json", text)
+        _write_text(out_dir, "manifest.json", _json_text(manifest))
+    except OSError as exc:
+        print(f"OSError: {exc}", file=sys.stderr)
+        return 1
     logger.info("done in %.3fs", finished - started)
     return 0
 

@@ -89,10 +89,6 @@ def _checked(est: EnvelopeEstimate, v) -> EnvelopeEstimate:
 # -- the lower convex hull along a line --------------------------------------
 
 
-def _scalar_eval(v, s: float) -> float:
-    return v.evaluate(Mat.scalar(s))
-
-
 class _LineHull:
     """The lower convex hull of s -> v(g + s d) over sorted disjoint
     intervals: the hull of a batched scan of `points` s per interval,
@@ -212,7 +208,7 @@ class Oracle1D:
             raise NoAdmissibleSplit("the function is infinite on the admissible set")
         v = line.v
         best_val, sa, sb = line.read(fs)
-        dirac_val = _scalar_eval(v, fs)  # infinite off K
+        dirac_val = v.evaluate(fmat)  # infinite off K
         if dirac_val <= best_val or sb - sa < 1e-12:
             value = min(dirac_val, best_val)
             witness = AtomicMeasure.dirac(fmat)
@@ -355,7 +351,7 @@ def _fe_start_1d(v, fs: float, cells: int, rho_tilde: float):
     """Node values with finite energy: affine if possible, else a snapped
     two-slope profile built from the coarse 1D oracle support."""
     xs = np.linspace(0.0, 1.0, cells + 1)
-    if _scalar_eval(v, fs) < math.inf:
+    if v.evaluate(Mat.scalar(fs)) < math.inf:
         return fs * xs
     if cells == 1:
         raise NoFeasibleStart("one cell has no interior node, so the affine "
@@ -371,11 +367,13 @@ def _fe_start_1d(v, fs: float, cells: int, rho_tilde: float):
     # shift both slopes so the snapped profile still ends at fs
     delta = fs - (k1 * s1 + (cells - k1) * s2) / cells
     a, b = s1 + delta, s2 + delta
-    if _scalar_eval(v, a) == math.inf or _scalar_eval(v, b) == math.inf:
+    if (v.evaluate(Mat.scalar(a)) == math.inf
+            or v.evaluate(Mat.scalar(b)) == math.inf):
         # put the correction on the wider group instead
         a = (fs * cells - (cells - k1) * s2) / k1
         b = s2
-        if _scalar_eval(v, a) == math.inf or _scalar_eval(v, b) == math.inf:
+        if (v.evaluate(Mat.scalar(a)) == math.inf
+                or v.evaluate(Mat.scalar(b)) == math.inf):
             raise NoFeasibleStart("could not snap a two-slope profile to the "
                                   "mesh inside the admissible set")
     vals = np.empty(cells + 1)

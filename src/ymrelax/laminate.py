@@ -40,6 +40,7 @@ from .matcore import (
     stack,
     sum_rows,
 )
+from .testfn import evaluate_batch
 
 JUMP_TOL = 1e-10
 MIN_PIECE_WIDTH = 1e-9
@@ -57,16 +58,9 @@ def _perp(m: tuple) -> tuple:
     return (-m[1], m[0])
 
 
-def _slab_point(normal: tuple, t: float, s: float) -> tuple:
-    """The point t*m + s*m_perp of the domain; (t,) in 1D."""
-    if len(normal) == 1:
-        return (t,)
-    perp = _perp(normal)
-    return tuple(t * normal[k] + s * perp[k] for k in range(2))
-
-
 def _slab_points(normal: tuple, t: np.ndarray, s: float) -> np.ndarray:
-    """_slab_point at each slab coordinate of t, as rows x[len(t), n]."""
+    """The points t*m + s*m_perp of the domain at each slab coordinate
+    of t, as rows x[len(t), n]; t itself in 1D."""
     if len(normal) == 1:
         return t[:, None]
     perp = _perp(normal)
@@ -228,10 +222,6 @@ class GradientField:
     def widths(self) -> tuple:
         return tuple(self.breaks[i + 1] - self.breaks[i] for i in range(self.pieces))
 
-    def piece_midpoint(self, i: int) -> tuple:
-        return _slab_point(self.normal,
-                           0.5 * (self.breaks[i] + self.breaks[i + 1]), 0.5)
-
     def piece_index(self, t: float) -> int:
         if t < -1e-12 or t > 1.0 + 1e-12:
             raise ValueError("slab coordinate outside the domain")
@@ -324,10 +314,6 @@ class SequenceSpec:
             if a.n != n:
                 raise ValueError("atoms must share one dimension")
 
-    def limit_measure(self):
-        from .measure import AtomicMeasure
-        return AtomicMeasure(zip(self.atoms, self.weights))
-
 
 def _laminate_normal(atoms: Sequence[Mat]) -> tuple:
     """The direction of the longest row of the first nonzero jump
@@ -374,12 +360,13 @@ WEIGHT_FUNCTIONS: dict = {
 
 def empirical_pairing(field: GradientField, v, g: Callable) -> float:
     """Integral of v(grad y) g(x) over the domain: exact in the gradient
-    factor, midpoint quadrature per slab for the spatial weight."""
-    total = []
-    for i in range(field.pieces):
-        w = field.breaks[i + 1] - field.breaks[i]
-        total.append(w * v.evaluate(field.grads[i]) * g(field.piece_midpoint(i)))
-    return math.fsum(total)
+    factor, midpoint quadrature per slab for the spatial weight.  The
+    gradient factors are one evaluate_batch over the field's stack."""
+    b = np.array(field.breaks)
+    mids = _slab_points(field.normal, 0.5 * (b[:-1] + b[1:]), 0.5)
+    vals = evaluate_batch(v, field.grad_stack).tolist()
+    return math.fsum(w * val * g(x) for w, val, x in
+                     zip(field.widths, vals, zip(*mids.T.tolist())))
 
 
 def integrate_weight(g: Callable, n: int, normal: Sequence[float]) -> float:
@@ -425,9 +412,6 @@ class GenerationReport:
     min_det: float
     det_positive: bool
     finest: GradientField
-
-    def all_decaying(self) -> bool:
-        return all(e.decaying for e in self.entries)
 
     def to_json_dict(self) -> dict:
         return {
@@ -660,10 +644,11 @@ def _assemble(n: int, normal: tuple, pieces: list) -> GradientField:
 def _lateral_mismatch(field: GradientField, f: Mat) -> float:
     """sup |y - Fx| over the whole domain boundary, sampled at piece
     corners and at the midpoints of the two slab-end edges."""
-    stations = [(t, s) for t in field.breaks for s in (0.0, 1.0)]
+    t = np.array(field.breaks)
+    corners = np.stack([_slab_points(field.normal, t, s) for s in (0.0, 1.0)], axis=1)
+    ends = _slab_points(field.normal, np.array([0.0, 1.0]), 0.5)
     worst = 0.0
-    for t, s in stations + [(0.0, 0.5), (1.0, 0.5)]:
-        x = _slab_point(field.normal, t, s)
+    for x in chain(corners.reshape(-1, 2).tolist(), ends.tolist()):
         worst = max(worst, math.sqrt(math.fsum(
             (a - b) ** 2 for a, b in zip(field.value(x), f.mul_vec(x)))))
     return worst

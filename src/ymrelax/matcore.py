@@ -94,12 +94,6 @@ class Mat:
         return cls(n, (0.0,) * (n * n))
 
     @classmethod
-    def diag(cls, *vals: float) -> "Mat":
-        n = len(vals)
-        return cls(n, tuple(float(vals[i]) if i == j else 0.0
-                            for i in range(n) for j in range(n)))
-
-    @classmethod
     def scalar(cls, x: float) -> "Mat":
         """1x1 matrix, the scalar case used throughout the 1D paths."""
         return cls(1, (float(x),))
@@ -159,20 +153,6 @@ class Mat:
         return Mat(self.n, tuple(float(c) * a for a in self.flat))
 
     __rmul__ = __mul__
-
-    def __matmul__(self, other: "Mat") -> "Mat":
-        self._check_same(other)
-        n = self.n
-        out = []
-        for i in range(n):
-            for j in range(n):
-                out.append(math.fsum(self.flat[i * n + k] * other.flat[k * n + j]
-                                     for k in range(n)))
-        return Mat(n, tuple(out))
-
-    def transpose(self) -> "Mat":
-        n = self.n
-        return Mat(n, tuple(self.flat[j * n + i] for i in range(n) for j in range(n)))
 
     def mul_vec(self, v: Sequence[float]) -> tuple:
         n = self.n

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -195,13 +196,6 @@ class Mesh:
         m = self.shape[0]
         return (c / m, (c + 1) / m)
 
-    def triangle_vertices(self, c: int) -> tuple:
-        """Vertices of triangle cell c (2D).  Cell 2*(j*nx+i) is the lower
-        triangle of square (i, j), cell 2*(j*nx+i)+1 the upper one."""
-        if self.dim != 2:
-            raise ValueError("triangle vertices are a 2D query")
-        return tuple(self.vertex_point(k) for k in self.cell_vertices(c))
-
     @property
     def n_vertices(self) -> int:
         if self.dim == 1:
@@ -219,9 +213,11 @@ class Mesh:
 
     def cell_vertices(self, c: int) -> tuple:
         """Vertex indices of cell c: (c, c + 1) on the interval, the
-        triangle corners counterclockwise from the lower left in 2D.  With
-        h the grid steps, a lower triangle's edges from its first corner
-        are (h, 0) and (h, h), an upper triangle's (h, h) and (0, h)."""
+        triangle corners counterclockwise from the lower left in 2D, where
+        cell 2*(j*nx+i) is the lower triangle of square (i, j) and cell
+        2*(j*nx+i)+1 the upper one.  With h the grid steps, a lower
+        triangle's edges from its first corner are (h, 0) and (h, h), an
+        upper triangle's (h, h) and (0, h)."""
         if self.dim == 1:
             return (c, c + 1)
         nx = self.shape[0]
@@ -272,7 +268,9 @@ class YoungMeasureField:
         if len(self.measures) != self.mesh.n_cells:
             raise ValueError("need exactly one measure per cell")
         d = self.mesh.dim  # a domain in R^d maps to d x d matrices
-        if any(nu.n != d for nu in self.measures):
+        # a run of cells sharing one measure, as constant makes, is checked once
+        ms = self.measures
+        if any(nu.n != d for nu, prev in zip(ms, chain((None,), ms)) if nu is not prev):
             raise ValueError(f"cell measures on a {d}D mesh must be {d}x{d}")
 
     def to_json_dict(self) -> dict:

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._search import golden_min
-from .errors import DomainError
 from .matcore import Mat
 from .measure import Mesh
 
@@ -51,9 +50,6 @@ class MeshDeformation:
         x, y = pts[:, 0], pts[:, 1]
         return cls(mesh, np.column_stack((a * x + b * y, c * x + d * y)))
 
-    def cell_gradient(self, c: int) -> Mat:
-        return p1_gradient(self.mesh, _as_nodes(self.values), c)
-
     def cell_gradients(self) -> list:
         nodes = _as_nodes(self.values).tolist()
         return [p1_gradient(self.mesh, nodes, c) for c in range(self.mesh.n_cells)]
@@ -68,16 +64,6 @@ class MeshDeformation:
                 return math.inf
             total += vol * val
         return total
-
-    def as_gradient_field(self):
-        """Exact re-expression as a slab field (interval meshes only)."""
-        from .laminate import GradientField
-        if self.mesh.dim != 1:
-            raise DomainError("only interval deformations have a slab structure")
-        cells = self.mesh.shape[0]
-        slopes = [g.flat[0] for g in self.cell_gradients()]
-        return GradientField.from_slopes_1d(slopes, [1.0 / cells] * cells,
-                                            float(self.values[0]))
 
     def to_csv_rows(self) -> list:
         if self.mesh.dim == 1:

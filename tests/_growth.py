@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from _sampling import diag
 from ymrelax.errors import DomainError
 from ymrelax.matcore import Mat, RhoBall, frob_norm, in_rho_ball, inv_norm
 from ymrelax.testfn import Growth, TestFn
@@ -39,7 +40,7 @@ def _growth_samples(n: int, samples: int, rng) -> list:
         out.append(Mat.from_rows((lam * base).tolist()))
         if n >= 2:
             d = [lam] + [1.0 / lam] * (n - 1)
-            out.append(Mat.diag(*d))
+            out.append(diag(*d))
         else:
             out.append(Mat.scalar(1.0 / lam))
     return out

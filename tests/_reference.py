@@ -17,7 +17,11 @@ solve against the triangle's edge matrix, as it stood before
 ymrelax.meshdef took the closed form; and lp_weights with Bland's rule
 skipping an in-basis set and a drive-out listing its dropped rows, as
 they stood before ymrelax.relax let the basic columns' zero reduced
-costs and the basis itself decide both.  Tests hold the batched and
+costs and the basis itself decide both; and empirical_pairing and the
+lateral boundary mismatch of a glued field one piece and one station
+at a time through a scalar slab point, as they stood before
+ymrelax.laminate read the field's gradient stack in one evaluate_batch
+and its points from the one array slab-point kernel.  Tests hold the batched and
 rewritten versions in ymrelax._search, ymrelax.relax, ymrelax.envelope,
 ymrelax.certify, ymrelax.measure and ymrelax.laminate, and the closed
 form, to these bit for bit, errors included, with these exceptions: where
@@ -42,7 +46,7 @@ from ymrelax.envelope import (_LAMBDA_COARSE, _LINE_POINTS, EnvelopeEstimate,
                               qinv_oracle_1d)
 from ymrelax.errors import (Infeasible, InfeasibleBarycenter, NoAdmissibleSplit,
                             NotRankOne, Stalled)
-from ymrelax.laminate import JUMP_TOL, GradientField, _perp, _slab_point
+from ymrelax.laminate import JUMP_TOL, GradientField, _perp
 from ymrelax.matcore import Mat, det, frob_norm, in_rho_ball, inv_norm
 from ymrelax.measure import AtomicMeasure, ClassReport, pair, power_or_inf
 from ymrelax.relax import (MAX_PIVOTS, PIVOT_TOL, PRICING_STARTS,
@@ -339,7 +343,7 @@ def jensen_rows_1d(field, grads, battery, rho_tilde):
 def p1_gradient(mesh, nodes, c):
     """The gradient G on triangle c with G (x1 - x0, x2 - x0) =
     (y1 - y0, y2 - y0), through the inverse edge matrix."""
-    x0, x1, x2 = (np.array(p) for p in mesh.triangle_vertices(c))
+    x0, x1, x2 = (np.array(mesh.vertex_point(k)) for k in mesh.cell_vertices(c))
     inv = np.linalg.inv(np.column_stack((x1 - x0, x2 - x0)))
     y0, y1, y2 = (np.array(nodes[k], dtype=float) for k in mesh.cell_vertices(c))
     dy = np.column_stack((y1 - y0, y2 - y0))
@@ -366,6 +370,33 @@ def classify(field, p, q):
             if det(a) <= 0.0:
                 pos_deficit += vol * w
     return ClassReport(p, q, m1, m2, inv_deficit, pos_deficit)
+
+
+def _slab_point(normal, t, s):
+    """The point t*m + s*m_perp of the domain; (t,) in 1D."""
+    if len(normal) == 1:
+        return (t,)
+    perp = _perp(normal)
+    return tuple(t * normal[k] + s * perp[k] for k in range(2))
+
+
+def empirical_pairing(field, v, g):
+    total = []
+    for i in range(field.pieces):
+        w = field.breaks[i + 1] - field.breaks[i]
+        mid = _slab_point(field.normal, 0.5 * (field.breaks[i] + field.breaks[i + 1]), 0.5)
+        total.append(w * v.evaluate(field.grads[i]) * g(mid))
+    return math.fsum(total)
+
+
+def lateral_mismatch(field, f):
+    stations = [(t, s) for t in field.breaks for s in (0.0, 1.0)]
+    worst = 0.0
+    for t, s in stations + [(0.0, 0.5), (1.0, 0.5)]:
+        x = _slab_point(field.normal, t, s)
+        worst = max(worst, math.sqrt(math.fsum(
+            (a - b) ** 2 for a, b in zip(field.value(x), f.mul_vec(x)))))
+    return worst
 
 
 class ScalarGradientField(GradientField):

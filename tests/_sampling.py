@@ -15,6 +15,13 @@ from ymrelax.matcore import (Mat, RhoBall, det, frob_norm, in_rho_ball,
 from ymrelax.measure import AtomicMeasure
 
 
+def diag(*vals: float) -> Mat:
+    """The diagonal matrix with entries vals."""
+    n = len(vals)
+    return Mat(n, tuple(float(vals[i]) if i == j else 0.0
+                        for i in range(n) for j in range(n)))
+
+
 def random_invertible(rng: np.random.Generator, n: int, scale: float = 1.0) -> Mat:
     """Gaussian matrix rejected until comfortably away from singularity:
     |det A| / |A|^n, a conditioning proxy in [0, ~1], must exceed 0.05."""

@@ -5,6 +5,7 @@ import math
 import pytest
 
 import _reference
+from _sampling import diag
 from ymrelax.certify import (
     Check,
     FAIL,
@@ -60,7 +61,7 @@ class TestThm12:
         assert c1.theorem == "thm1" and c2.theorem == "thm2"
 
     def test_negative_det_fails_thm2_only(self):
-        field = const_field(AtomicMeasure.dirac(Mat.diag(-1.0, 1.0)),
+        field = const_field(AtomicMeasure.dirac(diag(-1.0, 1.0)),
                             Mesh.square(2, 2))
         assert check_thm12(field, 2.0, 2.0).verdict == PASS
         cert = check_thm12(field, 2.0, 2.0, require_positive_det=True)
@@ -139,7 +140,7 @@ class TestSupportSequence:
         normal = (1.0, 0.0)
         fields = [GradientField.from_slopes_1d([-0.25, 2.0], [0.5, 0.5])] + [
             GradientField.from_pieces(2, normal, [0.5, 0.5],
-                                      [Mat.diag(1.0, -0.5), Mat.diag(x, -0.5)])
+                                      [diag(1.0, -0.5), diag(x, -0.5)])
             for x in (4.0, 0.0)]
         cert = check_support_from_sequence(fields, [0.1, 0.6], 2.0)
         assert cert.details["q_integrals"] == [8.125, 2.125, math.inf]
@@ -187,7 +188,7 @@ class TestDetLimit:
     @pytest.mark.parametrize("last", [
         GradientField.from_slopes_1d([2.0, -1.0], [0.5, 0.5]),  # det < 0
         GradientField.from_slopes_1d([2.0, 0.0], [0.5, 0.5]),   # singular
-        GradientField.affine(Mat.diag(1.0, 1e-13)),  # det > 0, singular
+        GradientField.affine(diag(1.0, 1e-13)),  # det > 0, singular
     ])
     def test_orientation_needs_det_and_inverse(self, last):
         fields = [GradientField.affine(Mat.identity(last.n)), last]
@@ -240,14 +241,14 @@ class TestThm3:
         # a gradient, so the circulation test trips
         mesh = Mesh.square(2, 2)
         lower = AtomicMeasure.dirac(Mat.identity(2))
-        upper = AtomicMeasure.dirac(Mat.diag(2.0, 1.0))
+        upper = AtomicMeasure.dirac(diag(2.0, 1.0))
         measures = []
         for c in range(mesh.n_cells):
-            verts = mesh.triangle_vertices(c)
+            verts = [mesh.vertex_point(k) for k in mesh.cell_vertices(c)]
             cy = sum(v[1] for v in verts) / 3.0
             measures.append(lower if cy < 0.5 else upper)
         field = YoungMeasureField(mesh, tuple(measures))
-        u = MeshDeformation.affine(mesh, Mat.diag(1.5, 1.0))
+        u = MeshDeformation.affine(mesh, diag(1.5, 1.0))
         battery = [orho_extend(named_testfn("frob_power", {"p": 2.0}), 4.0)]
         cert = check_thm3(field, u, 3.0, battery, 4.0)
         assert cert.verdict == FAIL

@@ -4,6 +4,7 @@ import logging
 
 import pytest
 
+import ymrelax.cli as cli
 from ymrelax.cli import main
 from ymrelax.laminate import SequenceSpec, build_laminate_sequence
 from ymrelax.matcore import Mat
@@ -364,6 +365,34 @@ class TestInternalErrors:
         assert not out.exists()
         assert "Traceback (most recent call last)" in err
         assert err.splitlines()[-1].startswith("InternalError: OverflowError: ")
+
+
+class TestWriteErrors:
+    """result.json's text is made before anything is written, and a
+    failed write exits 1 with one line."""
+
+    def test_out_is_an_existing_file(self, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("kept\n")
+        code = main(["certify", "--config", write_cfg(tmp_path, THM1_CFG),
+                     "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "Traceback" not in err
+        assert err.startswith("OSError: ") and err.count("\n") == 1
+        assert out.read_text() == "kept\n"
+
+    def test_a_result_that_cannot_be_serialized_writes_nothing(
+            self, tmp_path, capsys, monkeypatch):
+        def refuse(obj):
+            raise ValueError("refusing to emit NaN in a report")
+
+        monkeypatch.setattr(cli, "_sanitize", refuse)
+        code, out = run(tmp_path, "certify", THM1_CFG)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert not out.exists()
+        assert err == "ValueError: refusing to emit NaN in a report\n"
 
 
 class TestDeterminism:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import _reference
+from _sampling import diag
 from ymrelax.envelope import (
     Oracle1D,
     qinv_fe_upper,
@@ -361,7 +362,7 @@ class TestFeUpper:
     def test_2d_singular_barycenter_no_start(self):
         v = orho_extend(builtin_energy("inv_penalty", {"p": 2.0}), 4.0)
         with pytest.raises(NoFeasibleStart):
-            qinv_fe_upper(v, Mat.diag(1.0, 0.0), 4, 4.0, iters=5)
+            qinv_fe_upper(v, diag(1.0, 0.0), 4, 4.0, iters=5)
 
 
 class TestEstimateObject:

@@ -6,12 +6,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from _mixing import mix_deformations
+import _reference
 from _reference import ScalarGradientField
-from ymrelax.errors import BudgetExceeded, InfeasibleLayer, NotRankOne
+from _sampling import diag, random_invertible
+from ymrelax.errors import BudgetExceeded, DomainError, InfeasibleLayer, NotRankOne
 from ymrelax.laminate import (
     WEIGHT_FUNCTIONS,
     GradientField,
     SequenceSpec,
+    _lateral_mismatch,
     boundary_glue,
     build_laminate_sequence,
     empirical_pairing,
@@ -19,8 +22,7 @@ from ymrelax.laminate import (
     verify_generation,
 )
 from ymrelax.matcore import Mat, det, frob_norm, inv_norm
-from ymrelax.measure import pair
-from ymrelax.testfn import named_testfn
+from ymrelax.testfn import builtin_energy, named_testfn, orho_extend
 
 
 SHEAR = Mat.from_rows([[1.0, 1.0], [0.0, 1.0]])
@@ -197,7 +199,7 @@ class TestInterfacesOnStacks:
             ValueError, "deformation jumps by 1.000e+00 at interface 0")
 
     def test_hadamard_before_continuity(self):
-        grads = (Mat.identity(2), SHEAR, Mat.diag(3.0, 2.0))
+        grads = (Mat.identity(2), SHEAR, diag(3.0, 2.0))
         breaks = (0.0, 0.25, 0.5, 1.0)
         # interface 0 jumps in value, interface 1 is not rank one
         jumpy = ((0.0, 0.0), (0.0, 1.0), (0.0, 0.0))
@@ -220,7 +222,7 @@ class TestInterfacesOnStacks:
         got = same_as_scalar("from_pieces", 2, (S, S), [0.5, 0.5], grads)
         assert not isinstance(got, tuple)
         f = build_laminate_sequence(SequenceSpec(
-            (Mat.diag(1e154, 1.0), Mat.diag(-1e154, 1.0)), (0.5, 0.5), 3))
+            (diag(1e154, 1.0), diag(-1e154, 1.0)), (0.5, 0.5), 3))
         assert f.normal == (1.0, 0.0) and f.pieces == 6
 
     @pytest.mark.parametrize("args, error", [
@@ -325,9 +327,9 @@ class TestInterfacesOnStacks:
 
     @pytest.mark.parametrize("field, singular", [
         (GradientField.from_slopes_1d([0.5, 0.0, -3.0, 2.0], [0.25] * 4), True),
-        (build_laminate_sequence(SequenceSpec((Mat.identity(2), Mat.diag(1.0, 0.0)),
+        (build_laminate_sequence(SequenceSpec((Mat.identity(2), diag(1.0, 0.0)),
                                               (0.5, 0.5), 4)), True),
-        (build_laminate_sequence(SequenceSpec((Mat.diag(1.0, -2.0), Mat.diag(1.0, 3.0)),
+        (build_laminate_sequence(SequenceSpec((diag(1.0, -2.0), diag(1.0, 3.0)),
                                               (0.5, 0.5), 3)), False),
     ], ids=["1d_singular", "2d_singular", "2d_negative"])
     def test_summaries_equal_scalar(self, field, singular):
@@ -346,13 +348,6 @@ class TestBuildLaminate:
             if f.grads[i].flat[0] == -1.0)
         assert frac_minus == pytest.approx(0.25, abs=1e-12)
         assert f.pieces == 16
-
-    def test_limit_measure(self):
-        spec = SequenceSpec((Mat.scalar(-1.0), Mat.scalar(1.0)), (0.5, 0.5), 4)
-        nu = spec.limit_measure()
-        assert math.fsum(w for _, w in nu.atoms) == pytest.approx(1.0)
-        v = named_testfn("entry_power", {"exponent": 2})
-        assert pair(nu, v) == pytest.approx(1.0)
 
     def test_2d_laminate(self):
         spec = SequenceSpec((Mat.identity(2), SHEAR), (0.5, 0.5), 4)
@@ -400,13 +395,105 @@ class TestEmpiricalPairing:
         assert integrate_weight(lambda x: x[0], 2, (1.0, 0.0)) == pytest.approx(0.5, abs=1e-6)
 
 
+def random_laminate(rng, n):
+    """A seeded laminate of 2-4 atoms of random weights, with 1-40
+    periods, and its barycenter.  In 2D the atoms are A + c a (x) m for
+    a random invertible A, vector a, unit normal m and scalars c."""
+    count = int(rng.integers(2, 5))
+    raw = rng.uniform(0.2, 1.0, size=count).tolist()
+    weights = tuple(w / math.fsum(raw) for w in raw)
+    if n == 1:
+        atoms = tuple(Mat.scalar(x) for x in
+                      rng.choice([-1.0, 1.0], size=count) * rng.uniform(0.2, 3.0, size=count))
+    else:
+        base, a = random_invertible(rng, 2), rng.normal(size=2).tolist()
+        angle = rng.uniform(0.0, 2.0 * math.pi)
+        m = (math.cos(angle), math.sin(angle))
+        atoms = tuple(base + Mat.outer([c * x for x in a], m)
+                      for c in rng.uniform(-1.0, 1.0, size=count).tolist())
+    field = build_laminate_sequence(SequenceSpec(atoms, weights, int(rng.integers(1, 41))))
+    barycenter = Mat.zero(n)
+    for atom, w in zip(atoms, weights):
+        barycenter = barycenter + w * atom
+    return field, barycenter
+
+
+def pairing_fns(n):
+    """frob_power, det and the double well, also +inf outside a ball,
+    carry a batch; inv_power and phi_rho do not."""
+    well = builtin_energy("double_well_inv" if n == 1 else "shear_well_2d", {"gamma": 0.5})
+    return [named_testfn("frob_power", {"p": 2.0}), named_testfn("frob_power", {"p": 3.5}),
+            named_testfn("det"), well, orho_extend(well, 2.0),
+            named_testfn("inv_power", {"q": 2.0}), named_testfn("phi_rho", {"rho": 1.5})]
+
+
+# the spatial weights, and one that reads the lateral coordinate in 2D
+PAIRING_WEIGHTS = [*WEIGHT_FUNCTIONS.values(), lambda x: x[-1] * x[-1] - 0.25 * x[0]]
+
+
+def pairing_outcome(pairing, field, v, g):
+    """pairing(field, v, g) by its float's hex, so -0.0 and 0.0 differ,
+    or the type and message of its error."""
+    try:
+        return pairing(field, v, g).hex()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def assert_pairings_match_reference(field):
+    for v in pairing_fns(field.n):
+        for g in PAIRING_WEIGHTS:
+            assert (pairing_outcome(empirical_pairing, field, v, g)
+                    == pairing_outcome(_reference.empirical_pairing, field, v, g))
+
+
+class TestPairingOnStacks:
+    """empirical_pairing and the glued field's boundary mismatch equal
+    their piece-by-piece forms bit for bit."""
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_laminates(self, rng, n):
+        for _ in range(12):
+            assert_pairings_match_reference(random_laminate(rng, n)[0])
+
+    def test_glued_fields(self, rng):
+        glued = 0
+        for _ in range(24):
+            field, f = random_laminate(rng, 2)
+            try:
+                field, report = boundary_glue(field, f, 0.0625, 4.0)
+            except InfeasibleLayer:
+                continue
+            glued += 1
+            assert report.boundary_mismatch.hex() == \
+                _reference.lateral_mismatch(field, f).hex()
+            assert_pairings_match_reference(field)
+        assert glued >= 12
+
+    def test_lateral_mismatch_of_any_matrix(self, rng):
+        for _ in range(12):
+            field = random_laminate(rng, 2)[0]
+            f = random_invertible(rng, 2)
+            assert _lateral_mismatch(field, f).hex() == \
+                _reference.lateral_mismatch(field, f).hex()
+
+    @pytest.mark.parametrize("kind", ["entry_power", "quartic_well_1d"])
+    def test_1d_function_on_a_2d_field(self, kind):
+        field = build_laminate_sequence(SequenceSpec((Mat.identity(2), SHEAR), (0.5, 0.5), 4))
+        v = named_testfn(kind)
+        got = pairing_outcome(empirical_pairing, field, v, WEIGHT_FUNCTIONS["x1"])
+        assert got == pairing_outcome(_reference.empirical_pairing, field, v,
+                                      WEIGHT_FUNCTIONS["x1"])
+        assert got == (DomainError, f"{kind} is a 1D test function")
+
+
 class TestVerifyGeneration:
     def test_decay_and_exact_flags(self):
         spec = SequenceSpec((Mat.scalar(-1.0), Mat.scalar(1.0)), (0.5, 0.5), 32)
         vs = [named_testfn("entry_power", {"exponent": 1}),
               named_testfn("entry_power", {"exponent": 2})]
         rep = verify_generation(spec, vs, ["one", "x1"], [4, 8, 16, 32])
-        assert rep.all_decaying()
+        assert all(e.decaying for e in rep.entries)
         by_key = {(e.v_description, e.g_name): e for e in rep.entries}
         linear = by_key[(vs[0].description, "x1")]
         assert not linear.exact

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _sampling import diag
 from ymrelax.errors import SingularError
 from ymrelax.matcore import (
     Mat,
@@ -40,6 +41,11 @@ def np_of(a: Mat) -> np.ndarray:
     return np.array(a.rows())
 
 
+def matmul(a: Mat, b: Mat) -> Mat:
+    """The product a b, formed in numpy."""
+    return Mat.from_rows((np_of(a) @ np_of(b)).tolist())
+
+
 def mats(n):
     return st.lists(finite, min_size=n * n, max_size=n * n).map(Mat.from_flat)
 
@@ -64,10 +70,6 @@ class TestAlgebra:
         assert np.allclose(np_of(a + b), np_of(a) + np_of(b))
         assert np.allclose(np_of(a - b), np_of(a) - np_of(b))
 
-    @given(mats(2), mats(2))
-    def test_matmul_matches_numpy(self, a, b):
-        assert np.allclose(np_of(a @ b), np_of(a) @ np_of(b), atol=1e-9)
-
     @given(mats(3), finite)
     def test_scalar_multiple(self, a, c):
         assert np.allclose(np_of(c * a), c * np_of(a))
@@ -85,10 +87,6 @@ class TestAlgebra:
             Mat.coerce([1.0, 2.0, 3.0])  # not a square count
         with pytest.raises(ValueError):
             Mat.coerce(1.0, n=2)
-
-    def test_transpose(self):
-        a = Mat.from_rows([[1.0, 2.0], [3.0, 4.0]])
-        assert a.transpose().rows() == [[1.0, 3.0], [2.0, 4.0]]
 
 
 class TestDetInvert:
@@ -124,7 +122,7 @@ class TestDetInvert:
     @given(mats(2), mats(2))
     @settings(max_examples=60)
     def test_det_multiplicative(self, a, b):
-        lhs = det(a @ b)
+        lhs = det(matmul(a, b))
         rhs = det(a) * det(b)
         scale = max(1.0, abs(lhs), abs(rhs))
         assert abs(lhs - rhs) <= 1e-9 * scale
@@ -198,7 +196,7 @@ class TestRankOne:
 
     @pytest.mark.parametrize("a, b, want", [
         # the difference's squared norm overflows; rank is scale-free
-        (Mat.diag(-1e154, 1.0), Mat.diag(1e154, 1.0), ((2e154, 0.0), (1.0, 0.0))),
+        (diag(-1e154, 1.0), diag(1e154, 1.0), ((2e154, 0.0), (1.0, 0.0))),
         # a row norm beyond the float range, and so vec_a's entry
         (Mat.zero(2), Mat.from_rows([[1.5e308, 1.5e308], [0.0, 0.0]]),
          ((math.inf, 0.0), (math.sqrt(0.5), math.sqrt(0.5)))),
@@ -295,7 +293,7 @@ class TestInverseKernel:
 
     def test_unbounded_ball(self):
         ball = RhoBall(math.inf)
-        assert in_rho_ball(Mat.diag(1e-5, 1e5), ball)
+        assert in_rho_ball(diag(1e-5, 1e5), ball)
         assert not in_rho_ball(Mat.zero(2), ball)
 
 
@@ -465,10 +463,10 @@ class TestStackKernels:
         assert not is_invertible(big)
         assert not in_rho_ball(big, RhoBall(math.inf))
         # |A|^3 is a product: it overflows to inf, where ** would raise
-        assert singular_threshold(Mat.diag(1e103, 1.0, 1.0)) == math.inf
+        assert singular_threshold(diag(1e103, 1.0, 1.0)) == math.inf
 
-    @pytest.mark.parametrize("m", [Mat.diag(1e200, 1e200),
-                                   Mat.diag(1e200, 1e200, 1e200)])
+    @pytest.mark.parametrize("m", [diag(1e200, 1e200),
+                                   diag(1e200, 1e200, 1e200)])
     def test_overflowing_det_is_singular(self, m):
         a = np.array(m.flat).reshape(1, m.n, m.n)
         assert not is_invertible(m) and inverse(m) is None
@@ -511,4 +509,4 @@ def test_coordinate_dyads():
 def test_frob_norm_submultiplicative(make_matrix):
     for _ in range(20):
         a, b = make_matrix(2), make_matrix(2)
-        assert frob_norm(a @ b) <= frob_norm(a) * frob_norm(b) + 1e-12
+        assert frob_norm(matmul(a, b)) <= frob_norm(a) * frob_norm(b) + 1e-12

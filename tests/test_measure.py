@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import _reference
+from _sampling import diag
 import ymrelax.measure as measure
 from ymrelax.errors import SingularAtom
 from ymrelax.matcore import (Mat, RhoBall, det, frob_norm, inv_norm, invert,
@@ -231,7 +232,8 @@ class TestMesh:
         assert mesh.n_cells == 8
         assert mesh.cell_volume == pytest.approx(1.0 / 8)
         for c in range(mesh.n_cells):
-            (x0, y0), (x1, y1), (x2, y2) = mesh.triangle_vertices(c)
+            (x0, y0), (x1, y1), (x2, y2) = (mesh.vertex_point(k)
+                                            for k in mesh.cell_vertices(c))
             area = 0.5 * abs((x1 - x0) * (y2 - y0) - (x2 - x0) * (y1 - y0))
             assert area == pytest.approx(mesh.cell_volume)
 
@@ -277,6 +279,15 @@ class TestField:
             YoungMeasureField.constant(Mesh.square(1, 1),
                                        AtomicMeasure.dirac(Mat.scalar(1.0)))
 
+    @pytest.mark.parametrize("bad_cells", [(1,), (7,), (5, 6)])
+    def test_a_later_wrong_size_measure_is_found(self, bad_cells):
+        # after a run of cells sharing one measure, alone or in a run
+        good = AtomicMeasure.dirac(Mat.scalar(1.0))
+        bad = AtomicMeasure.dirac(Mat.identity(2))
+        measures = [bad if c in bad_cells else good for c in range(8)]
+        with pytest.raises(ValueError, match="^cell measures on a 1D mesh must be 1x1$"):
+            YoungMeasureField(Mesh.interval(8), tuple(measures))
+
     def test_json_roundtrip(self, make_measure):
         mesh = Mesh.square(2, 2)
         field = YoungMeasureField(mesh, tuple(make_measure(2)
@@ -295,7 +306,7 @@ class TestClassify:
         assert rep.inv_mass_deficit == 0.0
 
     def test_negative_det_in_ypq_only(self):
-        nu = AtomicMeasure.dirac(Mat.diag(-1.0, 1.0))
+        nu = AtomicMeasure.dirac(diag(-1.0, 1.0))
         field = YoungMeasureField.constant(Mesh.square(2, 2), nu)
         rep = classify(field, 2.0, 2.0)
         assert rep.in_ypq and not rep.in_ypq_plus
@@ -450,7 +461,7 @@ class TestClassifyOnStacks:
         assert got == _reference.classify(field, 5.0, 2.0)
 
     def test_invertible_field_has_finite_moments(self, rng):
-        nu = AtomicMeasure([(Mat.diag(1.0, 2.0), 0.5), (Mat.diag(-3.0, 0.5), 0.5)])
+        nu = AtomicMeasure([(diag(1.0, 2.0), 0.5), (diag(-3.0, 0.5), 0.5)])
         field = YoungMeasureField.constant(Mesh.square(32, 32), nu)
         got = classify(field, 3.0, 3.0)
         assert got == _reference.classify(field, 3.0, 3.0)

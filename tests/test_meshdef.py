@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import _reference
-from ymrelax.errors import DomainError
 from ymrelax.matcore import Mat, frob_norm
 from ymrelax.measure import Mesh
 from ymrelax.meshdef import MeshDeformation, descend_nodes, p1_gradient
@@ -14,15 +13,15 @@ from ymrelax.testfn import named_testfn
 class TestAffine:
     def test_1d_gradients_constant(self):
         u = MeshDeformation.affine(Mesh.interval(8), Mat.scalar(2.0))
-        for c in range(8):
-            assert u.cell_gradient(c).flat[0] == pytest.approx(2.0)
+        for g in u.cell_gradients():
+            assert g.flat[0] == pytest.approx(2.0)
 
     def test_2d_gradients_constant(self):
         f = Mat.from_rows([[1.0, 0.5], [-0.25, 2.0]])
         for mesh in (Mesh.square(2, 2), Mesh.square(4, 2)):
             u = MeshDeformation.affine(mesh, f)
-            for c in range(u.mesh.n_cells):
-                assert frob_norm(u.cell_gradient(c) - f) <= 1e-12
+            for g in u.cell_gradients():
+                assert frob_norm(g - f) <= 1e-12
 
 
 class TestP1Gradient:
@@ -31,13 +30,14 @@ class TestP1Gradient:
         # G (x1 - x0, x2 - x0) = (y1 - y0, y2 - y0)
         for mesh in (Mesh.square(2, 2), Mesh.square(4, 2), Mesh.square(1, 8)):
             u = MeshDeformation(mesh, rng.normal(size=(mesh.n_vertices, 2)))
+            grads = u.cell_gradients()
             for c in range(mesh.n_cells):
-                x0, x1, x2 = (np.array(p) for p in mesh.triangle_vertices(c))
+                x0, x1, x2 = (np.array(mesh.vertex_point(k)) for k in mesh.cell_vertices(c))
                 y0, y1, y2 = (u.values[k] for k in mesh.cell_vertices(c))
                 dx = np.column_stack((x1 - x0, x2 - x0))
                 dy = np.column_stack((y1 - y0, y2 - y0))
                 want = np.linalg.solve(dx.T, dy.T).T
-                got = np.array(u.cell_gradient(c).rows())
+                got = np.array(grads[c].rows())
                 assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
 
     @pytest.mark.parametrize("shape", [(2, 2), (4, 2), (1, 8), (32, 32)])
@@ -93,7 +93,7 @@ class TestIncidence:
             assert sorted(corners) == sorted(mesh.cell_vertices(c))
             assert len(corners) == 3
             coords = [(k % 5 / 4, k // 5 / 4) for k in mesh.cell_vertices(c)]
-            assert coords == list(mesh.triangle_vertices(c))
+            assert coords == [mesh.vertex_point(k) for k in mesh.cell_vertices(c)]
 
 
 class TestGradients:
@@ -142,18 +142,6 @@ class TestEnergy:
 
 
 class TestConversion:
-    def test_1d_as_gradient_field(self):
-        mesh = Mesh.interval(4)
-        u = MeshDeformation(mesh, (0.0, 0.25, 0.5, 0.25, 0.0))
-        f = u.as_gradient_field()
-        assert f.pieces == 4
-        assert f.value((0.5,))[0] == pytest.approx(0.5)
-
-    def test_2d_conversion_unsupported(self):
-        u = MeshDeformation.affine(Mesh.square(2, 2), Mat.identity(2))
-        with pytest.raises(DomainError):
-            u.as_gradient_field()
-
     def test_json_roundtrip(self):
         u = MeshDeformation.affine(Mesh.square(2, 2), Mat.identity(2))
         back = MeshDeformation.from_json_dict(u.to_json_dict())

@@ -47,3 +47,25 @@ def test_no_private_imports_across_modules():
                         for alias in node.names
                         if alias.name.startswith("_") and not alias.name.endswith("__")]
     assert private == []
+
+
+def test_public_methods_are_used():
+    """Every public method of a class in the package is referenced by
+    name somewhere in the package: a method only the tests call is
+    surface the package does not need."""
+    trees = [ast.parse(path.read_text())
+             for path in sorted(pathlib.Path(ymrelax.__file__).parent.glob("*.py"))]
+    used = set()
+    methods = []
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ClassDef):
+                methods += [(node.name, item.name) for item in node.body
+                            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                            and not item.name.startswith("_")]
+    unused = sorted(f"{cls}.{name}" for cls, name in methods if name not in used)
+    assert unused == [], f"referenced nowhere in the package: {unused}"

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import _reference
+from _sampling import diag
 import ymrelax.relax as relax
 from ymrelax._search import lower_hull
 from ymrelax.envelope import qinv_oracle_1d
@@ -75,8 +76,8 @@ class TestLpWeights:
                        [math.inf, math.inf])
 
     def test_matrix_target(self):
-        atoms = [Mat.identity(2), Mat.diag(3.0, 1.0), Mat.diag(1.0, 3.0)]
-        target = Mat.diag(2.0, 2.0)
+        atoms = [Mat.identity(2), diag(3.0, 1.0), diag(1.0, 3.0)]
+        target = diag(2.0, 2.0)
         sol = lp_weights(atoms, target, [0.0, 1.0, 1.0])
         mix = Mat.zero(2)
         for a, w in zip(atoms, sol.weights):
@@ -345,8 +346,7 @@ class TestRelaxSolve:
         w = builtin_energy("double_well_inv", {"gamma": 0.0})
         sol = relax_solve(RelaxProblem(w, Mesh.interval(8), Mat.scalar(0.3),
                                        seed=1))
-        for c, nu in enumerate(sol.field.measures):
-            g = sol.u_h.cell_gradient(c)
+        for nu, g in zip(sol.field.measures, sol.u_h.cell_gradients()):
             assert frob_norm(first_moment(nu) - g) <= 1e-8
 
     def test_deterministic_given_seed(self):

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _growth import growth_check
+from _sampling import diag
 from ymrelax.errors import DomainError, UnknownEnergy
 from ymrelax.matcore import (Mat, RhoBall, det, frob_norm, in_rho_balls, invert,
                              inv_norm, inv_norms, is_invertible, quiet)
@@ -218,7 +219,7 @@ class TestNamedTestFn:
     def test_registry(self):
         assert named_testfn("frob_power", {"p": 2.0}).evaluate(
             Mat.scalar(3.0)) == 9.0
-        assert named_testfn("det").evaluate(Mat.diag(2.0, 3.0)) == 6.0
+        assert named_testfn("det").evaluate(diag(2.0, 3.0)) == 6.0
         assert named_testfn("entry_power", {"exponent": 2}).evaluate(
             Mat.scalar(-2.0)) == 4.0
         assert named_testfn("quartic_well_1d").evaluate(
