@@ -40,7 +40,6 @@ from .matcore import (
     iter_coordinate_dyads,
     mat_close,
     max_norm_pair,
-    rank_one_difference,
     singular_threshold,
 )
 from .testfn import (
@@ -116,8 +115,7 @@ __all__ = [
     "UnknownEnergy", "HypothesisViolated", "ConfigError",
     # matrices
     "Mat", "RhoBall", "mat_close", "frob_norm", "det", "singular_threshold",
-    "is_invertible", "inverse", "invert", "inv_norm", "rank_one_difference",
-    "in_rho_ball",
+    "is_invertible", "inverse", "invert", "inv_norm", "in_rho_ball",
     "max_norm_pair",
     "iter_coordinate_dyads",
     # test functions

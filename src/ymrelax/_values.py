@@ -1,6 +1,7 @@
-"""Strict numeric conversions shared by matrix coercion, the energy
-parameter specs and the CLI config schema: booleans are not numbers, and
-an integer beyond the float range raises OverflowError."""
+"""Strict conversions shared by matrix coercion, the energy parameter
+specs, the CLI config schema and the JSON readers of meshes, measures
+and fields: booleans are not numbers, an integer beyond the float range
+raises OverflowError, and an object's keys are exactly those expected."""
 
 from __future__ import annotations
 
@@ -31,6 +32,13 @@ def real(above: float | None = None, least: float | None = None,
 as_real = real()
 
 
+def reals(value) -> list:
+    """A list of real numbers as finite floats."""
+    if not isinstance(value, (list, tuple)):
+        raise TypeError(f"expected a list, got {type(value).__name__}")
+    return [as_real(x) for x in value]
+
+
 def integer(least: int | None = None):
     """Converter to an int, at least `least` when given."""
     def convert(value) -> int:
@@ -41,3 +49,17 @@ def integer(least: int | None = None):
             raise ValueError(f"must be at least {least}, got {value}")
         return int(value)
     return convert
+
+
+def checked_keys(d, required, optional=()) -> dict:
+    """d, once it is a dict with every key of required and no key beyond
+    required and optional."""
+    if not isinstance(d, dict):
+        raise TypeError(f"expected an object, got {type(d).__name__}")
+    unknown = sorted(set(d) - set(required) - set(optional))
+    if unknown:
+        raise ValueError(f"unknown keys {unknown}")
+    missing = sorted(set(required) - set(d))
+    if missing:
+        raise ValueError(f"missing keys {missing}")
+    return d

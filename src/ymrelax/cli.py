@@ -27,7 +27,7 @@ import traceback
 import numpy as np
 
 from . import __version__
-from ._values import as_real, integer, real
+from ._values import as_real, checked_keys, integer, real
 from .errors import ConfigError, ToolError
 from .laminate import (
     WEIGHT_FUNCTIONS,
@@ -82,8 +82,7 @@ def _build(where: str, make, *args, **kwargs):
     try:
         return make(*args, **kwargs)
     except _BAD_VALUE as exc:
-        reason = f"missing key {exc}" if isinstance(exc, KeyError) else exc
-        raise ConfigError(f"{where}: {reason}") from exc
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def _parse(cfg, where: str, required: dict, optional: dict) -> dict:
@@ -92,14 +91,7 @@ def _parse(cfg, where: str, required: dict, optional: dict) -> dict:
     place of a parser reads a nested object.  An absent optional key
     stays absent, so the library default applies when the values are
     passed on by **."""
-    if not isinstance(cfg, dict):
-        raise ConfigError(f"{where} must be a JSON object")
-    unknown = sorted(set(cfg) - set(required) - set(optional))
-    if unknown:
-        raise ConfigError(f"unknown keys in {where}: {unknown}")
-    missing = sorted(set(required) - set(cfg))
-    if missing:
-        raise ConfigError(f"missing keys in {where}: {missing}")
+    _build(where, checked_keys, cfg, required, optional)
     out = {}
     for key, parse in {**required, **optional}.items():
         if key in cfg:
@@ -155,9 +147,7 @@ def _testfn(entry):
 def _field(d) -> YoungMeasureField:
     """Per-cell measures, or one constant measure on a mesh."""
     if isinstance(d, dict) and "constant_measure" in d:
-        if set(d) != {"constant_measure", "mesh"}:
-            raise ValueError("a constant field has the keys 'constant_measure' "
-                             "and 'mesh' only")
+        d = checked_keys(d, ("constant_measure", "mesh"))
         return YoungMeasureField.constant(
             Mesh.from_json_dict(d["mesh"]),
             AtomicMeasure.from_json_dict(d["constant_measure"]))

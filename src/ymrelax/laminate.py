@@ -27,6 +27,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ._search import fit_loglog_slope
+from ._values import checked_keys, integer, reals
 from .errors import BudgetExceeded, InfeasibleLayer, NotRankOne
 from .matcore import (
     Mat,
@@ -36,7 +37,6 @@ from .matcore import (
     inv_norms,
     max_norm_pair,
     quiet,
-    rank_one_difference,
     stack,
     sum_rows,
 )
@@ -267,9 +267,10 @@ class GradientField:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "GradientField":
-        return cls(d["n"], tuple(d["normal"]), tuple(d["breaks"]),
-                   tuple(Mat.from_flat(g) for g in d["grads"]),
-                   tuple(tuple(b) for b in d["offsets"]))
+        d = checked_keys(d, ("n", "normal", "breaks", "grads", "offsets"))
+        return cls(integer()(d["n"]), tuple(reals(d["normal"])), tuple(reals(d["breaks"])),
+                   tuple(Mat.from_flat(reals(g)) for g in d["grads"]),
+                   tuple(tuple(reals(b)) for b in d["offsets"]))
 
 
 # -- laminate sequences ---------------------------------------------------
@@ -315,19 +316,29 @@ class SequenceSpec:
                 raise ValueError("atoms must share one dimension")
 
 
+def _unit_direction(row: list) -> tuple:
+    """row / |row|, negated when its largest-magnitude entry is negative.
+    The row is first scaled by the power of two that puts its largest
+    |entry| in [1, 2), which is exact and keeps every square in range."""
+    k = 1 - math.frexp(max(map(abs, row)))[1]
+    row = [math.ldexp(x, k) for x in row]
+    norm = math.sqrt(math.fsum(x * x for x in row))
+    m = tuple(x / norm for x in row)
+    return tuple(-x for x in m) if max(m, key=abs) < 0.0 else m
+
+
 def _laminate_normal(atoms: Sequence[Mat]) -> tuple:
-    """The direction of the longest row of the first nonzero jump
-    between consecutive atoms, signed and rounded as rank_one_difference
-    gives it.  No rank test here: the field's continuity check decides
-    rank one at every interface, wrap-around included, against it."""
+    """The unit direction of the longest row of the first jump between
+    consecutive atoms over 1e-13 in norm.  No rank test here: the
+    field's continuity check decides rank one at every interface,
+    wrap-around included, against it."""
     if atoms[0].n == 1:
         return (1.0,)
     for a, b in zip(atoms, atoms[1:]):
         if frob_norm(b - a) > 1e-13:
-            # row lengths as rank_one_difference ranks them; one whose
-            # square overflows reads inf
+            # the longest row; one whose square overflows reads inf
             row = max((b - a).rows(), key=lambda r: math.sqrt(r[0] * r[0] + r[1] * r[1]))
-            return rank_one_difference(Mat.zero(2), Mat.from_rows([row, [0.0, 0.0]]))[1]
+            return _unit_direction(row)
     return (1.0, 0.0)
 
 
@@ -581,7 +592,7 @@ def boundary_glue(field: GradientField, f: Mat, layer_width: float,
     BoundaryDatum(f, layer_width, epsilon)  # checks the width and epsilon
     if f.n != field.n:
         raise ValueError("boundary matrix dimension mismatch")
-    alpha = max(max_norm_pair(g) for g in field.grads)
+    alpha = max(field.sup_norm(), field.sup_inv_norm())
     if alpha == math.inf:
         raise InfeasibleLayer("an interior gradient is singular; no slope "
                               "cap bounds the field")
@@ -602,34 +613,30 @@ def boundary_glue(field: GradientField, f: Mat, layer_width: float,
 
     do_left = not _layer_is_affine(field, f, 0.0, w)
     do_right = not _layer_is_affine(field, f, 1.0 - w, 1.0)
-    if not (do_left or do_right):
-        report = GlueReport(0.0, alpha, cap, field.sup_norm(), field.sup_inv_norm(),
-                            field.min_det(), (), 0.0, field.min_det() > 0.0)
-        return field, report
-
-    middle = _restrict_pieces(field, w if do_left else 0.0,
-                              1.0 - w if do_right else 1.0)
-    left, right = [], []
-    if field.n == 1:
-        if do_left:
-            left = _slope_band(0.0, 0.0, field.value((w,))[0], w, cap)
-        if do_right:
-            y_in = field.value((1.0 - w,))[0]
-            right = _slope_band(1.0 - w, y_in, f.flat[0] - y_in, w, cap)
-        glued = _assemble(1, (1.0,), left + middle + right)
-        mismatch = max(abs(glued.value((0.0,))[0]),
-                       abs(glued.value((1.0,))[0] - f.flat[0]))
-    else:
-        if do_left:
-            left = [_band_2d(f, field.normal, w, cap, middle[0], True)]
-        if do_right:
-            right = [_band_2d(f, field.normal, w, cap, middle[-1], False)]
-        glued = _assemble(2, field.normal, left + middle + right)
-        mismatch = _lateral_mismatch(glued, f)
+    glued, left, right, mismatch = field, [], [], 0.0
+    if do_left or do_right:
+        middle = _restrict_pieces(field, w if do_left else 0.0,
+                                  1.0 - w if do_right else 1.0)
+        if field.n == 1:
+            if do_left:
+                left = _slope_band(0.0, 0.0, field.value((w,))[0], w, cap)
+            if do_right:
+                y_in = field.value((1.0 - w,))[0]
+                right = _slope_band(1.0 - w, y_in, f.flat[0] - y_in, w, cap)
+            glued = _assemble(1, (1.0,), left + middle + right)
+            mismatch = max(abs(glued.value((0.0,))[0]),
+                           abs(glued.value((1.0,))[0] - f.flat[0]))
+        else:
+            if do_left:
+                left = [_band_2d(f, field.normal, w, cap, middle[0], True)]
+            if do_right:
+                right = [_band_2d(f, field.normal, w, cap, middle[-1], False)]
+            glued = _assemble(2, field.normal, left + middle + right)
+            mismatch = _lateral_mismatch(glued, f)
+    mdet = glued.min_det()
     report = GlueReport((w if do_left else 0.0) + (w if do_right else 0.0),
-                        alpha, cap, glued.sup_norm(), glued.sup_inv_norm(),
-                        glued.min_det(), tuple(p[2] for p in left + right),
-                        mismatch, glued.min_det() > 0.0)
+                        alpha, cap, glued.sup_norm(), glued.sup_inv_norm(), mdet,
+                        tuple(p[2] for p in left + right), mismatch, mdet > 0.0)
     return glued, report
 
 

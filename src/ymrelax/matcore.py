@@ -1,11 +1,11 @@
 """Small dense matrix kernel for dimensions 1, 2 and 3.
 
 Everything the measure algebra needs from linear algebra lives here:
-Frobenius norms, determinants, inverses, rho-ball membership and
-rank-one decompositions.  The dimension is capped at 3 so every
-quantity has a deterministic closed form; no iterative factorization
-is involved anywhere.  Invertibility, |A^-1| and rho-ball
-membership are decided here only, through the one inverse().
+Frobenius norms, determinants, inverses and rho-ball membership.  The
+dimension is capped at 3 so every quantity has a deterministic closed
+form; no iterative factorization is involved anywhere.  Invertibility,
+|A^-1| and rho-ball membership are decided here only, through the one
+inverse().
 
 The same kernels run on stacks a[N, n, n] of N matrices (frob_norms,
 dets, inverses, inv_norms, in_rho_balls; stack builds one from Mats),
@@ -33,15 +33,11 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._values import as_real
+from ._values import as_real, reals
 from .errors import SingularError
 
 # A matrix counts as singular when |det A| < SINGULAR_RTOL * max(1, |A|^n).
 SINGULAR_RTOL = 1e-12
-
-# B - A counts as rank one when its rows' parts off its longest row's
-# direction have a root-sum-square below RANK_ONE_RTOL times that row's norm.
-RANK_ONE_RTOL = 1e-9
 
 _SUPPORTED_DIMS = (1, 2, 3)
 
@@ -114,9 +110,9 @@ class Mat:
             out = value
         elif isinstance(value, (list, tuple)):
             if value and isinstance(value[0], (list, tuple)):
-                out = cls.from_rows([[as_real(x) for x in row] for row in value])
+                out = cls.from_rows([reals(row) for row in value])
             else:
-                out = cls.from_flat([as_real(x) for x in value])
+                out = cls.from_flat(reals(value))
         else:
             out = cls.scalar(as_real(value))
         if n is not None and out.n != n:
@@ -131,10 +127,6 @@ class Mat:
     def rows(self) -> list:
         n = self.n
         return [list(self.flat[i * n:(i + 1) * n]) for i in range(n)]
-
-    def row(self, i: int) -> tuple:
-        n = self.n
-        return self.flat[i * n:(i + 1) * n]
 
     # -- arithmetic ---------------------------------------------------
 
@@ -257,43 +249,6 @@ def inv_norm(a: Mat) -> float:
     """|A^-1|, infinite for singular matrices."""
     inv = inverse(a)
     return math.inf if inv is None else frob_norm(inv)
-
-
-# -- rank-one decomposition --------------------------------------------
-
-
-def rank_one_difference(a: Mat, b: Mat):
-    """Decompose B - A as an outer product.
-
-    Returns (vec_a, vec_m) with B - A = vec_a (x) vec_m and |vec_m| = 1,
-    or None when the difference is not rank one within tolerance (this
-    includes the rank-zero case A = B).  The sign of vec_m is normalized
-    so its largest-magnitude entry is positive.
-
-    Rank is scale-free, so the rows are first multiplied by the power of
-    two that puts the largest |entry| in [1, 2), which is exact and keeps
-    every square in range.  vec_m is the longest row's direction, and the
-    difference is rank one when the rows' parts off vec_m have a
-    root-sum-square of at most RANK_ONE_RTOL times that row's norm.
-    vec_a is scaled back by a product, so an entry beyond the float
-    range reads inf.
-    """
-    d = b - a
-    big = max(abs(x) for x in d.flat)
-    if big == 0.0:
-        return None
-    k = 1 - math.frexp(big)[1]
-    rows = [[math.ldexp(x, k) for x in d.row(i)] for i in range(d.n)]
-    norms = [math.sqrt(math.fsum(x * x for x in r)) for r in rows]
-    nr = max(norms)
-    m = [x / nr for x in rows[norms.index(nr)]]
-    if max(m, key=abs) < 0.0:
-        m = [-x for x in m]
-    vec_a = [math.fsum(x * y for x, y in zip(r, m)) for r in rows]
-    off = [x - c * y for r, c in zip(rows, vec_a) for x, y in zip(r, m)]
-    if math.sqrt(math.fsum(x * x for x in off)) > RANK_ONE_RTOL * nr:
-        return None
-    return (tuple(c * 2.0 ** -k for c in vec_a), tuple(m))
 
 
 # -- rho balls ----------------------------------------------------------

@@ -20,6 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ._values import as_real, checked_keys, integer, reals
 from .errors import SingularAtom
 from .matcore import (Mat, RhoBall, dets, frob_norms, in_rho_ball, inv_norms,
                       inverse, mat_close, quiet, stack)
@@ -94,7 +95,8 @@ class AtomicMeasure:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "AtomicMeasure":
-        return cls((Mat.from_flat(e["mat"]), e["w"]) for e in d["atoms"])
+        atoms = [checked_keys(e, ("mat", "w")) for e in checked_keys(d, ("atoms",))["atoms"]]
+        return cls((Mat.from_flat(reals(e["mat"])), as_real(e["w"])) for e in atoms)
 
 
 # -- pairing and moments -------------------------------------------------
@@ -251,10 +253,9 @@ class Mesh:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "Mesh":
-        if d["dim"] == 1:
-            return cls.interval(d["cells"])
-        nx, ny = d["cells"]
-        return cls.square(nx, ny)
+        d = checked_keys(d, ("dim", "cells"))
+        dim, cells = integer()(d["dim"]), d["cells"]
+        return cls(dim, tuple(integer()(k) for k in ((cells,) if dim == 1 else cells)))
 
 
 @dataclass(frozen=True)
@@ -279,9 +280,9 @@ class YoungMeasureField:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "YoungMeasureField":
-        mesh = Mesh.from_json_dict(d["mesh"])
-        measures = tuple(AtomicMeasure.from_json_dict(m) for m in d["measures"])
-        return cls(mesh, measures)
+        d = checked_keys(d, ("mesh", "measures"))
+        return cls(Mesh.from_json_dict(d["mesh"]),
+                   tuple(AtomicMeasure.from_json_dict(m) for m in d["measures"]))
 
     @classmethod
     def constant(cls, mesh: Mesh, nu: AtomicMeasure) -> "YoungMeasureField":

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._search import golden_min
+from ._values import checked_keys, reals
 from .matcore import Mat
 from .measure import Mesh
 
@@ -80,7 +81,10 @@ class MeshDeformation:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "MeshDeformation":
-        return cls(Mesh.from_json_dict(d["mesh"]), np.array(d["values"], dtype=float))
+        d = checked_keys(d, ("mesh", "values"))
+        mesh, values = Mesh.from_json_dict(d["mesh"]), d["values"]
+        return cls(mesh, np.array(reals(values) if mesh.dim == 1
+                                  else [reals(y) for y in values]))
 
 
 def _as_nodes(values: np.ndarray) -> np.ndarray:

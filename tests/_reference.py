@@ -21,7 +21,10 @@ costs and the basis itself decide both; and empirical_pairing and the
 lateral boundary mismatch of a glued field one piece and one station
 at a time through a scalar slab point, as they stood before
 ymrelax.laminate read the field's gradient stack in one evaluate_batch
-and its points from the one array slab-point kernel.  Tests hold the batched and
+and its points from the one array slab-point kernel; and the rank-one
+decomposition of B - A, as it stood in ymrelax.matcore before the
+field's continuity check became the one rank-one rule and the laminate
+normal the unit direction of one row.  Tests hold the batched and
 rewritten versions in ymrelax._search, ymrelax.relax, ymrelax.envelope,
 ymrelax.certify, ymrelax.measure and ymrelax.laminate, and the closed
 form, to these bit for bit, errors included, with these exceptions: where
@@ -370,6 +373,45 @@ def classify(field, p, q):
             if det(a) <= 0.0:
                 pos_deficit += vol * w
     return ClassReport(p, q, m1, m2, inv_deficit, pos_deficit)
+
+
+# B - A counts as rank one when its rows' parts off its longest row's
+# direction have a root-sum-square below RANK_ONE_RTOL times that row's norm.
+RANK_ONE_RTOL = 1e-9
+
+
+def rank_one_difference(a, b):
+    """Decompose B - A as an outer product.
+
+    Returns (vec_a, vec_m) with B - A = vec_a (x) vec_m and |vec_m| = 1,
+    or None when the difference is not rank one within tolerance (this
+    includes the rank-zero case A = B).  The sign of vec_m is normalized
+    so its largest-magnitude entry is positive.
+
+    Rank is scale-free, so the rows are first multiplied by the power of
+    two that puts the largest |entry| in [1, 2), which is exact and keeps
+    every square in range.  vec_m is the longest row's direction, and the
+    difference is rank one when the rows' parts off vec_m have a
+    root-sum-square of at most RANK_ONE_RTOL times that row's norm.
+    vec_a is scaled back by a product, so an entry beyond the float
+    range reads inf.
+    """
+    d = b - a
+    big = max(abs(x) for x in d.flat)
+    if big == 0.0:
+        return None
+    k = 1 - math.frexp(big)[1]
+    rows = [[math.ldexp(x, k) for x in r] for r in d.rows()]
+    norms = [math.sqrt(math.fsum(x * x for x in r)) for r in rows]
+    nr = max(norms)
+    m = [x / nr for x in rows[norms.index(nr)]]
+    if max(m, key=abs) < 0.0:
+        m = [-x for x in m]
+    vec_a = [math.fsum(x * y for x, y in zip(r, m)) for r in rows]
+    off = [x - c * y for r, c in zip(rows, vec_a) for x, y in zip(r, m)]
+    if math.sqrt(math.fsum(x * x for x in off)) > RANK_ONE_RTOL * nr:
+        return None
+    return (tuple(c * 2.0 ** -k for c in vec_a), tuple(m))
 
 
 def _slab_point(normal, t, s):

@@ -199,6 +199,18 @@ MIXED_FIELDS = [
      "offsets": [[0.0]]},
     {"n": 2, "normal": [1.0, 0.0], "breaks": [0.0, 1.0],
      "grads": [[1.0, 0.0, 0.0, 1.0]], "offsets": [[0.0, 0.0]]}]
+FIELD_1D = {"n": 1, "normal": [1.0], "breaks": [0.0, 1.0], "grads": [[1.0]],
+            "offsets": [[0.0]]}
+
+
+def nested(cfg, mesh=None, atoms=None):
+    """cfg with its constant field's mesh or atoms replaced."""
+    field = cfg["field"]
+    return {**cfg, "field": {
+        "mesh": mesh or field["mesh"],
+        "constant_measure": {"atoms": atoms or field["constant_measure"]["atoms"]}}}
+
+
 GLUE_CFG = {"atoms": [-1.0, 1.0], "weights": [0.5, 0.5], "k_ladder": [4],
             "boundary": {"F": 0.0, "layer_width": 0.125, "epsilon": 0.5}}
 
@@ -323,6 +335,44 @@ class TestMalformedValues:
             "offsets": [[0.0, 0.0], [-0.5, 0.0]]}},
                      "certify.u_h: 2D slab fields must be affine",
                      id="thm3_u_h_2d_two_pieces"),
+        # nested mesh, measure and field objects, read as strictly as the
+        # keys around them
+        pytest.param("certify", nested(THM1_CFG, atoms=[{"mat": ["1.5"], "w": True}]),
+                     "certify.field: expected a number, got str",
+                     id="atom_mat_str_w_bool"),
+        pytest.param("certify", nested(THM1_CFG, mesh={"dim": True, "cells": 4}),
+                     "certify.field: expected an integer, got bool", id="mesh_dim_bool"),
+        pytest.param("certify", nested(THM1_CFG, mesh={"dim": 1, "cells": 1.9}),
+                     "certify.field: expected an integer, got float",
+                     id="mesh_cells_float"),
+        pytest.param("relax", {**RELAX_CFG, "mesh": {"dim": 1, "cells": "4"}},
+                     "relax.mesh: expected an integer, got str", id="relax_cells_str"),
+        pytest.param("certify", {"theorem": "det_limit", "p": 2, "fields": [
+            {**FIELD_1D, "normal": [True]}]},
+                     "certify.fields: expected a number, got bool", id="fields_normal_bool"),
+        pytest.param("certify", {"theorem": "det_limit", "p": 2, "fields": [
+            {**FIELD_1D, "grads": [["2"]]}]},
+                     "certify.fields: expected a number, got str", id="fields_grads_str"),
+        pytest.param("certify", nested(THM1_CFG, mesh={"dim": 1, "cells": 4, "bogus": 1}),
+                     "certify.field: unknown keys ['bogus']", id="mesh_extra_key"),
+        pytest.param("certify", nested(THM1_CFG, atoms=[
+            {"mat": [1.0], "w": 1.0, "bogus": 1}]),
+                     "certify.field: unknown keys ['bogus']", id="atom_extra_key"),
+        pytest.param("certify", {**THM1_CFG, "field": {
+            **THM1_CFG["field"], "constant_measure": {
+                **THM1_CFG["field"]["constant_measure"], "bogus": 1}}},
+                     "certify.field: unknown keys ['bogus']", id="measure_extra_key"),
+        pytest.param("certify", {**THM1_CFG, "field": {
+            "mesh": {"dim": 1, "cells": 1}, "bogus": 1,
+            "measures": [{"atoms": [{"mat": [1.0], "w": 1.0}]}]}},
+                     "certify.field: unknown keys ['bogus']",
+                     id="measure_field_extra_key"),
+        pytest.param("certify", {"theorem": "det_limit", "p": 2, "fields": [
+            {**FIELD_1D, "bogus": 1}]},
+                     "certify.fields: unknown keys ['bogus']",
+                     id="gradient_field_extra_key"),
+        pytest.param("certify", {**THM3_CFG, "u_h": {**THM3_CFG["u_h"], "bogus": 1}},
+                     "certify.u_h: unknown keys ['bogus']", id="u_h_extra_key"),
     ])
     def test_exit_2_one_line(self, tmp_path, capsys, command, cfg, key):
         code, out = run(tmp_path, command, cfg)

@@ -1,11 +1,14 @@
 """Mutation fuzzing of CLI configs.
 
 Each case starts from a valid config of one command and drops, adds or
-replaces one key, at the top level or inside energy_params, boundary,
-laminate or a battery entry.  Replacement values come from a fixed pool
-of wrong types, bad ranges and an integer beyond the float range.  A
-second family draws valid thm1 and thm2 certify configs at the edges of
-the float range: subnormal weights and entries past 1e154.
+replaces one key, at the top level or inside any object nested in it:
+energy_params, boundary, laminate, a battery entry, a mesh, a measure
+or its atoms, a measure field, a gradient field or u_h.  Replacement
+values come from a fixed pool of wrong types, bad ranges and an integer
+beyond the float range; it holds no large power of two, which as a valid
+cell count would build a field of that many cells.  A second family
+draws valid thm1 and thm2 certify configs at the edges of the float
+range: subnormal weights and entries past 1e154.
 """
 
 import contextlib
@@ -69,19 +72,21 @@ BASES = CHEAP + (
     ("certify", {"theorem": "det_limit", "p": 2,
                  "laminate": {"atoms": [1.0, 2.0], "weights": [0.5, 0.5]},
                  "k_ladder": [2, 4, 8]}),
+    ("certify", {"theorem": "det_limit", "p": 2, "fields": [
+        {"n": 1, "normal": [1.0], "breaks": [0.0, 0.5, 1.0],
+         "grads": [[1.0], [2.0]], "offsets": [[0.0], [-0.5]]}]}),
     ("certify", _THM3),
 )
 
 
-def _spots(cfg: dict) -> list:
-    """The objects a mutation may touch: the config and its nested ones."""
-    spots = [cfg]
-    for key in ("energy_params", "boundary", "laminate"):
-        if isinstance(cfg.get(key), dict):
-            spots.append(cfg[key])
-    for key in ("battery", "v_battery"):
-        spots.extend(cfg.get(key, []))
-    return spots
+def _spots(value) -> list:
+    """The objects a mutation may touch: the config and every object
+    nested in it, inside lists too."""
+    if isinstance(value, list):
+        return [spot for x in value for spot in _spots(x)]
+    if isinstance(value, dict):
+        return [value] + [spot for x in value.values() for spot in _spots(x)]
+    return []
 
 
 @st.composite

@@ -14,7 +14,9 @@ from ymrelax.laminate import (
     WEIGHT_FUNCTIONS,
     GradientField,
     SequenceSpec,
+    _laminate_normal,
     _lateral_mismatch,
+    _unit_direction,
     boundary_glue,
     build_laminate_sequence,
     empirical_pairing,
@@ -370,6 +372,53 @@ class TestBuildLaminate:
     def test_weights_validated(self):
         with pytest.raises(ValueError):
             SequenceSpec((Mat.scalar(1.0),), (0.7,), 2)
+
+
+def _hexes(xs) -> list:
+    return [x.hex() for x in xs]  # exact, zero signs included
+
+
+def normal_rows(rng, count: int) -> list:
+    """Seeded nonzero rows of two entries of either sign, magnitudes from
+    the least subnormal 5e-324 to 1.5e308: unrelated, one of them a
+    signed zero, tied in |entry|, within a factor 4, both subnormal, or
+    both past 2^1000, and a few fixed edge rows."""
+    lo, hi = math.log2(5e-324), math.log2(1.5e308)
+    rows = [[5e-324, 0.0], [-5e-324, -0.0], [-0.0, -5e-324], [1.5e308, 1.5e308],
+            [-1.5e308, 1.5e308], [1.5e308, -1.5e308], [0.0, -1.0], [-3.0, 3.0]]
+    while len(rows) < count:
+        kind = rng.integers(6)
+        span = {4: (lo, -1022.0), 5: (1000.0, hi)}.get(kind, (lo, hi))
+        x, y = (float(rng.choice((-1.0, 1.0))) * 2.0 ** rng.uniform(*span)
+                for _ in range(2))
+        if kind == 1:
+            y = math.copysign(0.0, y)
+        elif kind == 2:
+            y = math.copysign(x, y)
+        elif kind == 3:
+            y = math.copysign(abs(x) * 2.0 ** rng.uniform(-2.0, 2.0), y)
+        if x or y:
+            rows.append([x, y] if rng.integers(2) else [y, x])
+    return rows
+
+
+class TestLaminateNormal:
+    """The normal is the unit direction of one row, held bit for bit to
+    the direction the reference rank-one decomposition gives that row."""
+
+    def test_unit_direction_matches_the_reference(self, rng):
+        rows = normal_rows(rng, 12000)
+        assert sum(0.0 < min(map(abs, r)) < 2.0 ** -1022 for r in rows) > 100
+        assert sum(abs(r[0]) == abs(r[1]) for r in rows) > 100
+        for row in rows:
+            want = _reference.rank_one_difference(
+                Mat.zero(2), Mat.from_rows([row, [0.0, 0.0]]))[1]
+            assert _hexes(_unit_direction(row)) == _hexes(want), row
+            if frob_norm(Mat.from_rows([row, [0.0, 0.0]])) > 1e-13:
+                # a jump of row and a zero row, either way round
+                for jump in ([row, [0.0, 0.0]], [[0.0, 0.0], row]):
+                    got = _laminate_normal([Mat.zero(2), Mat.from_rows(jump)])
+                    assert _hexes(got) == _hexes(want), row
 
 
 class TestEmpiricalPairing:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _reference import rank_one_difference
 from _sampling import diag
 from ymrelax.errors import SingularError
 from ymrelax.matcore import (
@@ -22,7 +23,6 @@ from ymrelax.matcore import (
     mat_close,
     max_norm_pair,
     quiet,
-    rank_one_difference,
     dets,
     frob_norms,
     in_rho_balls,
@@ -139,8 +139,9 @@ def planted_rank_one(rng, n):
 
 
 class TestRankOne:
-    """numpy's SVD is the independent oracle: B - A is rank one when its
-    second singular value is negligible against its first."""
+    """The reference rank-one decomposition, which holds the laminate
+    normal, against numpy's SVD: B - A is rank one when its second
+    singular value is negligible against its first."""
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_planted_rank_one_accepted(self, n, rng):

@@ -69,3 +69,29 @@ def test_public_methods_are_used():
                             and not item.name.startswith("_")]
     unused = sorted(f"{cls}.{name}" for cls, name in methods if name not in used)
     assert unused == [], f"referenced nowhere in the package: {unused}"
+
+
+def test_unexported_names_are_used():
+    """Every top-level function, class and constant of a package module
+    is exported in ymrelax.__all__ or read somewhere in the package: a
+    name only its definition mentions is code nothing runs."""
+    trees = {path.name: ast.parse(path.read_text())
+             for path in sorted(pathlib.Path(ymrelax.__file__).parent.glob("*.py"))}
+    used = set()
+    defined = []
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.append((module, node.name))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined += [(module, t.id) for t in targets if isinstance(t, ast.Name)]
+    unused = sorted(f"{module}:{name}" for module, name in defined
+                    if name not in used and name not in ymrelax.__all__
+                    and not name.startswith("__"))
+    assert unused == [], f"defined, not exported, read nowhere: {unused}"
